@@ -71,25 +71,25 @@ Quantized lorenzo_quantize(const std::vector<float>& field, Dims dims,
   std::vector<float> recon(field.size(), 0.0f);
   const i64 center = nbins / 2;
   const double bin_width = 2.0 * error_bound;
-  const std::size_t sx = 1, sy = dims.nx, sz = dims.nx * dims.ny;
+  const std::size_t sy = dims.nx, sz = dims.nx * dims.ny;
 
   std::size_t idx = 0;
   for (std::size_t z = 0; z < dims.nz; ++z) {
     for (std::size_t y = 0; y < dims.ny; ++y) {
       for (std::size_t x = 0; x < dims.nx; ++x, ++idx) {
         // 3-D Lorenzo predictor over already-reconstructed neighbours.
-        double pred = 0.0;
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        if (hx) pred += recon[idx - sx];
-        if (hy) pred += recon[idx - sy];
-        if (hz) pred += recon[idx - sz];
-        if (hx && hy) pred -= recon[idx - sx - sy];
-        if (hx && hz) pred -= recon[idx - sx - sz];
-        if (hy && hz) pred -= recon[idx - sy - sz];
-        if (hx && hy && hz) pred += recon[idx - sx - sy - sz];
+        const double pred =
+            lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
 
         const double err = static_cast<double>(field[idx]) - pred;
-        const i64 code = center + static_cast<i64>(std::llround(err / bin_width));
+        i64 code = center + static_cast<i64>(std::llround(err / bin_width));
+        const float r = static_cast<float>(
+            pred + static_cast<double>(code - center) * bin_width);
+        // Rounding the reconstruction to float can push it past the bound
+        // by an ulp; such a value is an outlier like any other.
+        if (std::abs(static_cast<double>(r) - field[idx]) > error_bound) {
+          code = 0;
+        }
         if (code <= 0 || code >= static_cast<i64>(nbins)) {
           // Outlier: store verbatim (code 0 is the marker).
           q.codes[idx] = 0;
@@ -97,8 +97,7 @@ Quantized lorenzo_quantize(const std::vector<float>& field, Dims dims,
           recon[idx] = field[idx];
         } else {
           q.codes[idx] = static_cast<u16>(code);
-          recon[idx] = static_cast<float>(
-              pred + static_cast<double>(code - center) * bin_width);
+          recon[idx] = r;
         }
       }
     }
@@ -110,7 +109,7 @@ std::vector<float> lorenzo_reconstruct(const Quantized& q) {
   std::vector<float> recon(q.codes.size(), 0.0f);
   const i64 center = q.nbins / 2;
   const double bin_width = 2.0 * q.error_bound;
-  const std::size_t sx = 1, sy = q.dims.nx, sz = q.dims.nx * q.dims.ny;
+  const std::size_t sy = q.dims.nx, sz = q.dims.nx * q.dims.ny;
 
   std::size_t next_outlier = 0;
   std::size_t idx = 0;
@@ -125,15 +124,8 @@ std::vector<float> lorenzo_reconstruct(const Quantized& q) {
           recon[idx] = q.outliers[next_outlier++].second;
           continue;
         }
-        double pred = 0.0;
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        if (hx) pred += recon[idx - sx];
-        if (hy) pred += recon[idx - sy];
-        if (hz) pred += recon[idx - sz];
-        if (hx && hy) pred -= recon[idx - sx - sy];
-        if (hx && hz) pred -= recon[idx - sx - sz];
-        if (hy && hz) pred -= recon[idx - sy - sz];
-        if (hx && hy && hz) pred += recon[idx - sx - sy - sz];
+        const double pred =
+            lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
         recon[idx] = static_cast<float>(
             pred +
             static_cast<double>(static_cast<i64>(q.codes[idx]) - center) *

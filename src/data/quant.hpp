@@ -45,6 +45,27 @@ struct Quantized {
 /// Inverse transform.
 [[nodiscard]] std::vector<float> lorenzo_reconstruct(const Quantized& q);
 
+/// 3-D Lorenzo prediction for cell (x, y, z) at flat index `idx` of a
+/// row-major grid with strides 1 / `sy` / `sz`, from the already
+/// reconstructed neighbours in `recon` (cells outside the grid count as
+/// zero). Every quantizer and reconstructor calls this one, so encoder
+/// and decoder predict bit-identically.
+[[nodiscard]] inline double lorenzo_predict(const float* recon,
+                                            std::size_t idx, std::size_t x,
+                                            std::size_t y, std::size_t z,
+                                            std::size_t sy, std::size_t sz) {
+  double pred = 0.0;
+  const bool hx = x > 0, hy = y > 0, hz = z > 0;
+  if (hx) pred += recon[idx - 1];
+  if (hy) pred += recon[idx - sy];
+  if (hz) pred += recon[idx - sz];
+  if (hx && hy) pred -= recon[idx - 1 - sy];
+  if (hx && hz) pred -= recon[idx - 1 - sz];
+  if (hy && hz) pred -= recon[idx - sy - sz];
+  if (hx && hy && hz) pred += recon[idx - 1 - sy - sz];
+  return pred;
+}
+
 /// Convenience for the benches: `n` Nyx-Quant-like codes over 1024 bins.
 [[nodiscard]] std::vector<u16> generate_nyx_quant(std::size_t n, u64 seed);
 

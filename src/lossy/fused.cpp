@@ -107,7 +107,7 @@ std::vector<float> fused_reconstruct(const std::vector<u16>& codes,
   std::vector<float> recon(codes.size(), 0.0f);  // prediction inputs
   const i64 center = nbins / 2;
   const double bin_width = 2.0 * eb;
-  const std::size_t sx = 1, sy = dims.nx, sz = dims.nx * dims.ny;
+  const std::size_t sy = dims.nx, sz = dims.nx * dims.ny;
 
   std::size_t next_outlier = 0;
   std::size_t idx = 0;
@@ -130,15 +130,8 @@ std::vector<float> fused_reconstruct(const std::vector<u16>& codes,
           recon[idx] = std::isfinite(v) ? v : 0.0f;
           continue;
         }
-        double pred = 0.0;
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        if (hx) pred += recon[idx - sx];
-        if (hy) pred += recon[idx - sy];
-        if (hz) pred += recon[idx - sz];
-        if (hx && hy) pred -= recon[idx - sx - sy];
-        if (hx && hz) pred -= recon[idx - sx - sz];
-        if (hy && hz) pred -= recon[idx - sy - sz];
-        if (hx && hy && hz) pred += recon[idx - sx - sy - sz];
+        const double pred =
+            data::lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
         const float v = static_cast<float>(
             pred +
             static_cast<double>(static_cast<i64>(codes[idx]) - center) *
@@ -187,7 +180,7 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
   const u32 nbins = cfg.nbins;
   const i64 center = nbins / 2;
   const double bin_width = 2.0 * eb;
-  const std::size_t sx = 1, sy = dims.nx, sz = dims.nx * dims.ny;
+  const std::size_t sy = dims.nx, sz = dims.nx * dims.ny;
 
   std::vector<u64> freq(nbins, 0);
   RleAccumulator acc(static_cast<u16>(center), cfg.rle_min_run, freq);
@@ -203,18 +196,12 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
           cancel->check();
           next_poll += kPollStride;
         }
-        double pred = 0.0;
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        if (hx) pred += recon[idx - sx];
-        if (hy) pred += recon[idx - sy];
-        if (hz) pred += recon[idx - sz];
-        if (hx && hy) pred -= recon[idx - sx - sy];
-        if (hx && hz) pred -= recon[idx - sx - sz];
-        if (hy && hz) pred -= recon[idx - sy - sz];
-        if (hx && hy && hz) pred += recon[idx - sx - sy - sz];
+        const double pred =
+            data::lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
 
         const float v = field[idx];
         i64 code = 0;
+        float r = 0.0f;
         if (std::isfinite(v)) {
           const double err = static_cast<double>(v) - pred;
           // Magnitude pre-check before llround: a quantum count past the
@@ -223,6 +210,11 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
           if (std::abs(err) < bin_width * static_cast<double>(nbins)) {
             code = center + static_cast<i64>(std::llround(err / bin_width));
             if (code <= 0 || code >= static_cast<i64>(nbins)) code = 0;
+            r = static_cast<float>(
+                pred + static_cast<double>(code - center) * bin_width);
+            // Rounding the reconstruction to float can push it past the
+            // bound by an ulp; such a value is an outlier like any other.
+            if (std::abs(static_cast<double>(r) - v) > eb) code = 0;
           }
         }
         if (code == 0) {
@@ -230,8 +222,7 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
           recon[idx] = std::isfinite(v) ? v : 0.0f;
           acc.push(0);
         } else {
-          recon[idx] = static_cast<float>(
-              pred + static_cast<double>(code - center) * bin_width);
+          recon[idx] = r;
           acc.push(static_cast<u16>(code));
         }
       }

@@ -1,17 +1,13 @@
 #include "router/router.hpp"
 
 #include <algorithm>
-#include <array>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <functional>
+#include <exception>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "svc/deadline.hpp"
 #include "svc/fingerprint.hpp"
@@ -20,6 +16,7 @@
 
 namespace parhuff::router {
 
+using rpc::FramedConn;
 using rpc::Frame;
 using rpc::Header;
 using rpc::Kind;
@@ -28,21 +25,15 @@ using rpc::Status;
 
 namespace {
 
-[[nodiscard]] Frame error_frame(const Header& req, Status status,
-                                const std::string& message) {
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = req.op;
-  f.h.sym_width = req.sym_width;
-  f.h.request_id = req.request_id;
-  f.h.status = status;
-  f.payload.assign(message.begin(), message.end());
-  return f;
-}
-
-[[nodiscard]] svc::Priority to_priority(u8 p) {
-  if (p >= static_cast<u8>(svc::Priority::kHigh)) return svc::Priority::kHigh;
-  return static_cast<svc::Priority>(p);
+/// The client's priority and relative deadline for the proxy hop. The
+/// budget is forwarded unchanged (the shard re-anchors it on its own clock
+/// — router queueing time is deliberately inside the budget the shard
+/// sees, matching what a direct client would experience).
+[[nodiscard]] rpc::RpcOptions forward_options(const Header& h) {
+  rpc::RpcOptions opts;
+  opts.priority = rpc::to_priority(h.priority);
+  opts.deadline_seconds = static_cast<double>(h.deadline_micros) * 1e-6;
+  return opts;
 }
 
 }  // namespace
@@ -57,44 +48,15 @@ struct ShardRouter::Shard {
   std::atomic<u64> served{0};
 };
 
-/// Everything one client connection's reader and writer share — the same
-/// in-order response-slot design as RpcServer::ConnState, plus the
-/// client-id → (shard, backend-id) bindings a cancel frame needs to chase
-/// its target across the proxy hop.
-struct ShardRouter::ConnState {
-  std::shared_ptr<rpc::Connection> conn;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<Frame()>> slots;  // FIFO response order
-  bool reader_done = false;
-
+/// The router's per-connection state: the client-id → (shard, backend-id)
+/// bindings a cancel frame needs to chase its target across the proxy
+/// hop, and the pinned streams. Guarded by mu.
+struct ShardRouter::ConnState : FramedConn {
   struct Binding {
     u32 shard = 0;
     u64 backend_id = 0;
   };
   std::unordered_map<u64, Binding> routes;  // client request id → binding
-
-  void enqueue(std::function<Frame()> slot) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      slots.push_back(std::move(slot));
-    }
-    cv.notify_all();
-  }
-
-  void enqueue_ready(Frame f) {
-    auto boxed = std::make_shared<Frame>(std::move(f));
-    enqueue([boxed]() { return std::move(*boxed); });
-  }
-
-  void reader_finished() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-    }
-    cv.notify_all();
-  }
 
   void bind(u64 client_id, u32 shard, u64 backend_id) {
     std::lock_guard<std::mutex> lock(mu);
@@ -149,15 +111,17 @@ ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
                          std::vector<ShardEndpoint> shards, RouterConfig cfg)
     : cfg_(cfg),
       clock_(cfg.clock ? cfg.clock : &util::Clock::real()),
-      listener_(std::move(listener)) {
-  if (!listener_) {
-    throw std::invalid_argument("ShardRouter: listener must not be null");
-  }
+      core_(std::move(listener),
+            rpc::FramedConfig{.prefix = "router",
+                              .role = "router",
+                              .faults = {},
+                              .max_connections = cfg.max_connections,
+                              .max_payload_bytes = cfg.max_payload_bytes,
+                              .io_threads = cfg.io_threads,
+                              .clock = clock_},
+            *this) {
   if (shards.empty()) {
     throw std::invalid_argument("ShardRouter: at least one shard required");
-  }
-  if (cfg_.max_connections == 0) {
-    throw std::invalid_argument("ShardRouter: max_connections must be > 0");
   }
   rpc::ClientConfig cc = cfg_.client;
   cc.clock = clock_;
@@ -171,52 +135,26 @@ ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
     sh->client = std::make_unique<rpc::RpcClient>(sh->ep.connect, cc);
     shards_.push_back(std::move(sh));
   }
-
-  const int io = cfg_.io_threads > 0
-                     ? cfg_.io_threads
-                     : static_cast<int>(1 + 2 * cfg_.max_connections);
-  io_ = std::make_unique<WorkStealExecutor>(io, clock_);
-  io_->submit([this] { accept_loop(); });
+  core_.start();
   if (cfg_.start_prober) {
     prober_ = std::thread([this] { prober_loop(); });
   }
 }
 
 ShardRouter::~ShardRouter() {
-  stop();
-  io_.reset();  // joins accept/reader/writer tasks
   // Backend clients (and their pending-future sweeps) tear down after the
   // io tasks that wait on them (member order).
+  stop();
 }
 
 void ShardRouter::stop() {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    stopping_ = true;
-  }
-  listener_->close();
   {
     std::lock_guard<std::mutex> lock(prober_mu_);
     prober_stop_ = true;
   }
   prober_cv_.notify_all();
   if (prober_.joinable()) prober_.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& w : conns_) {
-      if (std::shared_ptr<ConnState> cs = w.lock()) cs->conn->shutdown();
-    }
-  }
-  io_->wait_idle();
-}
-
-std::size_t ShardRouter::connection_count() const {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  std::size_t live = 0;
-  for (const auto& w : conns_) {
-    if (!w.expired()) ++live;
-  }
-  return live;
+  core_.stop();
 }
 
 bool ShardRouter::shard_healthy(std::size_t i) const {
@@ -289,14 +227,7 @@ rpc::RpcCall ShardRouter::forward(u32 idx, const Header& h,
   // Fault site: the forward write to the shard fails (connection died
   // under the frame, shard-side kernel buffer gone...).
   util::FaultInjector::global().maybe_throw("router.proxy.write");
-  rpc::RpcOptions opts;
-  opts.priority = to_priority(h.priority);
-  // The wire deadline is a relative budget; the proxy hop forwards it
-  // unchanged (the shard re-anchors on its own clock — router queueing
-  // time is deliberately inside the budget the shard sees, matching what
-  // a direct client would experience).
-  opts.deadline_seconds =
-      static_cast<double>(h.deadline_micros) * 1e-6;
+  const rpc::RpcOptions opts = forward_options(h);
   Shard& sh = *shards_[idx];
   if (h.op == Op::kCompress) {
     return sh.client->compress(std::span<const u8>(payload), h.sym_width,
@@ -315,221 +246,138 @@ rpc::RpcCall ShardRouter::forward(u32 idx, const Header& h,
                                opts);
 }
 
-void ShardRouter::accept_loop() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::unique_ptr<rpc::Connection> c;
-    try {
-      c = listener_->accept();
-    } catch (...) {
-      break;  // listener failed: router keeps serving live connections
-    }
-    if (!c) break;  // closed
-
-    std::shared_ptr<ConnState> cs;
-    bool reject = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      std::erase_if(conns_, [](const std::weak_ptr<ConnState>& w) {
-        return w.expired();
-      });
-      if (stopping_ || conns_.size() >= cfg_.max_connections) reject = true;
-      if (!reject) {
-        cs = std::make_shared<ConnState>();
-        cs->conn = std::shared_ptr<rpc::Connection>(std::move(c));
-        conns_.push_back(cs);
-      }
-    }
-    if (reject) {
-      if (c) c->shutdown();
-      reg.counter_add("router.connections_rejected");
-      continue;
-    }
-    reg.counter_add("router.connections_accepted");
-
-    bool writer_up = false;
-    try {
-      io_->submit([this, cs] { writer_loop(cs); });
-      writer_up = true;
-      io_->submit([this, cs] { reader_loop(cs); });
-    } catch (...) {
-      cs->conn->shutdown();
-      if (writer_up) cs->reader_finished();
-      reg.counter_add("router.connections_rejected");
-    }
-  }
+std::shared_ptr<FramedConn> ShardRouter::open_conn() {
+  return std::make_shared<ConnState>();
 }
 
-void ShardRouter::reader_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::array<u8, rpc::kHeaderBytes> hb;
-    try {
-      if (!cs->conn->read_exact(hb.data(), rpc::kHeaderBytes)) break;
-    } catch (...) {
-      break;
-    }
-
-    Header h;
-    try {
-      h = rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(hb),
-                             cfg_.max_payload_bytes);
-    } catch (const rpc::ProtocolError& e) {
-      reg.counter_add("router.protocol_errors");
-      if (!e.can_respond()) break;
-      u32 raw_len = 0;
-      std::memcpy(&raw_len, hb.data() + 20, sizeof(raw_len));
-      const bool resync = raw_len <= cfg_.max_payload_bytes;
-      if (resync && raw_len > 0) {
-        std::vector<u8> skip(raw_len);
-        try {
-          if (!cs->conn->read_exact(skip.data(), skip.size())) break;
-        } catch (...) {
-          break;
-        }
-      }
-      reg.counter_add("router.protocol_error_responses");
-      cs->enqueue_ready(
-          error_frame(Header{.op = Op::kCompress,
-                             .request_id = e.request_id()},
-                      e.status(), e.what()));
-      if (!resync) break;
-      continue;
-    }
-
-    std::vector<u8> payload(h.payload_len);
-    try {
-      if (!cs->conn->read_exact(payload.data(), payload.size())) break;
-    } catch (...) {
-      break;
-    }
-
-    reg.counter_add("router.requests_received");
-    if (!handle_frame(cs, h, std::move(payload))) break;
-  }
-  cs->reader_finished();
-}
-
-bool ShardRouter::handle_frame(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (h.kind != Kind::kRequest) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "response frame sent to a router"));
-    return true;
-  }
+void ShardRouter::on_request(const std::shared_ptr<FramedConn>& c,
+                             const Header& h, std::vector<u8> payload) {
+  ConnState& cs = static_cast<ConnState&>(*c);
   switch (h.op) {
     case Op::kCompress:
     case Op::kDecompress:
     case Op::kLossyCompress:
     case Op::kLossyDecompress:
       handle_proxy(cs, h, std::move(payload));
-      return true;
+      return;
     case Op::kCompressStreamBegin:
     case Op::kDecompressStreamBegin:
       handle_stream_begin(cs, h);
-      return true;
+      return;
     case Op::kCompressStreamChunk:
     case Op::kCompressStreamEnd:
     case Op::kDecompressStreamChunk:
     case Op::kDecompressStreamEnd:
       handle_stream_frame(cs, h, std::move(payload));
-      return true;
-    case Op::kCancel: {
-      if (payload.size() != sizeof(u64)) {
-        cs->enqueue_ready(error_frame(
-            h, Status::kBadRequest, "cancel payload must be a u64 id"));
-        return true;
-      }
-      u64 target = 0;
-      std::memcpy(&target, payload.data(), sizeof(target));
-      reg.counter_add("router.cancels_received");
-      // Chase the target across the proxy hop immediately (a cancel must
-      // not wait behind the response stream it is trying to shorten);
-      // only the ack rides the ordered stream.
-      ConnState::Binding b;
-      bool bound = false;
-      {
-        std::lock_guard<std::mutex> lock(cs->mu);
-        if (auto it = cs->routes.find(target); it != cs->routes.end()) {
-          b = it->second;
-          bound = true;
-        }
-      }
-      Frame ack;
-      ack.h.kind = Kind::kResponse;
-      ack.h.op = Op::kCancel;
-      ack.h.request_id = h.request_id;
-      ack.h.status = Status::kOk;
-      if (!bound) {
-        // Already resolved, shed, or never existed — idempotent
-        // best-effort either way, same as RpcServer.
-        cs->enqueue_ready(std::move(ack));
-        return true;
-      }
-      auto fut = std::make_shared<std::future<void>>(
-          shards_[b.shard]->client->cancel(b.backend_id));
-      auto boxed = std::make_shared<Frame>(std::move(ack));
-      cs->enqueue([fut, boxed]() {
-        try {
-          fut->get();  // ack after the shard acked (ordering contract)
-        } catch (...) {
-          // The shard died around the cancel; the target's own future
-          // resolves through failover or TransportError regardless.
-        }
-        return std::move(*boxed);
-      });
-      return true;
-    }
-    case Op::kStats: {
-      cs->enqueue([id = h.request_id]() {
-        Frame f;
-        f.h.kind = Kind::kResponse;
-        f.h.op = Op::kStats;
-        f.h.request_id = id;
-        f.h.status = Status::kOk;
-        obs::Json j = obs::Json::object();
-        j.set("schema", obs::kMetricsSchema);
-        j.set("name", "router-stats");
-        j.set("metrics", obs::MetricsRegistry::global().to_json());
-        const std::string text = j.dump();
-        f.payload.assign(text.begin(), text.end());
-        return f;
-      });
-      return true;
-    }
-    case Op::kHealth: {
-      rpc::HealthInfo info;
-      info.connections = connection_count();
-      info.max_connections = cfg_.max_connections;
-      u64 up = 0;
-      for (const auto& sh : shards_) {
-        if (sh->health.available()) ++up;
-      }
-      // Shards stand in for queue slots: depth = unavailable shards,
-      // capacity = all shards, so occupancy reads as "fraction of the
-      // fleet that cannot take traffic".
-      info.queue_depth = static_cast<u64>(shards_.size()) - up;
-      info.queue_capacity = shards_.size();
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        info.accepting = !stopping_;
-      }
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = Op::kHealth;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
-      f.payload = rpc::encode_health_info(info);
-      cs->enqueue_ready(std::move(f));
-      return true;
-    }
+      return;
+    case Op::kCancel:
+    case Op::kStats:
+    case Op::kHealth:
+      return;  // answered by the connection core
   }
-  return true;  // unreachable: decode_header validated the op
 }
 
-void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload) {
+void ShardRouter::on_cancel(FramedConn& c, u64 target, Frame ack) {
+  ConnState& cs = static_cast<ConnState&>(c);
+  // Chase the target across the proxy hop now; only the ack rides the
+  // ordered response stream.
+  ConnState::Binding b;
+  bool bound = false;
+  {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    if (auto it = cs.routes.find(target); it != cs.routes.end()) {
+      b = it->second;
+      bound = true;
+    }
+  }
+  if (!bound) {
+    // Already resolved, shed, or never existed — idempotent best-effort
+    // either way, same as RpcServer.
+    cs.enqueue_ready(std::move(ack));
+    return;
+  }
+  auto fut = std::make_shared<std::future<void>>(
+      shards_[b.shard]->client->cancel(b.backend_id));
+  auto boxed = std::make_shared<Frame>(std::move(ack));
+  cs.enqueue([fut, boxed]() {
+    try {
+      fut->get();  // ack after the shard acked (ordering contract)
+    } catch (...) {
+      // The shard died around the cancel; the target's own future
+      // resolves through failover or TransportError regardless.
+    }
+    return std::move(*boxed);
+  });
+}
+
+void ShardRouter::fill_health(rpc::HealthInfo& info) {
+  u64 up = 0;
+  for (const auto& sh : shards_) {
+    if (sh->health.available()) ++up;
+  }
+  // Shards stand in for queue slots: depth = unavailable shards,
+  // capacity = all shards, so occupancy reads as "fraction of the fleet
+  // that cannot take traffic".
+  info.queue_depth = static_cast<u64>(shards_.size()) - up;
+  info.queue_capacity = shards_.size();
+}
+
+void ShardRouter::on_teardown(FramedConn& c) {
+  // Streams still bound when the client connection dies never reach their
+  // End: abort them here (all slots drained, so nothing can race the
+  // sweep) and force the shard's half closed too — cancel() interrupts an
+  // in-flight encode (the cancel frame is sent synchronously; the
+  // deferred ack future may be dropped), and a poisoned End (a byte total
+  // no real stream can reach) makes the shard erase its state with a
+  // typed abort instead of leaking toward its per-connection stream cap.
+  ConnState& cs = static_cast<ConnState&>(c);
+  std::vector<ConnState::StreamRoute> orphaned;
+  {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    for (const auto& [sid, route] : cs.stream_routes) {
+      orphaned.push_back(route);
+    }
+    cs.stream_routes.clear();
+  }
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (const ConnState::StreamRoute& route : orphaned) {
+    reg.counter_add("router.streams_aborted");
+    rpc::RpcClient& backend = *shards_[route.shard]->client;
+    try {
+      (void)backend.cancel(route.backend_begin_id);
+      (void)backend.stream_end(route.end_op, route.backend_sid, ~0ull, 0);
+    } catch (...) {
+      // Backend gone too — its connection teardown reaps the stream.
+    }
+  }
+}
+
+std::optional<Frame> ShardRouter::shard_answer(Shard& sh, const Header& h,
+                                               const std::exception_ptr& err) {
+  try {
+    std::rethrow_exception(err);
+  } catch (const rpc::RpcError& e) {
+    if (e.status() == Status::kQueueFull ||
+        e.status() == Status::kShuttingDown) {
+      // The shard is alive but shedding/draining: route around it.
+      sh.health.note_queue_full();
+      return std::nullopt;
+    }
+  } catch (const svc::DeadlineExceeded&) {
+    // Alive, just out of budget. Terminal — a second shard cannot beat a
+    // deadline the first already missed.
+  } catch (const svc::CancelledError&) {
+  } catch (...) {
+    // No answer at all: the forward failed or the connection died.
+    sh.health.note_failure(cfg_.health);
+    return std::nullopt;
+  }
+  sh.health.note_success();
+  return rpc::error_frame(h, err, rpc::Blame::kServer);
+}
+
+void ShardRouter::handle_proxy(ConnState& cs, const Header& h,
+                               std::vector<u8> payload) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
   util::FaultInjector& faults = util::FaultInjector::global();
@@ -549,8 +397,8 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
     reg.stage_add("router.route", (route_us - start_us) / 1e6);
   } catch (...) {
     reg.counter_add("router.shed");
-    cs->enqueue_ready(
-        error_frame(h, Status::kInternal, "router: route lookup failed"));
+    cs.enqueue_ready(
+        rpc::error_frame(h, Status::kInternal, "router: route lookup failed"));
     return;
   }
 
@@ -561,108 +409,59 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
   // see.
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
   auto call = std::make_shared<rpc::RpcCall>();
-  std::size_t attempt = 0;
-  bool in_flight = false;
-  for (; attempt < order.size(); ++attempt) {
-    try {
-      *call = forward(order[attempt], h, *body);
-      cs->bind(h.request_id, order[attempt], call->id);
-      in_flight = true;
-      break;
-    } catch (...) {
-      shards_[order[attempt]]->health.note_failure(cfg_.health);
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
+  // Forward to the first candidate from `from` on that accepts the frame;
+  // returns order.size() when none does.
+  auto forward_from = [this, raw, body, call, order](const Header& hdr,
+                                                     std::size_t from) {
+    for (; from < order.size(); ++from) {
+      try {
+        *call = forward(order[from], hdr, *body);
+        raw->bind(hdr.request_id, order[from], call->id);
+        return from;
+      } catch (...) {
+        shards_[order[from]]->health.note_failure(cfg_.health);
+      }
     }
-  }
-  if (!in_flight) {
+    return from;
+  };
+  const std::size_t first = forward_from(h, 0);
+  if (first == order.size()) {
     reg.counter_add("router.shed");
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                  "router: no shard accepted the request"));
+    cs.enqueue_ready(rpc::error_frame(
+        h, Status::kQueueFull, "router: no shard accepted the request"));
     return;
   }
 
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
-  cs->enqueue([this, raw, body, call, hdr = h, order,
-               first = attempt, start_us]() {
+  cs.enqueue([this, raw, call, hdr = h, order, forward_from, first,
+              start_us]() {
     obs::MetricsRegistry& mreg = obs::MetricsRegistry::global();
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-
-    std::size_t attempts_done = 0;  // terminal answers obtained
+    std::optional<Frame> f;
+    std::size_t attempts_done = 0;  // answers obtained
     std::size_t idx = first;        // current candidate index
-    bool terminal = false;
-    for (;;) {
-      const u32 shard = order[idx];
+    while (idx < order.size()) {
+      Shard& sh = *shards_[order[idx]];
       try {
-        f.payload = call->result.get();
-        f.h.status = Status::kOk;
-        shards_[shard]->health.note_success();
-        terminal = true;
-      } catch (const svc::DeadlineExceeded& e) {
-        // The shard answered: alive, just out of budget. Terminal — a
-        // second shard cannot beat a deadline the first already missed.
-        f.h.status = Status::kDeadlineExceeded;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-        shards_[shard]->health.note_success();
-        terminal = true;
-      } catch (const svc::CancelledError& e) {
-        f.h.status = Status::kCancelled;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-        shards_[shard]->health.note_success();
-        terminal = true;
-      } catch (const rpc::RpcError& e) {
-        if (e.status() == Status::kQueueFull ||
-            e.status() == Status::kShuttingDown) {
-          // The shard is alive but shedding/draining: route around it.
-          shards_[shard]->health.note_queue_full();
-        } else {
-          f.h.status = e.status();
-          f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-          shards_[shard]->health.note_success();
-          terminal = true;
-        }
-      } catch (const rpc::TransportError&) {
-        shards_[shard]->health.note_failure(cfg_.health);
-      } catch (const std::exception& e) {
-        f.h.status = Status::kInternal;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-        terminal = true;
+        f = rpc::response_to(hdr);
+        f->payload = call->result.get();
+        sh.health.note_success();
+      } catch (...) {
+        f = shard_answer(sh, hdr, std::current_exception());
       }
       ++attempts_done;
-      if (terminal) {
-        shards_[shard]->served.fetch_add(1, std::memory_order_relaxed);
-        mreg.counter_add("router.shard." + shards_[shard]->ep.name +
-                         ".served");
+      if (f) {
+        sh.served.fetch_add(1, std::memory_order_relaxed);
+        mreg.counter_add("router.shard." + sh.ep.name + ".served");
         break;
       }
       // Failover: the next candidate, re-forwarded from the slot.
       // Compress and decompress are idempotent, so re-execution after an
       // ambiguous transport death is safe (same contract as a direct
       // RpcClient caller resubmitting).
-      std::size_t next = idx + 1;
-      bool reforwarded = false;
-      for (; next < order.size(); ++next) {
-        try {
-          *call = forward(order[next], hdr, *body);
-          raw->bind(hdr.request_id, order[next], call->id);
-          reforwarded = true;
-          break;
-        } catch (...) {
-          shards_[order[next]]->health.note_failure(cfg_.health);
-        }
-      }
-      if (!reforwarded) {
-        f.h.status = Status::kQueueFull;
-        const std::string msg = "router: all shards unavailable";
-        f.payload.assign(msg.begin(), msg.end());
-        break;
-      }
-      idx = next;
+      idx = forward_from(hdr, idx + 1);
     }
 
-    if (terminal) {
+    if (f) {
       // A request that needed anything beyond its first forward attempt —
       // a reader-side forward failure (first > 0) or a retried answer —
       // counts as failed over, even though it still resolved.
@@ -670,19 +469,19 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
       mreg.counter_add(clean ? "router.forwarded" : "router.failed_over");
     } else {
       mreg.counter_add("router.shed");
+      f = rpc::error_frame(hdr, Status::kQueueFull,
+                           "router: all shards unavailable");
     }
     raw->unbind(hdr.request_id);
     obs::TraceRecorder& mrec = obs::TraceRecorder::global();
     const double done_us = mrec.now_us();
     mreg.histo_record("router.request_seconds", (done_us - start_us) / 1e6);
     mrec.complete("router.request", "router", start_us, done_us - start_us);
-    return f;
+    return std::move(*f);
   });
 }
 
-void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+void ShardRouter::handle_stream_begin(ConnState& cs, const Header& h) {
   util::FaultInjector& faults = util::FaultInjector::global();
 
   // Begin frames carry no payload to hash, so placement is a uniform
@@ -696,14 +495,12 @@ void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
     std::memcpy(key_bytes, &nonce, sizeof(nonce));
     order = candidates(fnv1a(std::span<const u8>(key_bytes, 8)));
   } catch (...) {
-    cs->enqueue_ready(
-        error_frame(h, Status::kInternal, "router: route lookup failed"));
+    cs.enqueue_ready(
+        rpc::error_frame(h, Status::kInternal, "router: route lookup failed"));
     return;
   }
 
-  rpc::RpcOptions opts;
-  opts.priority = to_priority(h.priority);
-  opts.deadline_seconds = static_cast<double>(h.deadline_micros) * 1e-6;
+  const rpc::RpcOptions opts = forward_options(h);
   const Op end_op = h.op == Op::kCompressStreamBegin
                         ? Op::kCompressStreamEnd
                         : Op::kDecompressStreamEnd;
@@ -725,54 +522,34 @@ void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
       u64 backend_sid = 0;
       std::memcpy(&backend_sid, sid_bytes.data(), 8);  // LE, like bytesio
       sh.health.note_success();
-      const u64 client_sid = cs->bind_stream(
+      const u64 client_sid = cs.bind_stream(
           ConnState::StreamRoute{idx, backend_sid, begin.id, end_op});
-      reg.counter_add("router.streams_opened");
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = h.op;
-      f.h.sym_width = h.sym_width;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
+      obs::MetricsRegistry::global().counter_add("router.streams_opened");
+      Frame f = rpc::response_to(h);
       f.payload.resize(8);
       std::memcpy(f.payload.data(), &client_sid, 8);
-      cs->enqueue_ready(std::move(f));
-      return;
-    } catch (const svc::DeadlineExceeded& e) {
-      // The shard answered: alive, just out of budget. Terminal.
-      sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, Status::kDeadlineExceeded, e.what()));
-      return;
-    } catch (const svc::CancelledError& e) {
-      sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, Status::kCancelled, e.what()));
-      return;
-    } catch (const rpc::RpcError& e) {
-      if (e.status() == Status::kQueueFull ||
-          e.status() == Status::kShuttingDown) {
-        sh.health.note_queue_full();  // alive but shedding: next candidate
-        continue;
-      }
-      // Any other typed answer (bad width, stream cap...) is terminal —
-      // the next shard would reject the same Begin the same way.
-      sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, e.status(), e.what()));
+      cs.enqueue_ready(std::move(f));
       return;
     } catch (...) {
-      sh.health.note_failure(cfg_.health);
+      // Any typed answer other than shedding (bad width, stream cap...)
+      // is terminal — the next shard would reject the same Begin the
+      // same way.
+      if (std::optional<Frame> err =
+              shard_answer(sh, h, std::current_exception())) {
+        cs.enqueue_ready(std::move(*err));
+        return;
+      }
     }
   }
-  cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                "router: no shard accepted the stream"));
+  cs.enqueue_ready(rpc::error_frame(h, Status::kQueueFull,
+                                    "router: no shard accepted the stream"));
 }
 
-void ShardRouter::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h,
+void ShardRouter::handle_stream_frame(ConnState& cs, const Header& h,
                                       std::vector<u8> payload) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   ConnState::StreamRoute route;
-  if (!cs->find_stream(h.stream_id, &route)) {
-    cs->enqueue_ready(error_frame(
+  if (!cs.find_stream(h.stream_id, &route)) {
+    cs.enqueue_ready(rpc::error_frame(
         h, Status::kBadRequest,
         "router: unknown stream id (never opened or already terminal)"));
     return;
@@ -789,137 +566,48 @@ void ShardRouter::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
                                    std::span<const u8>(payload));
   } catch (...) {
     sh.health.note_failure(cfg_.health);
-    if (cs->unbind_stream(h.stream_id)) {
-      reg.counter_add("router.streams_aborted");
+    if (cs.unbind_stream(h.stream_id)) {
+      obs::MetricsRegistry::global().counter_add("router.streams_aborted");
     }
-    cs->enqueue_ready(error_frame(
+    cs.enqueue_ready(rpc::error_frame(
         h, Status::kInternal,
         "router: stream forward failed (mid-stream failover is terminal: "
         "chunks the shard already consumed cannot be replayed)"));
     return;
   }
 
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   auto fut = std::make_shared<std::future<std::vector<u8>>>(
       std::move(call.result));
   const bool is_end =
       h.op == Op::kCompressStreamEnd || h.op == Op::kDecompressStreamEnd;
-  cs->enqueue([this, raw, fut, hdr = h, shard = route.shard, is_end]() {
-    obs::MetricsRegistry& mreg = obs::MetricsRegistry::global();
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    f.h.stream_id = hdr.stream_id;
-    bool ok = false;
+  cs.enqueue([this, raw, fut, hdr = h, &sh, is_end]() {
+    std::optional<Frame> f;
     try {
-      f.payload = fut->get();
-      f.h.status = Status::kOk;
-      shards_[shard]->health.note_success();
-      ok = true;
-    } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      shards_[shard]->health.note_success();
-    } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      shards_[shard]->health.note_success();
-    } catch (const rpc::RpcError& e) {
-      f.h.status = e.status();
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      shards_[shard]->health.note_success();
-    } catch (const rpc::TransportError&) {
-      f.h.status = Status::kInternal;
-      const std::string msg =
-          "router: shard connection lost mid-stream (terminal)";
-      f.payload.assign(msg.begin(), msg.end());
-      shards_[shard]->health.note_failure(cfg_.health);
-    } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = rpc::response_to(hdr);
+      f->payload = fut->get();
+      sh.health.note_success();
+      if (!is_end) return std::move(*f);  // mid-stream ack, stays pinned
+    } catch (...) {
+      f = shard_answer(sh, hdr, std::current_exception());
+      if (!f) {
+        f = rpc::error_frame(
+            hdr, Status::kInternal,
+            "router: shard connection lost mid-stream (terminal)");
+      }
     }
-    if (ok && !is_end) return f;  // mid-stream ack, stream stays pinned
     // Terminal: End acked, or any failure at all (mid-stream failover is
     // terminal — a second shard never saw the earlier chunks). The erase
     // winner counts it: a slot aborting can race the reader forwarding
     // the next chunk of the same stream, which then answers "unknown
     // stream id" without re-counting.
     if (raw->unbind_stream(hdr.stream_id)) {
-      mreg.counter_add(ok ? "router.streams_completed"
-                          : "router.streams_aborted");
+      obs::MetricsRegistry::global().counter_add(
+          f->h.status == Status::kOk ? "router.streams_completed"
+                                     : "router.streams_aborted");
     }
-    return f;
+    return std::move(*f);
   });
-}
-
-void ShardRouter::writer_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  bool conn_ok = true;
-  for (;;) {
-    std::function<Frame()> slot;
-    {
-      std::unique_lock<std::mutex> lock(cs->mu);
-      cs->cv.wait(lock,
-                  [&] { return !cs->slots.empty() || cs->reader_done; });
-      if (cs->slots.empty()) break;  // reader done and everything drained
-      slot = std::move(cs->slots.front());
-      cs->slots.pop_front();
-    }
-    // Resolving a slot never throws (each slot catches internally) but
-    // may block on a backend future — which always resolves (RpcClient's
-    // contract), so every slot drains even after the client died.
-    Frame f = slot();
-    if (!conn_ok) {
-      reg.counter_add("router.responses_dropped");
-      continue;
-    }
-    try {
-      const u32 bound = rpc::response_payload_bound(cfg_.max_payload_bytes);
-      try {
-        rpc::write_frame(*cs->conn, f, bound);
-      } catch (const std::length_error&) {
-        rpc::write_frame(*cs->conn,
-                         error_frame(f.h, Status::kInternal,
-                                     "response exceeds the frame bound"),
-                         bound);
-      }
-      reg.counter_add("router.responses_written");
-    } catch (...) {
-      conn_ok = false;
-      cs->conn->shutdown();  // unblocks the reader too
-      reg.counter_add("router.responses_dropped");
-    }
-  }
-  cs->conn->shutdown();
-
-  // Streams still bound when the client connection dies never reach their
-  // End: abort them here (all slots drained, so nothing can race the
-  // sweep) and force the shard's half closed too — cancel() interrupts an
-  // in-flight encode (the cancel frame is sent synchronously; the
-  // deferred ack future may be dropped), and a poisoned End (a byte total
-  // no real stream can reach) makes the shard erase its state with a
-  // typed abort instead of leaking toward its per-connection stream cap.
-  std::vector<ConnState::StreamRoute> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    for (const auto& [sid, route] : cs->stream_routes) {
-      orphaned.push_back(route);
-    }
-    cs->stream_routes.clear();
-  }
-  for (const ConnState::StreamRoute& route : orphaned) {
-    reg.counter_add("router.streams_aborted");
-    rpc::RpcClient& backend = *shards_[route.shard]->client;
-    try {
-      (void)backend.cancel(route.backend_begin_id);
-      (void)backend.stream_end(route.end_op, route.backend_sid,
-                               ~0ull, 0);
-    } catch (...) {
-      // Backend gone too — its connection teardown reaps the stream.
-    }
-  }
 }
 
 void ShardRouter::probe_shard(Shard& sh) {

@@ -9,10 +9,11 @@
 // The router speaks the same wire protocol on both sides: clients connect
 // with an unmodified RpcClient, and each shard is dialed through an
 // embedded RpcClient (inheriting its lazy connect, backoff+redial and
-// generation-swept reconnect). Per client connection the router mirrors
-// RpcServer's threading — a reader that parses/validates/routes and a
-// writer that resolves one response slot per request strictly in request
-// order — so a client cannot tell a router from a single server.
+// generation-swept reconnect). Client connections run on the same
+// framed-connection core as RpcServer's (rpc/framed.hpp) — a reader that
+// parses/validates/routes and a writer that resolves one response slot
+// per request strictly in request order — so a client cannot tell a
+// router from a single server.
 //
 // Routing is rendezvous hashing (router/hash.hpp) on a scale-invariant
 // request key: compress requests hash the payload's histogram shape with
@@ -52,8 +53,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -62,9 +65,8 @@
 #include "router/hash.hpp"
 #include "router/health.hpp"
 #include "rpc/client.hpp"
-#include "rpc/transport.hpp"
+#include "rpc/framed.hpp"
 #include "util/clock.hpp"
-#include "util/work_steal.hpp"
 
 namespace parhuff::router {
 
@@ -101,7 +103,7 @@ struct RouterConfig {
   const util::Clock* clock = nullptr;
 };
 
-class ShardRouter {
+class ShardRouter : private rpc::FrameHandler {
  public:
   /// Takes ownership of the client-facing listener, dials nothing yet
   /// (backend clients connect lazily on first use), starts accepting
@@ -109,7 +111,7 @@ class ShardRouter {
   ShardRouter(std::unique_ptr<rpc::Listener> listener,
               std::vector<ShardEndpoint> shards, RouterConfig cfg = {});
   /// stop(), then joins everything.
-  ~ShardRouter();
+  ~ShardRouter() override;
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
@@ -123,7 +125,9 @@ class ShardRouter {
   /// background prober runs). Safe to call concurrently with traffic.
   void probe_now();
 
-  [[nodiscard]] std::size_t connection_count() const;
+  [[nodiscard]] std::size_t connection_count() const {
+    return core_.connection_count();
+  }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool shard_healthy(std::size_t i) const;
   [[nodiscard]] bool shard_available(std::size_t i) const;
@@ -141,22 +145,29 @@ class ShardRouter {
   struct Shard;
   struct ConnState;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<ConnState> cs);
-  void writer_loop(std::shared_ptr<ConnState> cs);
-  /// Frame-level dispatch; returns false when the connection must drop.
-  bool handle_frame(const std::shared_ptr<ConnState>& cs,
-                    const rpc::Header& h, std::vector<u8> payload);
-  void handle_proxy(const std::shared_ptr<ConnState>& cs,
-                    const rpc::Header& h, std::vector<u8> payload);
+  // FrameHandler: the op switch, per-connection state, teardown.
+  std::shared_ptr<rpc::FramedConn> open_conn() override;
+  void on_request(const std::shared_ptr<rpc::FramedConn>& c,
+                  const rpc::Header& h, std::vector<u8> payload) override;
+  void on_cancel(rpc::FramedConn& c, u64 target, rpc::Frame ack) override;
+  void fill_health(rpc::HealthInfo& info) override;
+  void on_teardown(rpc::FramedConn& c) override;
+
+  void handle_proxy(ConnState& cs, const rpc::Header& h,
+                    std::vector<u8> payload);
   /// Open a stream: pick a shard (Begin-time failover), run the backend
   /// Begin to completion, bind client id → (shard, backend id).
-  void handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                           const rpc::Header& h);
+  void handle_stream_begin(ConnState& cs, const rpc::Header& h);
   /// Forward one Chunk/End on a pinned stream; any failure is terminal
   /// for the stream.
-  void handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                           const rpc::Header& h, std::vector<u8> payload);
+  void handle_stream_frame(ConnState& cs, const rpc::Header& h,
+                           std::vector<u8> payload);
+  /// Feed a failed backend call into `sh`'s health. Returns the client's
+  /// typed answer when the shard itself answered (deadline, cancel, any
+  /// typed error but shedding); nullopt when it did not answer or is
+  /// shedding — the cases another candidate may still serve.
+  [[nodiscard]] std::optional<rpc::Frame> shard_answer(
+      Shard& sh, const rpc::Header& h, const std::exception_ptr& err);
   /// Candidate order for a key: available shards first (hash order),
   /// then the rest (fail-open last resorts), truncated to the attempt
   /// budget.
@@ -172,11 +183,6 @@ class ShardRouter {
   RouterConfig cfg_;
   const util::Clock* clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<rpc::Listener> listener_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::weak_ptr<ConnState>> conns_;
-  bool stopping_ = false;  // under conns_mu_
 
   /// Spreads stream placement (Begin frames carry no payload to hash).
   std::atomic<u64> stream_nonce_{0};
@@ -188,7 +194,7 @@ class ShardRouter {
 
   /// Declared last: destroyed first, joining the accept/reader/writer
   /// tasks while the shards they proxy to are still alive.
-  std::unique_ptr<WorkStealExecutor> io_;
+  rpc::FramedCore core_;
 };
 
 }  // namespace parhuff::router

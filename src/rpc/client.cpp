@@ -34,6 +34,20 @@ namespace {
   }
 }
 
+/// A request header carrying the call's priority and its relative
+/// deadline budget.
+[[nodiscard]] Header request_header(Op op, u8 sym_width,
+                                    const RpcOptions& opts) {
+  Header h;
+  h.op = op;
+  h.sym_width = sym_width;
+  h.priority = static_cast<u8>(opts.priority);
+  h.deadline_micros = opts.deadline_seconds > 0
+                          ? static_cast<u64>(opts.deadline_seconds * 1e6)
+                          : 0;
+  return h;
+}
+
 }  // namespace
 
 RpcClient::RpcClient(Connector connect, ClientConfig cfg)
@@ -96,13 +110,7 @@ RpcCall RpcClient::compress(std::vector<u8>&& symbol_bytes, u8 sym_width,
                          sym_width, opts);
   }
   Frame f;
-  f.h.op = Op::kCompress;
-  f.h.sym_width = sym_width;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
+  f.h = request_header(Op::kCompress, sym_width, opts);
   f.payload = std::move(symbol_bytes);
   return submit_frame(std::move(f));
 }
@@ -126,13 +134,7 @@ RpcCall RpcClient::decompress(std::vector<u8>&& container, u8 sym_width,
                          sym_width, opts);
   }
   Frame f;
-  f.h.op = Op::kDecompress;
-  f.h.sym_width = sym_width;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
+  f.h = request_header(Op::kDecompress, sym_width, opts);
   f.payload = std::move(container);
   return submit_frame(std::move(f));
 }
@@ -140,15 +142,9 @@ RpcCall RpcClient::decompress(std::vector<u8>&& container, u8 sym_width,
 RpcCall RpcClient::lossy_compress(std::span<const float> field,
                                   const LossyRequestHeader& cfg,
                                   const RpcOptions& opts) {
-  Frame f;
-  f.h.op = Op::kLossyCompress;
   // Informational: the residual Huffman alphabet the server will use.
-  f.h.sym_width = cfg.nbins <= 256 ? 1 : 2;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
+  Frame f;
+  f.h = request_header(Op::kLossyCompress, cfg.nbins <= 256 ? 1 : 2, opts);
   f.payload = encode_lossy_request_header(cfg);
   const std::size_t at = f.payload.size();
   f.payload.resize(at + field.size() * sizeof(float));
@@ -161,44 +157,21 @@ RpcCall RpcClient::lossy_compress(std::span<const float> field,
 
 RpcCall RpcClient::lossy_compress_raw(std::span<const u8> payload,
                                       u8 sym_width, const RpcOptions& opts) {
-  Frame f;
-  f.h.op = Op::kLossyCompress;
-  f.h.sym_width = sym_width;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
-  f.payload.assign(payload.begin(), payload.end());
-  return submit_frame(std::move(f));
+  return submit_frame(request_header(Op::kLossyCompress, sym_width, opts),
+                      payload);
 }
 
 RpcCall RpcClient::lossy_decompress(std::span<const u8> container,
                                     const RpcOptions& opts) {
-  Frame f;
-  f.h.op = Op::kLossyDecompress;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
-  f.payload.assign(container.begin(), container.end());
-  return submit_frame(std::move(f));
+  return submit_frame(request_header(Op::kLossyDecompress, 1, opts),
+                      container);
 }
 
 RpcCall RpcClient::stream_begin(Op op, u8 sym_width, const RpcOptions& opts) {
   if (!is_stream_begin_op(op)) {
     throw std::invalid_argument("stream_begin: op is not a stream Begin op");
   }
-  Frame f;
-  f.h.op = op;
-  f.h.sym_width = sym_width;
-  f.h.priority = static_cast<u8>(opts.priority);
-  f.h.deadline_micros =
-      opts.deadline_seconds > 0
-          ? static_cast<u64>(opts.deadline_seconds * 1e6)
-          : 0;
-  return submit_frame(std::move(f));
+  return submit_frame(request_header(op, sym_width, opts), {});
 }
 
 RpcCall RpcClient::stream_frame(Op op, u64 stream_id,

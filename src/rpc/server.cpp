@@ -1,9 +1,7 @@
 #include "rpc/server.hpp"
 
-#include <array>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <type_traits>
@@ -24,22 +22,32 @@ namespace parhuff::rpc {
 
 namespace {
 
-[[nodiscard]] Frame error_frame(const Header& req, Status status,
-                                const std::string& message) {
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = req.op;
-  f.h.sym_width = req.sym_width;
-  f.h.request_id = req.request_id;
-  f.h.stream_id = req.stream_id;
-  f.h.status = status;
-  f.payload.assign(message.begin(), message.end());
-  return f;
+/// Append `syms`' bytes to `out` (the response payload layout of every
+/// decode verb).
+template <typename T>
+void append_bytes(std::vector<u8>& out, const std::vector<T>& syms) {
+  const std::size_t at = out.size();
+  out.resize(at + syms.size() * sizeof(T));
+  if (!syms.empty()) {
+    std::memcpy(out.data() + at, syms.data(), syms.size() * sizeof(T));
+  }
 }
 
-[[nodiscard]] svc::Priority to_priority(u8 p) {
-  if (p >= static_cast<u8>(svc::Priority::kHigh)) return svc::Priority::kHigh;
-  return static_cast<svc::Priority>(p);
+/// A request payload as symbols. Byte symbols ride the wire buffer
+/// straight through (no copy); wider symbols need the realigning copy (the
+/// wire buffer has no alignment guarantee).
+template <typename Sym>
+std::vector<Sym> as_symbols(std::vector<u8>&& bytes) {
+  if (bytes.size() % sizeof(Sym) != 0) {
+    throw std::invalid_argument("payload is not a whole number of symbols");
+  }
+  if constexpr (std::is_same_v<Sym, u8>) {
+    return std::move(bytes);
+  } else {
+    std::vector<Sym> syms(bytes.size() / sizeof(Sym));
+    if (!syms.empty()) std::memcpy(syms.data(), bytes.data(), bytes.size());
+    return syms;
+  }
 }
 
 [[nodiscard]] bool is_compress_stream_op(Op op) {
@@ -76,22 +84,7 @@ class CompressStreamCodec final : public StreamChunkCodec {
 
   std::vector<u8> process(std::vector<u8> chunk,
                           const CancelToken* cancel) override {
-    if (chunk.size() % sizeof(Sym) != 0) {
-      throw std::invalid_argument("chunk is not a whole number of symbols");
-    }
-    std::span<const Sym> syms;
-    [[maybe_unused]] std::vector<Sym> realigned;
-    if constexpr (std::is_same_v<Sym, u8>) {
-      syms = std::span<const Sym>(chunk);
-    } else {
-      // Wider symbols need the realigning copy (the wire buffer has no
-      // alignment guarantee); the u8 path has none.
-      realigned.resize(chunk.size() / sizeof(Sym));
-      if (!realigned.empty()) {
-        std::memcpy(realigned.data(), chunk.data(), chunk.size());
-      }
-      syms = realigned;
-    }
+    const std::vector<Sym> syms = as_symbols<Sym>(std::move(chunk));
     std::vector<u8> out;
     if (syms.empty()) return out;
     if (!sc_.frozen()) {
@@ -173,15 +166,12 @@ class DecompressStreamCodec final : public StreamChunkCodec {
       if (rest.size() < total) break;
       const std::vector<Sym> syms =
           dec_->decode_segment(rest.first(total), cancel);
-      const std::size_t nbytes = syms.size() * sizeof(Sym);
-      if (out.size() + nbytes > output_bound_) {
+      if (out.size() + syms.size() * sizeof(Sym) > output_bound_) {
         throw std::invalid_argument(
             "chunk decodes beyond the response bound; stream smaller "
             "chunks");
       }
-      const std::size_t at = out.size();
-      out.resize(at + nbytes);
-      if (nbytes != 0) std::memcpy(out.data() + at, syms.data(), nbytes);
+      append_bytes(out, syms);
       head += total;
     }
     pending_.erase(pending_.begin(),
@@ -251,53 +241,17 @@ struct RpcServer::StreamState {
   std::unique_ptr<StreamChunkCodec> codec;
 };
 
-/// Everything the reader and writer of one connection share. The response
-/// slots are copyable std::functions (move-only captures ride behind
-/// shared_ptr, the same boxing the service's dispatch() uses); they hold a
-/// raw ConnState* where needed — safe because the writer keeps the state
-/// alive for as long as any slot exists.
-struct RpcServer::ConnState {
-  std::shared_ptr<Connection> conn;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<Frame()>> slots;  // FIFO response order
-  bool reader_done = false;
-
-  // Cancellable in-flight requests on this connection, by request id.
-  std::unordered_map<u64, svc::RequestHandle> compress_inflight;
-  std::unordered_map<u64, std::shared_ptr<CancelToken>> decode_inflight;
-
-  // Open v3 streams, by server-assigned stream id. The map is guarded by
-  // mu (reader opens, writer slots look up and close); the pointed-to
-  // state is mutated only by the strictly-sequential writer slots.
-  std::unordered_map<u64, std::shared_ptr<StreamState>> streams;
-
-  void enqueue(std::function<Frame()> slot) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      slots.push_back(std::move(slot));
-    }
-    cv.notify_all();
-  }
-
-  void enqueue_ready(Frame f) {
-    auto boxed = std::make_shared<Frame>(std::move(f));
-    enqueue([boxed]() { return std::move(*boxed); });
-  }
-
-  void reader_finished() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-    }
-    cv.notify_all();
-  }
+/// The server's per-connection state: how to cancel each request in
+/// flight, and the open v3 streams. Both maps are guarded by mu (the
+/// reader registers, writer slots look up and erase); a stream's own
+/// fields are mutated only by the strictly-sequential writer slots.
+struct RpcServer::ConnState : FramedConn {
+  std::unordered_map<u64, std::function<void()>> inflight;  // by request id
+  std::unordered_map<u64, std::shared_ptr<StreamState>> streams;  // by id
 
   void unregister(u64 id) {
     std::lock_guard<std::mutex> lock(mu);
-    compress_inflight.erase(id);
-    decode_inflight.erase(id);
+    inflight.erase(id);
   }
 };
 
@@ -306,310 +260,156 @@ RpcServer::RpcServer(std::unique_ptr<Listener> listener, ServerConfig cfg)
       clock_(cfg.service.clock ? cfg.service.clock : &util::Clock::real()),
       svc8_(std::make_unique<svc::CompressionService<u8>>(cfg.service)),
       svc16_(std::make_unique<svc::CompressionService<u16>>(cfg.service)),
-      listener_(std::move(listener)) {
-  if (!listener_) {
-    throw std::invalid_argument("RpcServer: listener must not be null");
-  }
-  if (cfg_.max_connections == 0) {
-    throw std::invalid_argument("RpcServer: max_connections must be > 0");
-  }
-  const int io = cfg_.io_threads > 0
-                     ? cfg_.io_threads
-                     : static_cast<int>(1 + 2 * cfg_.max_connections);
-  io_ = std::make_unique<WorkStealExecutor>(io, clock_);
-  io_->submit([this] { accept_loop(); });
+      core_(std::move(listener),
+            FramedConfig{.prefix = "rpc",
+                         .role = "server",
+                         .faults = "rpc.server",
+                         .max_connections = cfg.max_connections,
+                         .max_payload_bytes = cfg.max_payload_bytes,
+                         .io_threads = cfg.io_threads,
+                         .clock = clock_},
+            *this) {
+  core_.start();
 }
 
 RpcServer::~RpcServer() {
-  stop();
-  io_.reset();  // joins accept/reader/writer tasks
   // Services tear down after the io tasks that use them (member order).
+  core_.stop();
 }
 
-void RpcServer::stop() {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    stopping_ = true;
-  }
-  listener_->close();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& w : conns_) {
-      if (std::shared_ptr<ConnState> cs = w.lock()) cs->conn->shutdown();
-    }
-  }
-  io_->wait_idle();
+std::shared_ptr<FramedConn> RpcServer::open_conn() {
+  return std::make_shared<ConnState>();
 }
 
-std::size_t RpcServer::connection_count() const {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  std::size_t live = 0;
-  for (const auto& w : conns_) {
-    if (!w.expired()) ++live;
+void RpcServer::on_request(const std::shared_ptr<FramedConn>& c,
+                           const Header& h, std::vector<u8> payload) {
+  ConnState& cs = static_cast<ConnState&>(*c);
+  const bool typed_symbols =
+      h.op == Op::kCompress || h.op == Op::kDecompress ||
+      h.op == Op::kCompressStreamBegin || h.op == Op::kDecompressStreamBegin;
+  if (typed_symbols && h.sym_width != 1 && h.sym_width != 2) {
+    cs.enqueue_ready(
+        error_frame(h, Status::kBadRequest, "sym_width must be 1 or 2"));
+    return;
   }
-  return live;
-}
-
-void RpcServer::accept_loop() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::unique_ptr<Connection> c;
-    try {
-      c = listener_->accept();
-    } catch (...) {
-      break;  // listener failed: server keeps serving live connections
-    }
-    if (!c) break;  // closed
-
-    bool reject = false;
-    // Fault site: the connection dies right after accept (e.g. a peer
-    // that vanished during the handshake).
-    try {
-      util::FaultInjector::global().maybe_throw("rpc.server.accept");
-    } catch (...) {
-      reject = true;
-    }
-
-    std::shared_ptr<ConnState> cs;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      std::size_t live = 0;
-      std::erase_if(conns_, [](const std::weak_ptr<ConnState>& w) {
-        return w.expired();
-      });
-      live = conns_.size();
-      if (stopping_ || live >= cfg_.max_connections) reject = true;
-      if (!reject) {
-        cs = std::make_shared<ConnState>();
-        cs->conn = std::shared_ptr<Connection>(std::move(c));
-        conns_.push_back(cs);
-      }
-    }
-    if (reject) {
-      if (c) c->shutdown();
-      reg.counter_add("rpc.connections_rejected");
-      continue;
-    }
-    reg.counter_add("rpc.connections_accepted");
-
-    // The writer goes first so a reader-submit failure can still unblock
-    // it via reader_finished(). Executor-submit faults are transient; a
-    // connection that cannot get its tasks scheduled is dropped whole.
-    bool writer_up = false;
-    try {
-      io_->submit([this, cs] { writer_loop(cs); });
-      writer_up = true;
-      io_->submit([this, cs] { reader_loop(cs); });
-    } catch (...) {
-      cs->conn->shutdown();
-      if (writer_up) {
-        cs->reader_finished();
-      }
-      reg.counter_add("rpc.connections_rejected");
-    }
-  }
-}
-
-void RpcServer::reader_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  util::FaultInjector& faults = util::FaultInjector::global();
-  for (;;) {
-    std::array<u8, kHeaderBytes> hb;
-    try {
-      // Fault site: the connection dies between frames.
-      faults.maybe_throw("rpc.server.read");
-      if (!cs->conn->read_exact(hb.data(), kHeaderBytes)) break;
-    } catch (...) {
-      break;
-    }
-
-    Header h;
-    try {
-      h = decode_header(std::span<const u8, kHeaderBytes>(hb),
-                        cfg_.max_payload_bytes);
-    } catch (const ProtocolError& e) {
-      reg.counter_add("rpc.protocol_errors");
-      if (!e.can_respond()) break;  // stream not frame-aligned: drop
-      // Stay frame-synced by consuming the declared payload when its
-      // length is sane; an oversized declaration is unskippable, so the
-      // typed error is the connection's last frame.
-      u32 raw_len = 0;
-      std::memcpy(&raw_len, hb.data() + 20, sizeof(raw_len));
-      const bool resync = raw_len <= cfg_.max_payload_bytes;
-      if (resync && raw_len > 0) {
-        std::vector<u8> skip(raw_len);
-        try {
-          if (!cs->conn->read_exact(skip.data(), skip.size())) break;
-        } catch (...) {
-          break;
-        }
-      }
-      reg.counter_add("rpc.protocol_error_responses");
-      cs->enqueue_ready(
-          error_frame(Header{.op = Op::kCompress,
-                             .request_id = e.request_id()},
-                      e.status(), e.what()));
-      if (!resync) break;
-      continue;
-    }
-
-    std::vector<u8> payload(h.payload_len);
-    try {
-      if (!cs->conn->read_exact(payload.data(), payload.size())) break;
-    } catch (...) {
-      break;
-    }
-
-    reg.counter_add("rpc.requests_received");
-    if (!handle_frame(cs, h, std::move(payload))) break;
-  }
-  cs->reader_finished();
-}
-
-bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
-                             const Header& h, std::vector<u8> payload) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (h.kind != Kind::kRequest) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "response frame sent to a server"));
-    return true;
-  }
+  const bool wide = h.sym_width == 2;
   switch (h.op) {
     case Op::kCompress:
-      if (h.sym_width == 1) {
-        handle_compress<u8>(cs, h, std::move(payload), cfg_.pipeline8,
-                            *svc8_);
-      } else if (h.sym_width == 2) {
+      if (wide) {
         handle_compress<u16>(cs, h, std::move(payload), cfg_.pipeline16,
                              *svc16_);
       } else {
-        cs->enqueue_ready(error_frame(h, Status::kBadRequest,
-                                      "sym_width must be 1 or 2"));
+        handle_compress<u8>(cs, h, std::move(payload), cfg_.pipeline8,
+                            *svc8_);
       }
-      return true;
+      return;
     case Op::kDecompress:
-      if (h.sym_width == 1) {
-        handle_decompress<u8>(cs, h, std::move(payload));
-      } else if (h.sym_width == 2) {
+      if (wide) {
         handle_decompress<u16>(cs, h, std::move(payload));
       } else {
-        cs->enqueue_ready(error_frame(h, Status::kBadRequest,
-                                      "sym_width must be 1 or 2"));
+        handle_decompress<u8>(cs, h, std::move(payload));
       }
-      return true;
-    case Op::kCancel: {
-      if (payload.size() != sizeof(u64)) {
-        cs->enqueue_ready(error_frame(
-            h, Status::kBadRequest, "cancel payload must be a u64 id"));
-        return true;
-      }
-      u64 target = 0;
-      std::memcpy(&target, payload.data(), sizeof(target));
-      reg.counter_add("rpc.cancels_received");
-      // Apply immediately in the reader — a cancel must not wait behind
-      // the in-order response stream it is trying to shorten.
-      {
-        std::lock_guard<std::mutex> lock(cs->mu);
-        if (auto it = cs->compress_inflight.find(target);
-            it != cs->compress_inflight.end()) {
-          it->second.cancel();
-        } else if (auto jt = cs->decode_inflight.find(target);
-                   jt != cs->decode_inflight.end()) {
-          jt->second->request();
-        }
-        // Unknown id: the request already resolved (or never existed) —
-        // cancel is idempotent best-effort either way.
-      }
-      Frame ack;
-      ack.h.kind = Kind::kResponse;
-      ack.h.op = Op::kCancel;
-      ack.h.request_id = h.request_id;
-      ack.h.status = Status::kOk;
-      cs->enqueue_ready(std::move(ack));
-      return true;
-    }
-    case Op::kHealth: {
-      // Answered from the reader with current values (no future to wait
-      // on): a router probe must see load *now*, not after the response
-      // stream drains.
-      HealthInfo info;
-      info.queue_depth = svc8_->queue_depth() + svc16_->queue_depth();
-      info.queue_capacity = 2 * cfg_.service.queue_capacity;
-      info.connections = connection_count();
-      info.max_connections = cfg_.max_connections;
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        info.accepting = !stopping_;
-      }
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = Op::kHealth;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
-      f.payload = encode_health_info(info);
-      reg.counter_add("rpc.health_probes");
-      cs->enqueue_ready(std::move(f));
-      return true;
-    }
+      return;
     case Op::kLossyCompress:
       handle_lossy_compress(cs, h, std::move(payload));
-      return true;
+      return;
     case Op::kLossyDecompress:
       handle_lossy_decompress(cs, h, std::move(payload));
-      return true;
+      return;
     case Op::kCompressStreamBegin:
     case Op::kDecompressStreamBegin:
       handle_stream_begin(cs, h);
-      return true;
+      return;
     case Op::kCompressStreamChunk:
     case Op::kCompressStreamEnd:
     case Op::kDecompressStreamChunk:
     case Op::kDecompressStreamEnd:
       handle_stream_frame(cs, h, std::move(payload));
-      return true;
-    case Op::kStats: {
-      cs->enqueue([id = h.request_id]() {
-        Frame f;
-        f.h.kind = Kind::kResponse;
-        f.h.op = Op::kStats;
-        f.h.request_id = id;
-        f.h.status = Status::kOk;
-        obs::Json j = obs::Json::object();
-        j.set("schema", obs::kMetricsSchema);
-        j.set("name", "rpc-stats");
-        j.set("metrics", obs::MetricsRegistry::global().to_json());
-        const std::string text = j.dump();
-        f.payload.assign(text.begin(), text.end());
-        return f;
-      });
-      return true;
-    }
+      return;
+    case Op::kCancel:
+    case Op::kStats:
+    case Op::kHealth:
+      return;  // answered by the connection core
   }
-  return true;  // unreachable: decode_header validated the op
 }
 
-template <typename Sym>
-void RpcServer::handle_compress(const std::shared_ptr<ConnState>& cs,
-                                const Header& h, std::vector<u8> payload,
-                                const PipelineConfig& pl,
-                                svc::CompressionService<Sym>& svc) {
-  if (payload.size() % sizeof(Sym) != 0) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "payload is not a whole number of symbols"));
-    return;
-  }
-  // Byte symbols ride the wire buffer straight through; wider symbols
-  // need the realigning copy.
-  std::vector<Sym> data;
-  if constexpr (std::is_same_v<Sym, u8>) {
-    data = std::move(payload);
-  } else {
-    data.resize(payload.size() / sizeof(Sym));
-    if (!data.empty()) {
-      std::memcpy(data.data(), payload.data(), payload.size());
+void RpcServer::on_cancel(FramedConn& c, u64 target, Frame ack) {
+  ConnState& cs = static_cast<ConnState&>(c);
+  {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    // Unknown id: the request already resolved (or never existed) —
+    // cancel is idempotent best-effort either way.
+    if (auto it = cs.inflight.find(target); it != cs.inflight.end()) {
+      it->second();
     }
   }
+  cs.enqueue_ready(std::move(ack));
+}
 
+void RpcServer::fill_health(HealthInfo& info) {
+  info.queue_depth = svc8_->queue_depth() + svc16_->queue_depth();
+  info.queue_capacity = 2 * cfg_.service.queue_capacity;
+  obs::MetricsRegistry::global().counter_add("rpc.health_probes");
+}
+
+void RpcServer::on_teardown(FramedConn& c) {
+  // Whatever stream is still open died with the connection and settles
+  // the opened == completed + aborted balance as aborted.
+  ConnState& cs = static_cast<ConnState&>(c);
+  std::lock_guard<std::mutex> lock(cs.mu);
+  if (!cs.streams.empty()) {
+    obs::MetricsRegistry::global().counter_add("rpc.streams_aborted",
+                                               cs.streams.size());
+    cs.streams.clear();
+  }
+}
+
+void RpcServer::respond(ConnState& cs, const Header& h,
+                        std::function<void()> cancel, Blame blame,
+                        std::function<std::vector<u8>()> work) {
+  const bool cancellable = static_cast<bool>(cancel);
+  if (cancellable) {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    cs.inflight.emplace(h.request_id, std::move(cancel));
+  }
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
+  const double start_us = obs::TraceRecorder::global().now_us();
+  cs.enqueue([raw, hdr = h, cancellable, blame, work = std::move(work),
+              start_us]() {
+    Frame f = response_to(hdr);
+    try {
+      f.payload = work();
+    } catch (...) {
+      f = error_frame(hdr, std::current_exception(), blame);
+    }
+    if (cancellable) raw->unregister(hdr.request_id);
+    obs::TraceRecorder& rec = obs::TraceRecorder::global();
+    const double done_us = rec.now_us();
+    obs::MetricsRegistry::global().histo_record(
+        "rpc.request_seconds", (done_us - start_us) / 1e6);
+    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    return f;
+  });
+}
+
+template <typename Submit, typename Finish>
+void RpcServer::serve(ConnState& cs, const Header& h, Submit submit,
+                      Finish finish) {
+  decltype(submit()) sub;
+  try {
+    sub = submit();
+  } catch (...) {
+    cs.enqueue_ready(
+        error_frame(h, std::current_exception(), Blame::kAdmission));
+    return;
+  }
+  auto fut = std::make_shared<decltype(sub.result)>(std::move(sub.result));
+  respond(
+      cs, h, [handle = sub.handle]() mutable { handle.cancel(); },
+      Blame::kServer, [fut, finish] { return finish(fut->get()); });
+}
+
+svc::SubmitOptions RpcServer::submit_options(const Header& h) const {
   svc::SubmitOptions opts;
   opts.priority = to_priority(h.priority);
   if (h.deadline_micros != 0) {
@@ -617,152 +417,71 @@ void RpcServer::handle_compress(const std::shared_ptr<ConnState>& cs,
     opts.deadline = svc::Deadline::in(
         static_cast<double>(h.deadline_micros) * 1e-6, *clock_);
   }
+  return opts;
+}
 
-  svc::Submission<Sym> sub;
-  try {
-    sub = svc.submit(std::move(data), pl, opts);
-  } catch (const svc::QueueFullError&) {
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                  "service admission queue full"));
-    return;
-  } catch (const std::logic_error&) {
-    cs->enqueue_ready(
-        error_frame(h, Status::kShuttingDown, "server shutting down"));
-    return;
-  } catch (const std::exception& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
-    return;
+std::shared_ptr<CancelToken> RpcServer::request_token(const Header& h) const {
+  auto token = std::make_shared<CancelToken>();
+  if (h.deadline_micros != 0) {
+    token->arm_deadline(submit_options(h).deadline.at, *clock_);
   }
-
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->compress_inflight.emplace(h.request_id, sub.handle);
-  }
-
-  auto fut = std::make_shared<std::future<svc::CompressResult<Sym>>>(
-      std::move(sub.result));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
-  const double start_us = obs::TraceRecorder::global().now_us();
-  cs->enqueue([raw, fut, hdr = h, start_us]() {
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kCompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    try {
-      svc::CompressResult<Sym> res = fut->get();
-      Compressed<Sym> blob;
-      blob.codebook = *res.codebook;
-      blob.stream = std::move(res.stream);
-      f.payload = serialize<Sym>(blob);
-      f.h.status = Status::kOk;
-    } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
-    return f;
-  });
+  return token;
 }
 
 template <typename Sym>
-void RpcServer::handle_decompress(const std::shared_ptr<ConnState>& cs,
-                                  const Header& h, std::vector<u8> payload) {
-  auto token = std::make_shared<CancelToken>();
-  if (h.deadline_micros != 0) {
-    token->arm_deadline(clock_->now() + util::Clock::dur(
-                            static_cast<double>(h.deadline_micros) * 1e-6),
-                        *clock_);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->decode_inflight.emplace(h.request_id, token);
-  }
-  auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();
-  const double start_us = obs::TraceRecorder::global().now_us();
-  // The decode runs on the writer task itself (requests on one connection
-  // are an ordered stream anyway); the walk polls the token, so a cancel
-  // frame or the deadline aborts it mid-stream (satellite: decode-side
-  // cancellation).
-  cs->enqueue([raw, body, token, hdr = h, start_us]() {
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kDecompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    try {
-      token->check();  // cheap pre-flight: already cancelled/expired?
-      if (body->size() >= 4 &&
-          std::memcmp(body->data(), kStreamHeaderMagic, 4) == 0) {
-        // A PHS2 streamed container (StreamingCompressor output — what
-        // the v3 compress stream produces). Decode its framed segments
-        // in order so streamed-compress results round-trip through the
-        // plain decompress verb too, when they fit one frame.
-        const std::span<const u8> bytes(*body);
-        const std::size_t hl =
-            StreamingDecompressor<Sym>::header_length(bytes);
-        const StreamingDecompressor<Sym> sd(bytes.first(hl));
-        for (const std::span<const u8> seg :
-             StreamingDecompressor<Sym>::split_frames(bytes.subspan(hl))) {
-          const std::vector<Sym> out = sd.decode_segment(seg, token.get());
-          const std::size_t at = f.payload.size();
-          f.payload.resize(at + out.size() * sizeof(Sym));
-          if (!out.empty()) {
-            std::memcpy(f.payload.data() + at, out.data(),
-                        out.size() * sizeof(Sym));
-          }
-        }
-      } else {
-        const Compressed<Sym> blob = deserialize<Sym>(*body);
-        // decode_auto picks the gap-array kernel when the container
-        // carried gap metadata (a "PHF3" + GAP1 blob), the host decoder
-        // otherwise.
-        const std::vector<Sym> out =
-            decode_auto<Sym>(blob.stream, blob.codebook, 0, token.get());
-        f.payload.resize(out.size() * sizeof(Sym));
-        if (!out.empty()) {
-          std::memcpy(f.payload.data(), out.data(), f.payload.size());
-        }
-      }
-      f.h.status = Status::kOk;
-    } catch (const OperationCancelled& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const DeadlineExpired& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::runtime_error& e) {
-      // Malformed container / corrupt stream: the client's fault.
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
-    return f;
-  });
+void RpcServer::handle_compress(ConnState& cs, const Header& h,
+                                std::vector<u8> payload,
+                                const PipelineConfig& pl,
+                                svc::CompressionService<Sym>& svc) {
+  serve(
+      cs, h,
+      [&] {
+        return svc.submit(as_symbols<Sym>(std::move(payload)), pl,
+                          submit_options(h));
+      },
+      [](svc::CompressResult<Sym> res) {
+        Compressed<Sym> blob;
+        blob.codebook = *res.codebook;
+        blob.stream = std::move(res.stream);
+        return serialize<Sym>(blob);
+      });
 }
 
-void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h,
+template <typename Sym>
+void RpcServer::handle_decompress(ConnState& cs, const Header& h,
+                                  std::vector<u8> payload) {
+  auto token = request_token(h);
+  auto body = std::make_shared<std::vector<u8>>(std::move(payload));
+  // The decode runs on the writer task itself (requests on one connection
+  // are an ordered stream anyway); the walk polls the token, so a cancel
+  // frame or the deadline aborts it mid-stream.
+  respond(cs, h, [token] { token->request(); }, Blame::kRequest,
+          [body, token] {
+            token->check();  // cheap pre-flight: already cancelled/expired?
+            if (body->size() >= 4 &&
+                std::memcmp(body->data(), kStreamHeaderMagic, 4) == 0) {
+              // A PHS2 streamed container (what the v3 compress stream
+              // produces) decodes as one whole-stream chunk, so
+              // streamed-compress results round-trip through the plain
+              // decompress verb too when they fit one frame.
+              DecompressStreamCodec<Sym> whole(~u64{0}, ~u64{0});
+              std::vector<u8> out = whole.process(std::move(*body),
+                                                  token.get());
+              whole.finish(token.get());
+              return out;
+            }
+            const Compressed<Sym> blob = deserialize<Sym>(*body);
+            // decode_auto picks the gap-array kernel when the container
+            // carried gap metadata (a "PHF3" + GAP1 blob), the host decoder
+            // otherwise.
+            std::vector<u8> out;
+            append_bytes(out, decode_auto<Sym>(blob.stream, blob.codebook, 0,
+                                               token.get()));
+            return out;
+          });
+}
+
+void RpcServer::handle_lossy_compress(ConnState& cs, const Header& h,
                                       std::vector<u8> payload) {
   // Validate the shape before any allocation is committed to it: header
   // present, sample stream a whole number of f32s, dims matching the
@@ -772,13 +491,13 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
   try {
     lh = decode_lossy_request_header(payload);
   } catch (const ProtocolError& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
     return;
   }
   const std::size_t body_bytes = payload.size() - kLossyRequestHeaderBytes;
   if (body_bytes % sizeof(float) != 0) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "payload is not a whole number of f32s"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "payload is not a whole number of f32s"));
     return;
   }
   const u64 n_floats = body_bytes / sizeof(float);
@@ -787,12 +506,12 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
   dims_ok = dims_ok && lh.nx * lh.ny <= n_floats / lh.nz;
   dims_ok = dims_ok && lh.nx * lh.ny * lh.nz == n_floats;
   if (!dims_ok) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "dims do not match the f32 sample count"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "dims do not match the f32 sample count"));
     return;
   }
   if (lh.nbins < 4 || lh.nbins > 65536) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kBadRequest, "nbins out of range [4, 65536]"));
     return;
   }
@@ -810,206 +529,131 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
   fc.rle_min_run = lh.rle_min_run;
   fc.pipeline = lh.nbins <= 256 ? cfg_.pipeline8 : cfg_.pipeline16;
 
-  svc::SubmitOptions opts;
-  opts.priority = to_priority(h.priority);
-  if (h.deadline_micros != 0) {
-    opts.deadline = svc::Deadline::in(
-        static_cast<double>(h.deadline_micros) * 1e-6, *clock_);
-  }
-
   // Route on the residual alphabet: the u8 service owns narrow quantizers,
   // the u16 service everything wider (submit_lossy enforces the same
   // predicate, so a routing bug fails loudly instead of silently).
-  svc::LossySubmission sub;
-  try {
-    sub = lh.nbins <= 256
-              ? svc8_->submit_lossy(std::move(field), dims, fc, opts)
-              : svc16_->submit_lossy(std::move(field), dims, fc, opts);
-  } catch (const svc::QueueFullError&) {
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                  "service admission queue full"));
-    return;
-  } catch (const std::logic_error&) {
-    cs->enqueue_ready(
-        error_frame(h, Status::kShuttingDown, "server shutting down"));
-    return;
-  } catch (const std::exception& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->compress_inflight.emplace(h.request_id, sub.handle);
-  }
-
-  auto fut = std::make_shared<std::future<svc::LossyResult>>(
-      std::move(sub.result));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
-  const double start_us = obs::TraceRecorder::global().now_us();
-  cs->enqueue([raw, fut, hdr = h, start_us]() {
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kLossyCompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    try {
-      svc::LossyResult res = fut->get();
-      f.payload = std::move(res.container);
-      f.h.status = Status::kOk;
-    } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::invalid_argument& e) {
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
-    return f;
-  });
+  serve(
+      cs, h,
+      [&] {
+        return lh.nbins <= 256
+                   ? svc8_->submit_lossy(std::move(field), dims, fc,
+                                         submit_options(h))
+                   : svc16_->submit_lossy(std::move(field), dims, fc,
+                                          submit_options(h));
+      },
+      [](svc::LossyResult res) { return std::move(res.container); });
 }
 
-void RpcServer::handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
-                                        const Header& h,
+void RpcServer::handle_lossy_decompress(ConnState& cs, const Header& h,
                                         std::vector<u8> payload) {
-  auto token = std::make_shared<CancelToken>();
-  if (h.deadline_micros != 0) {
-    token->arm_deadline(clock_->now() + util::Clock::dur(
-                            static_cast<double>(h.deadline_micros) * 1e-6),
-                        *clock_);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->decode_inflight.emplace(h.request_id, token);
-  }
+  auto token = request_token(h);
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();
-  const double start_us = obs::TraceRecorder::global().now_us();
   // Runs on the writer task like plain decompress; the container magic
   // (PHL1/PHL2) picks the path and the decode/reconstruct walks poll the
   // token.
-  cs->enqueue([raw, body, token, hdr = h, start_us]() {
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kLossyDecompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    try {
-      token->check();  // cheap pre-flight: already cancelled/expired?
-      const lossy::Field field = lossy::decompress_field(*body, token.get());
-      LossyFieldHeader fh;
-      fh.nx = static_cast<u64>(field.dims.nx);
-      fh.ny = static_cast<u64>(field.dims.ny);
-      fh.nz = static_cast<u64>(field.dims.nz);
-      fh.error_bound = field.error_bound;
-      f.payload = encode_lossy_field_header(fh);
-      const std::size_t at = f.payload.size();
-      f.payload.resize(at + field.values.size() * sizeof(float));
-      if (!field.values.empty()) {
-        std::memcpy(f.payload.data() + at, field.values.data(),
-                    field.values.size() * sizeof(float));
-      }
-      f.h.status = Status::kOk;
-    } catch (const OperationCancelled& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const DeadlineExpired& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::runtime_error& e) {
-      // Malformed container / corrupt stream: the client's fault.
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-    }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
-    return f;
-  });
+  respond(cs, h, [token] { token->request(); }, Blame::kRequest,
+          [body, token] {
+            token->check();  // cheap pre-flight: already cancelled/expired?
+            const lossy::Field field =
+                lossy::decompress_field(*body, token.get());
+            LossyFieldHeader fh;
+            fh.nx = static_cast<u64>(field.dims.nx);
+            fh.ny = static_cast<u64>(field.dims.ny);
+            fh.nz = static_cast<u64>(field.dims.nz);
+            fh.error_bound = field.error_bound;
+            std::vector<u8> out = encode_lossy_field_header(fh);
+            append_bytes(out, field.values);
+            return out;
+          });
 }
 
-void RpcServer::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                                    const Header& h) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (h.sym_width != 1 && h.sym_width != 2) {
-    cs->enqueue_ready(
-        error_frame(h, Status::kBadRequest, "sym_width must be 1 or 2"));
-    return;
-  }
+void RpcServer::handle_stream_begin(ConnState& cs, const Header& h) {
   auto st = std::make_shared<StreamState>();
   st->id = next_stream_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   st->begin_op = h.op;
   st->sym_width = h.sym_width;
   st->begin_request_id = h.request_id;
-  st->token = std::make_shared<CancelToken>();
-  if (h.deadline_micros != 0) {
-    // The one and only anchoring point: the whole stream runs on this
-    // budget; chunk frames carry the stream id where a deadline would be.
-    st->token->arm_deadline(
-        clock_->now() + util::Clock::dur(
-                            static_cast<double>(h.deadline_micros) * 1e-6),
-        *clock_);
-  }
+  // The one and only anchoring point: the whole stream runs on this
+  // budget; chunk frames carry the stream id where a deadline would be.
+  st->token = request_token(h);
   st->codec = make_stream_codec(h.op, h.sym_width, cfg_);
   bool over_cap = false;
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    if (cs->streams.size() >= cfg_.max_streams_per_connection) {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    if (cs.streams.size() >= cfg_.max_streams_per_connection) {
       over_cap = true;
     } else {
-      cs->streams.emplace(st->id, st);
+      cs.streams.emplace(st->id, st);
       // Registered under the Begin request id: a kCancel naming it aborts
       // the stream at the next chunk, exactly like single-frame requests.
-      cs->decode_inflight.emplace(h.request_id, st->token);
+      cs.inflight.emplace(h.request_id,
+                          [token = st->token] { token->request(); });
     }
   }
   if (over_cap) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kQueueFull, "per-connection open-stream cap reached"));
+    cs.enqueue_ready(error_frame(h, Status::kQueueFull,
+                                 "per-connection open-stream cap reached"));
     return;
   }
-  reg.counter_add("rpc.streams_opened");
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = h.op;
-  f.h.sym_width = h.sym_width;
-  f.h.request_id = h.request_id;
-  f.h.status = Status::kOk;
+  obs::MetricsRegistry::global().counter_add("rpc.streams_opened");
+  Frame f = response_to(h);
   f.payload.resize(sizeof(u64));
   std::memcpy(f.payload.data(), &st->id, sizeof(u64));
-  cs->enqueue_ready(std::move(f));
+  cs.enqueue_ready(std::move(f));
 }
 
-void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                                    const Header& h,
+std::vector<u8> RpcServer::advance_stream(StreamState& st, const Header& h,
+                                          std::vector<u8> body,
+                                          bool* completed) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  // Fault site: the stream's processing dies mid-chunk (a kernel failure,
+  // an allocation failure...). The stream aborts typed.
+  util::FaultInjector::global().maybe_throw("rpc.server.stream_chunk");
+  if (is_compress_stream_op(h.op) != is_compress_stream_op(st.begin_op)) {
+    throw std::invalid_argument(
+        "stream op family does not match the Begin op");
+  }
+  st.token->check();
+  if (h.op == Op::kCompressStreamEnd || h.op == Op::kDecompressStreamEnd) {
+    const StreamEndRequest end = decode_stream_end_request(body);
+    if (end.total_bytes != st.bytes_in) {
+      throw std::invalid_argument(
+          "stream length mismatch: sender claims " +
+          std::to_string(end.total_bytes) + " bytes, server received " +
+          std::to_string(st.bytes_in));
+    }
+    if (end.checksum != st.checksum) {
+      throw std::invalid_argument("stream checksum mismatch");
+    }
+    st.codec->finish(st.token.get());
+    *completed = true;
+    return encode_stream_summary(
+        StreamSummary{st.bytes_in, st.bytes_out, st.checksum});
+  }
+  if (body.size() > cfg_.stream_chunk_bytes) {
+    throw std::invalid_argument("chunk exceeds stream_chunk_bytes (" +
+                                std::to_string(cfg_.stream_chunk_bytes) +
+                                ")");
+  }
+  st.checksum = stream_checksum(body, st.checksum);
+  st.bytes_in += body.size();
+  reg.counter_add("rpc.stream_chunks");
+  reg.counter_add("rpc.stream_bytes_in", body.size());
+  std::vector<u8> out = st.codec->process(std::move(body), st.token.get());
+  st.bytes_out += out.size();
+  reg.counter_add("rpc.stream_bytes_out", out.size());
+  return out;
+}
+
+void RpcServer::handle_stream_frame(ConnState& cs, const Header& h,
                                     std::vector<u8> payload) {
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
-  const double start_us = obs::TraceRecorder::global().now_us();
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   // Processed in the writer slot: while this chunk encodes/decodes, the
   // reader is already pulling the next chunk off the wire — that overlap
   // is the whole point of the streaming verbs.
-  cs->enqueue([this, raw, body, hdr = h, start_us]() {
+  respond(cs, h, {}, Blame::kRequest, [this, raw, body, hdr = h]() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    const bool is_end = hdr.op == Op::kCompressStreamEnd ||
-                        hdr.op == Op::kDecompressStreamEnd;
     std::shared_ptr<StreamState> st;
     {
       std::lock_guard<std::mutex> lock(raw->mu);
@@ -1019,78 +663,20 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
       }
     }
     if (!st) {
-      return error_frame(hdr, Status::kBadRequest,
-                         "unknown stream id (never opened, completed, or "
-                         "already aborted)");
+      throw std::invalid_argument(
+          "unknown stream id (never opened, completed, or already "
+          "aborted)");
     }
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    f.h.stream_id = hdr.stream_id;
     bool completed = false;
+    std::exception_ptr err;
+    std::vector<u8> out;
     try {
-      // Fault site: the stream's processing dies mid-chunk (a kernel
-      // failure, an allocation failure...). The stream aborts typed.
-      util::FaultInjector::global().maybe_throw("rpc.server.stream_chunk");
-      if (is_compress_stream_op(hdr.op) !=
-          is_compress_stream_op(st->begin_op)) {
-        throw std::invalid_argument(
-            "stream op family does not match the Begin op");
-      }
-      st->token->check();
-      if (!is_end) {
-        if (body->size() > cfg_.stream_chunk_bytes) {
-          throw std::invalid_argument(
-              "chunk exceeds stream_chunk_bytes (" +
-              std::to_string(cfg_.stream_chunk_bytes) + ")");
-        }
-        st->checksum = stream_checksum(*body, st->checksum);
-        st->bytes_in += body->size();
-        reg.counter_add("rpc.stream_chunks");
-        reg.counter_add("rpc.stream_bytes_in", body->size());
-        std::vector<u8> out =
-            st->codec->process(std::move(*body), st->token.get());
-        st->bytes_out += out.size();
-        reg.counter_add("rpc.stream_bytes_out", out.size());
-        f.payload = std::move(out);
-      } else {
-        const StreamEndRequest end = decode_stream_end_request(*body);
-        if (end.total_bytes != st->bytes_in) {
-          throw std::invalid_argument(
-              "stream length mismatch: sender claims " +
-              std::to_string(end.total_bytes) + " bytes, server received " +
-              std::to_string(st->bytes_in));
-        }
-        if (end.checksum != st->checksum) {
-          throw std::invalid_argument("stream checksum mismatch");
-        }
-        st->codec->finish(st->token.get());
-        f.payload = encode_stream_summary(
-            StreamSummary{st->bytes_in, st->bytes_out, st->checksum});
-        completed = true;
-      }
-      f.h.status = Status::kOk;
-    } catch (const OperationCancelled& e) {
-      f = error_frame(hdr, Status::kCancelled, e.what());
-    } catch (const DeadlineExpired& e) {
-      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
-    } catch (const util::TransientError& e) {
-      f = error_frame(hdr, Status::kInternal, e.what());
-    } catch (const ProtocolError& e) {
-      f = error_frame(hdr, Status::kBadRequest, e.what());
-    } catch (const std::invalid_argument& e) {
-      f = error_frame(hdr, Status::kBadRequest, e.what());
-    } catch (const std::runtime_error& e) {
-      // Corrupt stream bytes (bad segment payload etc.): the client's
-      // fault.
-      f = error_frame(hdr, Status::kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      f = error_frame(hdr, Status::kInternal, e.what());
+      out = advance_stream(*st, hdr, std::move(*body), &completed);
+    } catch (...) {
+      err = std::current_exception();
     }
     // Track the bounded-buffering high water even on failure paths.
-    const u64 buffered = st->codec ? st->codec->buffered_high_water() : 0;
+    const u64 buffered = st->codec->buffered_high_water();
     u64 cur = stream_buffer_high_water_.load(std::memory_order_relaxed);
     while (buffered > cur && !stream_buffer_high_water_.compare_exchange_weak(
                                  cur, buffered, std::memory_order_relaxed)) {
@@ -1100,78 +686,21 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
     // Completion and every error are terminal for the stream: forget the
     // id (later frames answer "unknown stream") and settle the
     // opened == completed + aborted balance.
-    if (f.h.status != Status::kOk || completed) {
+    if (err || completed) {
       bool was_open = false;
       {
         std::lock_guard<std::mutex> lock(raw->mu);
         was_open = raw->streams.erase(st->id) > 0;
-        raw->decode_inflight.erase(st->begin_request_id);
+        raw->inflight.erase(st->begin_request_id);
       }
       if (was_open) {
         reg.counter_add(completed ? "rpc.streams_completed"
                                   : "rpc.streams_aborted");
       }
     }
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
-    return f;
+    if (err) std::rethrow_exception(err);
+    return out;
   });
-}
-
-void RpcServer::writer_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  util::FaultInjector& faults = util::FaultInjector::global();
-  bool conn_ok = true;
-  for (;;) {
-    std::function<Frame()> slot;
-    {
-      std::unique_lock<std::mutex> lock(cs->mu);
-      cs->cv.wait(lock,
-                  [&] { return !cs->slots.empty() || cs->reader_done; });
-      if (cs->slots.empty()) break;  // reader done and everything drained
-      slot = std::move(cs->slots.front());
-      cs->slots.pop_front();
-    }
-    // Resolving a slot never throws (each slot catches internally) but
-    // may block on a service future — which always resolves, so every
-    // slot drains even after the connection died.
-    Frame f = slot();
-    if (!conn_ok) {
-      reg.counter_add("rpc.responses_dropped");
-      continue;
-    }
-    try {
-      // Fault site: the connection dies while a response is in flight.
-      faults.maybe_throw("rpc.server.write");
-      const u32 bound = response_payload_bound(cfg_.max_payload_bytes);
-      try {
-        write_frame(*cs->conn, f, bound);
-      } catch (const std::length_error&) {
-        write_frame(*cs->conn,
-                    error_frame(f.h, Status::kInternal,
-                                "response exceeds the frame bound"),
-                    bound);
-      }
-      reg.counter_add("rpc.responses_written");
-    } catch (...) {
-      conn_ok = false;
-      cs->conn->shutdown();  // unblocks the reader too
-      reg.counter_add("rpc.responses_dropped");
-    }
-  }
-  // Every slot has drained, so no stream can make further progress:
-  // whatever is still open died with the connection and settles the
-  // opened == completed + aborted balance as aborted.
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    if (!cs->streams.empty()) {
-      reg.counter_add("rpc.streams_aborted", cs->streams.size());
-      cs->streams.clear();
-    }
-  }
-  cs->conn->shutdown();
 }
 
 }  // namespace parhuff::rpc

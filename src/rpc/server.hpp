@@ -1,23 +1,14 @@
 #pragma once
 // RPC server: the cross-process front door for CompressionService
-// (docs/rpc.md). One server owns a u8 and a u16 service instance plus an
-// io WorkStealExecutor; the accept loop, each connection's reader and
-// each connection's writer are long-running tasks on that executor, so
-// the pool is sized 1 + 2 * max_connections by default and connections
-// past max_connections are refused at accept.
-//
-// Per-connection threading:
-//   reader — parses frames, validates, submits compress work to the
-//     service (admission, batching, caching, deadlines and the retry/
-//     degraded machinery all apply exactly as for in-process callers),
-//     registers decompress work, applies cancels immediately, and
-//     enqueues one response slot per request;
-//   writer — resolves response slots strictly in request order (one
-//     connection = one ordered stream, pipelined-HTTP style) and writes
-//     the frames. A compress slot blocks on the service future — which
-//     always resolves (the service's resolve-always invariant) — so no
-//     slot can leak; when the connection dies first, remaining slots are
-//     still drained and counted as rpc.responses_dropped.
+// (docs/rpc.md). One server owns a u8 and a u16 service instance and is a
+// handler set over the framed-connection core (rpc/framed.hpp), which
+// runs the accept loop and each connection's reader and in-order writer.
+// The server supplies the op switch: compress work is submitted to the
+// service from the reader (admission, batching, caching, deadlines and
+// the retry/degraded machinery all apply exactly as for in-process
+// callers); decompress and stream chunks run in their writer slots. A
+// compress slot blocks on the service future — which always resolves (the
+// service's resolve-always invariant) — so no slot can leak.
 //
 // Cancellation: a cancel frame names an earlier request id on the same
 // connection. For compress that maps onto svc::RequestHandle::cancel()
@@ -49,13 +40,13 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/pipeline.hpp"
-#include "rpc/transport.hpp"
+#include "rpc/framed.hpp"
 #include "svc/service.hpp"
-#include "util/work_steal.hpp"
 
 namespace parhuff::rpc {
 
@@ -91,12 +82,12 @@ struct ServerConfig {
   }
 };
 
-class RpcServer {
+class RpcServer : private FrameHandler {
  public:
   /// Takes ownership of the listener and starts accepting immediately.
   RpcServer(std::unique_ptr<Listener> listener, ServerConfig cfg = {});
   /// stop(), then joins everything.
-  ~RpcServer();
+  ~RpcServer() override;
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
@@ -104,10 +95,12 @@ class RpcServer {
   /// Idempotent. In-flight service requests still resolve; their
   /// responses are written when the connection survives long enough,
   /// dropped (rpc.responses_dropped) otherwise.
-  void stop();
+  void stop() { core_.stop(); }
 
   /// Live connections right now (tests / introspection).
-  [[nodiscard]] std::size_t connection_count() const;
+  [[nodiscard]] std::size_t connection_count() const {
+    return core_.connection_count();
+  }
 
   /// Largest per-stream buffered byte count any v3 stream reached since
   /// the server started — the bounded-buffering contract made testable:
@@ -124,48 +117,67 @@ class RpcServer {
   struct ConnState;
   struct StreamState;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<ConnState> cs);
-  void writer_loop(std::shared_ptr<ConnState> cs);
-  /// Frame-level dispatch; returns false when the connection must drop.
-  bool handle_frame(const std::shared_ptr<ConnState>& cs, const Header& h,
-                    std::vector<u8> payload);
+  // FrameHandler: the op switch, per-connection state, teardown.
+  std::shared_ptr<FramedConn> open_conn() override;
+  void on_request(const std::shared_ptr<FramedConn>& c, const Header& h,
+                  std::vector<u8> payload) override;
+  void on_cancel(FramedConn& c, u64 target, Frame ack) override;
+  void fill_health(HealthInfo& info) override;
+  void on_teardown(FramedConn& c) override;
+
+  /// The response slot behind every counted request: `work` runs in the
+  /// writer slot and returns the kOk payload; whatever it throws becomes
+  /// the typed error (error_frame with `blame`). `cancel`, when set, is
+  /// registered in flight under the request id until the slot resolves.
+  /// Records the rpc.request span and rpc.request_seconds.
+  void respond(ConnState& cs, const Header& h, std::function<void()> cancel,
+               Blame blame, std::function<std::vector<u8>()> work);
+  /// Admission plus response slot for a service-backed request: a
+  /// refused `submit` answers typed at once; otherwise the slot waits on
+  /// the submission's future and `finish` turns its value into the payload.
+  template <typename Submit, typename Finish>
+  void serve(ConnState& cs, const Header& h, Submit submit, Finish finish);
+  /// Priority and deadline (the relative wire budget re-anchored on the
+  /// server clock) for a service submit.
+  [[nodiscard]] svc::SubmitOptions submit_options(const Header& h) const;
+  /// A token for writer-slot work, armed with the request's deadline.
+  [[nodiscard]] std::shared_ptr<CancelToken> request_token(
+      const Header& h) const;
+
   template <typename Sym>
-  void handle_compress(const std::shared_ptr<ConnState>& cs, const Header& h,
+  void handle_compress(ConnState& cs, const Header& h,
                        std::vector<u8> payload, const PipelineConfig& pl,
                        svc::CompressionService<Sym>& svc);
   template <typename Sym>
-  void handle_decompress(const std::shared_ptr<ConnState>& cs,
-                         const Header& h, std::vector<u8> payload);
-  void handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                           const Header& h);
-  void handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                           const Header& h, std::vector<u8> payload);
+  void handle_decompress(ConnState& cs, const Header& h,
+                         std::vector<u8> payload);
+  void handle_stream_begin(ConnState& cs, const Header& h);
+  void handle_stream_frame(ConnState& cs, const Header& h,
+                           std::vector<u8> payload);
+  /// One Chunk/End frame against an open stream; sets *completed on a
+  /// verified End. Throws on any stream error.
+  std::vector<u8> advance_stream(StreamState& st, const Header& h,
+                                 std::vector<u8> body, bool* completed);
   /// v4 fused lossy verbs. Compress routes on the request's nbins — the
   /// residual alphabet decides which service instance (u8 for nbins <=
   /// 256, u16 otherwise) owns the request; decompress is self-describing
   /// and runs on the writer task like plain decompress.
-  void handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
-                             const Header& h, std::vector<u8> payload);
-  void handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload);
+  void handle_lossy_compress(ConnState& cs, const Header& h,
+                             std::vector<u8> payload);
+  void handle_lossy_decompress(ConnState& cs, const Header& h,
+                               std::vector<u8> payload);
 
   ServerConfig cfg_;
   const util::Clock* clock_;  // resolved from cfg_.service.clock
   std::unique_ptr<svc::CompressionService<u8>> svc8_;
   std::unique_ptr<svc::CompressionService<u16>> svc16_;
-  std::unique_ptr<Listener> listener_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::weak_ptr<ConnState>> conns_;
-  bool stopping_ = false;  // under conns_mu_
 
   std::atomic<u64> next_stream_id_{0};
   std::atomic<u64> stream_buffer_high_water_{0};
 
   /// Declared last: destroyed first, joining the accept/reader/writer
   /// tasks while the services they use are still alive.
-  std::unique_ptr<WorkStealExecutor> io_;
+  FramedCore core_;
 };
 
 }  // namespace parhuff::rpc

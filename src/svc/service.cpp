@@ -194,68 +194,24 @@ Submission<Sym> CompressionService<Sym>::submit(std::vector<Sym>&& data,
   RequestHandle handle(r.handle);
   std::future<CompressResult<Sym>> fut = r.promise.get_future();
 
-  // Dead on arrival: resolve without touching the queue.
-  if (opts.deadline.expired(clock_->now())) {
+  // Dead on arrival, or the deadline passed while blocked at admission:
+  // the future fails instead of the caller blocking past its budget.
+  bool admitted = !opts.deadline.expired(clock_->now());
+  if (admitted) {
+    std::unique_lock<std::mutex> lock(mu_);
+    admitted = admit(lock, r.deadline);
+    if (admitted) {
+      r.enqueue_us = obs::TraceRecorder::global().now_us();
+      pending_.push_back(std::move(r));
+    }
+  }
+  reg.counter_add("svc.requests_submitted");
+  if (!admitted) {
     r.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
     r.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-    reg.counter_add("svc.requests_submitted");
     reg.counter_add("svc.deadline_exceeded");
     return Submission<Sym>{std::move(fut), std::move(handle)};
   }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_) {
-      throw std::logic_error("CompressionService: submit() after shutdown");
-    }
-    if (outstanding_ >= cfg_.queue_capacity) {
-      if (cfg_.overflow == OverflowPolicy::kReject) {
-        reg.counter_add("svc.rejected_requests");
-        throw QueueFullError();
-      }
-      reg.counter_add("svc.backpressure_events");
-      const auto has_space = [&] {
-        return stopping_ || outstanding_ < cfg_.queue_capacity;
-      };
-      ++waiting_submitters_;
-      bool admitted = true;
-      if (r.deadline.unlimited()) {
-        space_cv_.wait(lock, has_space);
-      } else {
-        // Predicate loop over the injected clock's wait primitive —
-        // equivalent to cv.wait_until(pred) on the real clock, and
-        // virtual-clock-driven in tests.
-        while (!has_space()) {
-          if (clock_->wait_until(space_cv_, lock, r.deadline.at) ==
-                  std::cv_status::timeout &&
-              !has_space()) {
-            admitted = false;
-            break;
-          }
-        }
-      }
-      --waiting_submitters_;
-      if (stopping_) {
-        drain_cv_.notify_all();  // the destructor waits for us to leave
-        throw std::logic_error("CompressionService: submit() after shutdown");
-      }
-      if (!admitted) {
-        // Deadline passed while blocked at admission: the future fails
-        // instead of the caller blocking past its budget.
-        lock.unlock();
-        r.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
-        r.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-        reg.counter_add("svc.requests_submitted");
-        reg.counter_add("svc.deadline_exceeded");
-        return Submission<Sym>{std::move(fut), std::move(handle)};
-      }
-    }
-    ++outstanding_;
-    r.enqueue_us = obs::TraceRecorder::global().now_us();
-    pending_.push_back(std::move(r));
-    reg.gauge_set("svc.queue_depth", static_cast<double>(outstanding_));
-  }
-  reg.counter_add("svc.requests_submitted");
   obs::TraceRecorder::global().instant("svc.enqueue", "svc");
   sched_cv_.notify_one();
   return Submission<Sym>{std::move(fut), std::move(handle)};
@@ -268,6 +224,53 @@ std::future<CompressResult<Sym>> CompressionService<Sym>::submit(
   SubmitOptions opts;
   opts.priority = priority;
   return submit(data, pipeline, opts).result;
+}
+
+template <typename Sym>
+bool CompressionService<Sym>::admit(std::unique_lock<std::mutex>& lock,
+                                    const Deadline& deadline) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  if (stopping_) {
+    throw std::logic_error("CompressionService: submit() after shutdown");
+  }
+  if (outstanding_ >= cfg_.queue_capacity) {
+    if (cfg_.overflow == OverflowPolicy::kReject) {
+      // Rejected before admission: svc.rejected_requests only — never a
+      // request tick (the caller's throw IS the resolution).
+      reg.counter_add("svc.rejected_requests");
+      throw QueueFullError();
+    }
+    reg.counter_add("svc.backpressure_events");
+    const auto has_space = [&] {
+      return stopping_ || outstanding_ < cfg_.queue_capacity;
+    };
+    ++waiting_submitters_;
+    bool admitted = true;
+    if (deadline.unlimited()) {
+      space_cv_.wait(lock, has_space);
+    } else {
+      // Predicate loop over the injected clock's wait primitive —
+      // equivalent to cv.wait_until(pred) on the real clock, and
+      // virtual-clock-driven in tests.
+      while (!has_space()) {
+        if (clock_->wait_until(space_cv_, lock, deadline.at) ==
+                std::cv_status::timeout &&
+            !has_space()) {
+          admitted = false;
+          break;
+        }
+      }
+    }
+    --waiting_submitters_;
+    if (stopping_) {
+      drain_cv_.notify_all();  // the destructor waits for us to leave
+      throw std::logic_error("CompressionService: submit() after shutdown");
+    }
+    if (!admitted) return false;
+  }
+  ++outstanding_;
+  reg.gauge_set("svc.queue_depth", static_cast<double>(outstanding_));
+  return true;
 }
 
 template <typename Sym>
@@ -297,67 +300,23 @@ LossySubmission CompressionService<Sym>::submit_lossy(
   RequestHandle handle(j.handle);
   std::future<LossyResult> fut = j.promise.get_future();
 
-  // Dead on arrival: resolve without touching the queue. Counts as a
-  // request AND a failure so lossy.requests == completed + failed holds.
-  if (opts.deadline.expired(clock_->now())) {
+  // Dead on arrival, or the deadline passed while blocked at admission:
+  // counts as a request AND a failure so lossy.requests == completed +
+  // failed holds.
+  bool admitted = !opts.deadline.expired(clock_->now());
+  if (admitted) {
+    std::unique_lock<std::mutex> lock(mu_);
+    admitted = admit(lock, j.deadline);
+    if (admitted) j.enqueue_us = obs::TraceRecorder::global().now_us();
+  }
+  reg.counter_add("lossy.requests");
+  if (!admitted) {
     j.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
     j.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-    reg.counter_add("lossy.requests");
     reg.counter_add("lossy.failed");
     reg.counter_add("svc.deadline_exceeded");
     return LossySubmission{std::move(fut), std::move(handle)};
   }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_) {
-      throw std::logic_error("CompressionService: submit() after shutdown");
-    }
-    if (outstanding_ >= cfg_.queue_capacity) {
-      if (cfg_.overflow == OverflowPolicy::kReject) {
-        // Rejected before admission: svc.rejected_requests only — never a
-        // lossy.requests tick (the caller's throw IS the resolution).
-        reg.counter_add("svc.rejected_requests");
-        throw QueueFullError();
-      }
-      reg.counter_add("svc.backpressure_events");
-      const auto has_space = [&] {
-        return stopping_ || outstanding_ < cfg_.queue_capacity;
-      };
-      ++waiting_submitters_;
-      bool admitted = true;
-      if (j.deadline.unlimited()) {
-        space_cv_.wait(lock, has_space);
-      } else {
-        while (!has_space()) {
-          if (clock_->wait_until(space_cv_, lock, j.deadline.at) ==
-                  std::cv_status::timeout &&
-              !has_space()) {
-            admitted = false;
-            break;
-          }
-        }
-      }
-      --waiting_submitters_;
-      if (stopping_) {
-        drain_cv_.notify_all();  // the destructor waits for us to leave
-        throw std::logic_error("CompressionService: submit() after shutdown");
-      }
-      if (!admitted) {
-        lock.unlock();
-        j.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
-        j.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-        reg.counter_add("lossy.requests");
-        reg.counter_add("lossy.failed");
-        reg.counter_add("svc.deadline_exceeded");
-        return LossySubmission{std::move(fut), std::move(handle)};
-      }
-    }
-    ++outstanding_;
-    j.enqueue_us = obs::TraceRecorder::global().now_us();
-    reg.gauge_set("svc.queue_depth", static_cast<double>(outstanding_));
-  }
-  reg.counter_add("lossy.requests");
   obs::TraceRecorder::global().instant("svc.lossy_enqueue", "svc");
 
   // Solo dispatch, straight to the pool — a float field amortizes its own
@@ -463,8 +422,10 @@ void CompressionService<Sym>::resolve_doomed(std::vector<Request>& expired,
 template <typename Sym>
 void CompressionService<Sym>::fail_request(Request& r, std::exception_ptr err,
                                            const char* counter) {
-  r.promise.set_exception(std::move(err));
+  // Count before resolving: a caller that wakes on the future already
+  // sees the failure in the ledger.
   obs::MetricsRegistry::global().counter_add(counter);
+  r.promise.set_exception(std::move(err));
   finish_one();
 }
 

@@ -327,6 +327,11 @@ class CompressionService {
   /// Execute one fused lossy request on a pool worker (or inline when the
   /// executor handoff fails — the resolve-always invariant).
   void run_lossy(LossyJob& job);
+  /// Admission under `lock` (held on mu_): reserves one outstanding slot,
+  /// blocking for space under kBlock. False when `deadline` passed while
+  /// blocked; throws std::logic_error after shutdown and QueueFullError
+  /// under kReject.
+  bool admit(std::unique_lock<std::mutex>& lock, const Deadline& deadline);
   /// Move cancelled / deadline-expired pending requests into the doom
   /// lists (caller holds mu_; resolution happens unlocked later).
   void prune_pending(std::vector<Request>& expired,

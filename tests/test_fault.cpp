@@ -513,7 +513,7 @@ TEST(LossyFault, QuantizeAndEncodeSitesFireAndAreRecoverable) {
     worst = std::max(worst, std::abs(static_cast<double>(field[i]) -
                                      static_cast<double>(back.values[i])));
   }
-  EXPECT_LE(worst, rep.error_bound * 1.0001);
+  EXPECT_LE(worst, rep.error_bound);
 }
 
 // --- Service: executor faults → inline dispatch. -----------------------------

@@ -70,7 +70,7 @@ TEST_P(FusedRoundTrip, ErrorBoundHoldsEndToEnd) {
           const lossy::Field back = lossy::decompress_field(bytes);
           if (back.values.size() != field.size()) return "size mismatch";
           const double worst = pt::max_abs_error(field, back.values);
-          if (worst > rep.error_bound * 1.0001) {
+          if (worst > rep.error_bound) {
             return "worst error " + std::to_string(worst) + " > bound " +
                    std::to_string(rep.error_bound);
           }
@@ -112,7 +112,7 @@ TEST_P(GluedRoundTrip, ErrorBoundHoldsEndToEnd) {
           const auto bytes = lossy::compress_field(field, dims, cfg, &rep);
           const lossy::Field back = lossy::decompress_field(bytes);
           const double worst = pt::max_abs_error(field, back.values);
-          if (worst > rep.error_bound * 1.0001) {
+          if (worst > rep.error_bound) {
             return "worst error " + std::to_string(worst) + " > bound " +
                    std::to_string(rep.error_bound);
           }
@@ -174,15 +174,48 @@ TEST(LossyProp, FusedAndGluedReconstructionsAgree) {
             lossy::compress_field(field, dims, gc));
         const auto fused = lossy::decompress_field(
             lossy::compress_field_fused(field, dims, fc));
-        if (pt::max_abs_error(field, glued.values) > 0.02 * 1.0001) {
+        if (pt::max_abs_error(field, glued.values) > 0.02) {
           return "glued path out of bound";
         }
-        if (pt::max_abs_error(field, fused.values) > 0.02 * 1.0001) {
+        if (pt::max_abs_error(field, fused.values) > 0.02) {
           return "fused path out of bound";
         }
         return std::nullopt;
       });
   EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+TEST(Fused, SmoothSeed2FieldStaysWithinTheExactBound) {
+  // Regression: the reconstruction is rounded to float, and on this field
+  // (the benchmark's smooth field, seed 2, rel 1e-2) one value used to land
+  // 0.12944603 from its input against eb 0.129445915 — under one ulp past
+  // the bound. Such a value must become an outlier, on both paths.
+  const Dims dims{128, 128, 64};
+  const double phase = 0.002;
+  std::vector<float> field(dims.total());
+  std::size_t i = 0;
+  for (std::size_t z = 0; z < dims.nz; ++z) {
+    for (std::size_t y = 0; y < dims.ny; ++y) {
+      for (std::size_t x = 0; x < dims.nx; ++x, ++i) {
+        field[i] = static_cast<float>(
+            8.0 * std::sin(x * 0.02 + phase) * std::cos(y * 0.017) +
+            0.5 * std::sin(z * 0.05 + 2 * phase));
+      }
+    }
+  }
+  lossy::FusedConfig fc;
+  fc.rel_error_bound = 1e-2;
+  lossy::FusedReport frep;
+  const auto fused = lossy::decompress_field(
+      lossy::compress_field_fused(field, dims, fc, &frep));
+  EXPECT_LE(max_error(field, fused.values), frep.error_bound);
+
+  lossy::Config gc;
+  gc.rel_error_bound = 1e-2;
+  lossy::Report grep;
+  const auto glued =
+      lossy::decompress_field(lossy::compress_field(field, dims, gc, &grep));
+  EXPECT_LE(max_error(field, glued.values), grep.error_bound);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +246,7 @@ TEST(Lossy, ConstantFieldHitsTheOneBitFloor) {
   EXPECT_GT(rep.ratio(), 20.0);
   EXPECT_LT(rep.ratio(), 33.0);
   const auto back = lossy::decompress_field(bytes);
-  EXPECT_LE(max_error(field, back.values), rep.error_bound * 1.0001);
+  EXPECT_LE(max_error(field, back.values), rep.error_bound);
 }
 
 TEST(Lossy, OutliersSurviveRoundTrip) {
@@ -230,7 +263,7 @@ TEST(Lossy, OutliersSurviveRoundTrip) {
   const auto back = lossy::decompress_field(bytes);
   EXPECT_EQ(back.values[100], 1e9f);  // outliers are exact
   EXPECT_EQ(back.values[5000], -1e9f);
-  EXPECT_LE(max_error(field, back.values), 0.01 * 1.0001);
+  EXPECT_LE(max_error(field, back.values), 0.01);
 }
 
 TEST(Lossy, RejectsBadParameters) {
@@ -303,7 +336,7 @@ TEST(Fused, ConstantFieldBreaksTheOneBitFloor) {
   EXPECT_GT(rep.ratio(), 100.0);
   EXPECT_GE(rep.rle_runs, 1u);
   const auto back = lossy::decompress_field(bytes);
-  EXPECT_LE(max_error(field, back.values), rep.error_bound * 1.0001);
+  EXPECT_LE(max_error(field, back.values), rep.error_bound);
 }
 
 TEST(Fused, NonFinitesRoundTripExactly) {
@@ -325,7 +358,7 @@ TEST(Fused, NonFinitesRoundTripExactly) {
   EXPECT_TRUE(std::isnan(back.values[4095]));
   // Finite neighbours stay in bound: the NaNs predicted as 0.0f on both
   // sides, so the reconstructions never diverged.
-  EXPECT_LE(pt::max_abs_error(field, back.values), rep.error_bound * 1.0001);
+  EXPECT_LE(pt::max_abs_error(field, back.values), rep.error_bound);
 }
 
 TEST(Fused, RleDisabledProducesPlainContainer) {

@@ -41,7 +41,7 @@ TEST_P(QuantRoundTrip, ErrorBoundHolds) {
           }
           const auto recon = data::lorenzo_reconstruct(q);
           const double worst = pt::max_abs_error(field, recon);
-          if (worst > eb * 1.0001) {
+          if (worst > eb) {
             return "worst error " + std::to_string(worst) + " > eb " +
                    std::to_string(eb);
           }
@@ -116,7 +116,7 @@ TEST(Quantizer, TwoDimensionalFields) {
   const double eb = 1e-2;
   const auto q = data::lorenzo_quantize(field, dims, eb, 256);
   const auto recon = data::lorenzo_reconstruct(q);
-  EXPECT_LE(pt::max_abs_error(field, recon), eb * 1.0001);
+  EXPECT_LE(pt::max_abs_error(field, recon), eb);
   // Smooth 2-D data: the center bin dominates.
   std::size_t center = 0;
   for (u16 c : q.codes) center += c == 128 ? 1 : 0;
@@ -133,7 +133,7 @@ TEST(Quantizer, OneDimensionalSeries) {
   const double eb = 1e-2;
   const auto q = data::lorenzo_quantize(series, dims, eb, 512);
   const auto recon = data::lorenzo_reconstruct(q);
-  ASSERT_LE(pt::max_abs_error(series, recon), eb * 1.0001);
+  ASSERT_LE(pt::max_abs_error(series, recon), eb);
 }
 
 TEST(NyxQuant, ProfileMatchesPaper) {

@@ -341,6 +341,60 @@ TEST(RouterProxy, CancelOfUnknownIdIsIdempotent) {
   EXPECT_FALSE(cli.compress(std::span<const u8>(data)).result.get().empty());
 }
 
+TEST(RouterProxy, StreamFrameErrorsEchoTheClientStreamId) {
+  // A typed error answering a Chunk/End frame carries the client-facing
+  // stream id — the router answers exactly like a server does, whether it
+  // rejects the frame itself or relays the shard's verdict.
+  ShardHarness shards(1, shard_config());
+  LoopbackHub front;
+  ShardRouter rt(front.listener(), shards.endpoints(), router_config());
+  auto conn = front.connect();
+  const auto exchange = [&](const rpc::Frame& f) {
+    const std::vector<u8> bytes = rpc::encode_frame(f);
+    conn->write_all(bytes.data(), bytes.size());
+    std::array<u8, rpc::kHeaderBytes> hb;
+    EXPECT_TRUE(conn->read_exact(hb.data(), hb.size()));
+    rpc::Frame resp;
+    resp.h = rpc::decode_header(
+        std::span<const u8, rpc::kHeaderBytes>(hb),
+        rpc::response_payload_bound(rpc::kMaxPayloadBytes));
+    resp.payload.resize(resp.h.payload_len);
+    EXPECT_TRUE(resp.payload.empty() ||
+                conn->read_exact(resp.payload.data(), resp.payload.size()));
+    return resp;
+  };
+
+  rpc::Frame chunk;
+  chunk.h.op = Op::kCompressStreamChunk;
+  chunk.h.request_id = 1;
+  chunk.h.stream_id = 0xabcdef;  // never opened
+  chunk.payload = ramp_data(100);
+  const rpc::Frame unknown = exchange(chunk);
+  EXPECT_EQ(unknown.h.status, Status::kBadRequest);
+  EXPECT_EQ(unknown.h.request_id, 1u);
+  EXPECT_EQ(unknown.h.stream_id, 0xabcdefu);
+
+  rpc::Frame begin;
+  begin.h.op = Op::kCompressStreamBegin;
+  begin.h.request_id = 2;
+  const rpc::Frame ack = exchange(begin);
+  ASSERT_EQ(ack.h.status, Status::kOk);
+  ASSERT_EQ(ack.payload.size(), 8u);
+  u64 sid = 0;
+  std::memcpy(&sid, ack.payload.data(), 8);
+
+  rpc::Frame end;
+  end.h.op = Op::kCompressStreamEnd;
+  end.h.request_id = 3;
+  end.h.stream_id = sid;
+  end.payload = rpc::encode_stream_end_request(
+      rpc::StreamEndRequest{12345, 0});  // no such byte count was sent
+  const rpc::Frame relayed = exchange(end);
+  EXPECT_EQ(relayed.h.status, Status::kBadRequest);
+  EXPECT_EQ(relayed.h.request_id, 3u);
+  EXPECT_EQ(relayed.h.stream_id, sid);
+}
+
 TEST(RouterProxy, LossyVerbsRoundTripThroughRouter) {
   ShardHarness shards(3, shard_config());
   LoopbackHub front;
@@ -374,7 +428,7 @@ TEST(RouterProxy, LossyVerbsRoundTripThroughRouter) {
     worst = std::max(worst, std::abs(static_cast<double>(field[i]) -
                                      static_cast<double>(values[i])));
   }
-  EXPECT_LE(worst, fh.error_bound * 1.0001);
+  EXPECT_LE(worst, fh.error_bound);
 
   // Bad lossy requests come back typed through the proxy hop, not hung.
   rpc::LossyRequestHeader bad = cfg;

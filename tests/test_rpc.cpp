@@ -834,7 +834,7 @@ TEST(RpcLossy, CompressDecompressRoundTripOnLoopback) {
     worst = std::max(worst, std::abs(static_cast<double>(field[i]) -
                                      static_cast<double>(values[i])));
   }
-  EXPECT_LE(worst, fh.error_bound * 1.0001);
+  EXPECT_LE(worst, fh.error_bound);
 }
 
 TEST(RpcLossy, NarrowAlphabetRoutesToTheU8Service) {

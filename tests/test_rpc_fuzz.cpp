@@ -1,9 +1,11 @@
 // Adversarial wire-protocol suite (runs under ASan+UBSan in CI): truncated
 // frames, forged lengths, bad versions/ops, oversized payload declarations,
-// mid-frame disconnects and plain garbage, all thrown at a live server over
-// raw loopback connections. The bar everywhere: the server answers with a
-// typed error or drops the connection — it never crashes, never leaks a
-// response slot, and keeps serving valid clients afterwards.
+// mid-frame disconnects and plain garbage, all thrown at a live front end
+// over raw loopback connections. Every case runs against both fronts that
+// speak the frame protocol: a bare RpcServer, and a ShardRouter in front of
+// one RpcServer shard. The bar everywhere: the front answers with a typed
+// error or drops the connection — it never crashes, never leaks a response
+// slot, and keeps serving valid clients afterwards.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "router/router.hpp"
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
@@ -98,16 +101,50 @@ void expect_server_alive(LoopbackHub& hub) {
   FAIL() << "server never recovered: every probe connection died";
 }
 
-class RpcFuzz : public ::testing::Test {
+/// Parameter: false = a bare RpcServer listens on hub_; true = a
+/// ShardRouter listens on hub_ and forwards to one RpcServer on its own
+/// hub.
+class RpcFuzz : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    server_ = std::make_unique<RpcServer>(hub_.listener());
+    const bool routed = GetParam();
+    server_ = std::make_unique<RpcServer>(routed ? shard_hub_.listener()
+                                                 : hub_.listener());
+    if (routed) {
+      router::RouterConfig rc;
+      rc.start_prober = false;
+      std::vector<router::ShardEndpoint> shards;
+      shards.push_back({"shard0", [this] { return shard_hub_.connect(); }});
+      router_ = std::make_unique<router::ShardRouter>(
+          hub_.listener(), std::move(shards), rc);
+    }
   }
+
+  /// The front's metric family: rpc.* for the server, router.* for the
+  /// router.
+  [[nodiscard]] std::string metric(const char* name) const {
+    return std::string(GetParam() ? "router." : "rpc.") + name;
+  }
+
+  /// Quiesce the front (the router first, then the shard behind it) so
+  /// every counter has settled.
+  void stop() {
+    if (router_) router_->stop();
+    server_->stop();
+  }
+
   LoopbackHub hub_;
+  LoopbackHub shard_hub_;
   std::unique_ptr<RpcServer> server_;
+  std::unique_ptr<router::ShardRouter> router_;  // destroyed first
 };
 
-TEST_F(RpcFuzz, TruncatedHeaderDropsConnectionQuietly) {
+INSTANTIATE_TEST_SUITE_P(Fronts, RpcFuzz, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "Router" : "Server";
+                         });
+
+TEST_P(RpcFuzz, TruncatedHeaderDropsConnectionQuietly) {
   auto conn = hub_.connect();
   const std::vector<u8> partial(10, 0x42);  // 10 of the 32 header bytes
   conn->write_all(partial.data(), partial.size());
@@ -115,7 +152,7 @@ TEST_F(RpcFuzz, TruncatedHeaderDropsConnectionQuietly) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, ForgedLengthWithMissingPayloadDropsConnection) {
+TEST_P(RpcFuzz, ForgedLengthWithMissingPayloadDropsConnection) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kCompress;
@@ -129,7 +166,7 @@ TEST_F(RpcFuzz, ForgedLengthWithMissingPayloadDropsConnection) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, BadMagicDropsWithoutAResponse) {
+TEST_P(RpcFuzz, BadMagicDropsWithoutAResponse) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kCompress;
@@ -141,7 +178,7 @@ TEST_F(RpcFuzz, BadMagicDropsWithoutAResponse) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, BadVersionGetsTypedErrorAndConnectionSurvives) {
+TEST_P(RpcFuzz, BadVersionGetsTypedErrorAndConnectionSurvives) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kCompress;
@@ -165,7 +202,7 @@ TEST_F(RpcFuzz, BadVersionGetsTypedErrorAndConnectionSurvives) {
   EXPECT_EQ(resp.h.request_id, 32u);
 }
 
-TEST_F(RpcFuzz, BadOpGetsTypedErrorAndResyncs) {
+TEST_P(RpcFuzz, BadOpGetsTypedErrorAndResyncs) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kCompress;
@@ -185,7 +222,7 @@ TEST_F(RpcFuzz, BadOpGetsTypedErrorAndResyncs) {
   EXPECT_EQ(read_frame(*conn).h.status, Status::kOk);
 }
 
-TEST_F(RpcFuzz, OversizedPayloadDeclarationIsTypedThenFatal) {
+TEST_P(RpcFuzz, OversizedPayloadDeclarationIsTypedThenFatal) {
   auto conn = hub_.connect();
   Header h;
   h.op = Op::kCompress;
@@ -203,7 +240,7 @@ TEST_F(RpcFuzz, OversizedPayloadDeclarationIsTypedThenFatal) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, ResponseKindFrameToServerGetsBadRequest) {
+TEST_P(RpcFuzz, ResponseKindFrameToServerGetsBadRequest) {
   auto conn = hub_.connect();
   Frame f;
   f.h.kind = Kind::kResponse;  // structurally valid, semantically wrong
@@ -215,7 +252,7 @@ TEST_F(RpcFuzz, ResponseKindFrameToServerGetsBadRequest) {
   EXPECT_EQ(err.h.request_id, 77u);
 }
 
-TEST_F(RpcFuzz, MalformedCancelPayloadGetsBadRequest) {
+TEST_P(RpcFuzz, MalformedCancelPayloadGetsBadRequest) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kCancel;
@@ -225,7 +262,7 @@ TEST_F(RpcFuzz, MalformedCancelPayloadGetsBadRequest) {
   EXPECT_EQ(read_frame(*conn).h.status, Status::kBadRequest);
 }
 
-TEST_F(RpcFuzz, GarbageContainerToDecompressGetsBadRequest) {
+TEST_P(RpcFuzz, GarbageContainerToDecompressGetsBadRequest) {
   auto conn = hub_.connect();
   Frame f;
   f.h.op = Op::kDecompress;
@@ -238,7 +275,7 @@ TEST_F(RpcFuzz, GarbageContainerToDecompressGetsBadRequest) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, TruncatedContainerToDecompressFailsTyped) {
+TEST_P(RpcFuzz, TruncatedContainerToDecompressFailsTyped) {
   // A container that starts valid but is cut short: deserialize must
   // throw (bytesio bounds checks), mapped to kBadRequest — never a crash.
   RpcClient cli([&] { return hub_.connect(); });
@@ -258,7 +295,7 @@ TEST_F(RpcFuzz, TruncatedContainerToDecompressFailsTyped) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, BitFlippedContainerNeverCrashesTheDecoder) {
+TEST_P(RpcFuzz, BitFlippedContainerNeverCrashesTheDecoder) {
   // Decompress is the untrusted-input hot path: flip one byte at a time
   // across the container and require a typed outcome for each. (The
   // release-mode decoder hardening and the full-range nbins default are
@@ -287,7 +324,7 @@ TEST_F(RpcFuzz, BitFlippedContainerNeverCrashesTheDecoder) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, RandomGarbageStormNeverKillsTheServer) {
+TEST_P(RpcFuzz, RandomGarbageStormNeverKillsTheServer) {
   Xoshiro256 rng(4242);
   for (int round = 0; round < 64; ++round) {
     auto conn = hub_.connect();
@@ -304,12 +341,12 @@ TEST_F(RpcFuzz, RandomGarbageStormNeverKillsTheServer) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, MidFrameDisconnectDuringPayloadIsClean) {
+TEST_P(RpcFuzz, MidFrameDisconnectDuringPayloadIsClean) {
   auto& reg = obs::MetricsRegistry::global();
-  const u64 received0 = reg.counter("rpc.requests_received");
-  const u64 written0 = reg.counter("rpc.responses_written");
-  const u64 dropped0 = reg.counter("rpc.responses_dropped");
-  const u64 perr0 = reg.counter("rpc.protocol_error_responses");
+  const u64 received0 = reg.counter(metric("requests_received"));
+  const u64 written0 = reg.counter(metric("responses_written"));
+  const u64 dropped0 = reg.counter(metric("responses_dropped"));
+  const u64 perr0 = reg.counter(metric("protocol_error_responses"));
 
   for (int i = 0; i < 8; ++i) {
     auto conn = hub_.connect();
@@ -326,11 +363,11 @@ TEST_F(RpcFuzz, MidFrameDisconnectDuringPayloadIsClean) {
   expect_server_alive(hub_);
   // Mid-frame aborts never count as received requests, so the slot
   // balance still holds over the whole episode.
-  server_->stop();
-  const u64 received = reg.counter("rpc.requests_received") - received0;
-  const u64 written = reg.counter("rpc.responses_written") - written0;
-  const u64 dropped = reg.counter("rpc.responses_dropped") - dropped0;
-  const u64 perr = reg.counter("rpc.protocol_error_responses") - perr0;
+  stop();
+  const u64 received = reg.counter(metric("requests_received")) - received0;
+  const u64 written = reg.counter(metric("responses_written")) - written0;
+  const u64 dropped = reg.counter(metric("responses_dropped")) - dropped0;
+  const u64 perr = reg.counter(metric("protocol_error_responses")) - perr0;
   EXPECT_EQ(written + dropped, received + perr);
 }
 
@@ -353,7 +390,7 @@ u64 raw_stream_begin(rpc::Connection& conn, Op op, u64 request_id) {
   return sid;
 }
 
-TEST_F(RpcFuzz, InterleavedStreamIdsStayIsolated) {
+TEST_P(RpcFuzz, InterleavedStreamIdsStayIsolated) {
   auto conn = hub_.connect();
   const u64 a = raw_stream_begin(*conn, Op::kCompressStreamBegin, 1);
   const u64 b = raw_stream_begin(*conn, Op::kCompressStreamBegin, 2);
@@ -393,7 +430,7 @@ TEST_F(RpcFuzz, InterleavedStreamIdsStayIsolated) {
   EXPECT_EQ(read_frame(*conn).h.status, Status::kOk);
 }
 
-TEST_F(RpcFuzz, TruncatedEndPayloadIsTypedNotFatal) {
+TEST_P(RpcFuzz, TruncatedEndPayloadIsTypedNotFatal) {
   auto conn = hub_.connect();
   const u64 sid = raw_stream_begin(*conn, Op::kCompressStreamBegin, 1);
   Frame end;
@@ -406,7 +443,7 @@ TEST_F(RpcFuzz, TruncatedEndPayloadIsTypedNotFatal) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, ForgedChecksumOnRawEndIsTyped) {
+TEST_P(RpcFuzz, ForgedChecksumOnRawEndIsTyped) {
   auto conn = hub_.connect();
   const u64 sid = raw_stream_begin(*conn, Op::kCompressStreamBegin, 1);
   Frame chunk;
@@ -428,7 +465,7 @@ TEST_F(RpcFuzz, ForgedChecksumOnRawEndIsTyped) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, BeginReplayFloodShedsPastTheCapAndNeverWedges) {
+TEST_P(RpcFuzz, BeginReplayFloodShedsPastTheCapAndNeverWedges) {
   auto conn = hub_.connect();
   // Default cap: 4 concurrent streams per connection. A replayed Begin
   // flood gets 4 grants and then typed kQueueFull for every extra —
@@ -454,11 +491,11 @@ TEST_F(RpcFuzz, BeginReplayFloodShedsPastTheCapAndNeverWedges) {
   expect_server_alive(hub_);
 }
 
-TEST_F(RpcFuzz, RandomStreamOpStormKeepsTheBalance) {
+TEST_P(RpcFuzz, RandomStreamOpStormKeepsTheBalance) {
   auto& reg = obs::MetricsRegistry::global();
-  const u64 opened0 = reg.counter("rpc.streams_opened");
-  const u64 completed0 = reg.counter("rpc.streams_completed");
-  const u64 aborted0 = reg.counter("rpc.streams_aborted");
+  const u64 opened0 = reg.counter(metric("streams_opened"));
+  const u64 completed0 = reg.counter(metric("streams_completed"));
+  const u64 aborted0 = reg.counter(metric("streams_aborted"));
 
   Xoshiro256 rng(777);
   for (int round = 0; round < 24; ++round) {
@@ -484,10 +521,10 @@ TEST_F(RpcFuzz, RandomStreamOpStormKeepsTheBalance) {
   expect_server_alive(hub_);
   // Quiesce, then the stream ledger must balance: everything the storm
   // opened was either completed or counted aborted at teardown.
-  server_->stop();
-  const u64 opened = reg.counter("rpc.streams_opened") - opened0;
-  const u64 completed = reg.counter("rpc.streams_completed") - completed0;
-  const u64 aborted = reg.counter("rpc.streams_aborted") - aborted0;
+  stop();
+  const u64 opened = reg.counter(metric("streams_opened")) - opened0;
+  const u64 completed = reg.counter(metric("streams_completed")) - completed0;
+  const u64 aborted = reg.counter(metric("streams_aborted")) - aborted0;
   EXPECT_EQ(opened, completed + aborted);
 }
 

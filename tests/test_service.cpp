@@ -560,7 +560,7 @@ TEST(ServiceLossy, SubmitRoundTripsWithinTheBound) {
     worst = std::max(worst, std::abs(static_cast<double>(field[i]) -
                                      static_cast<double>(back.values[i])));
   }
-  EXPECT_LE(worst, res.report.error_bound * 1.0001);
+  EXPECT_LE(worst, res.report.error_bound);
 }
 
 TEST(ServiceLossy, WidthPredicateIsEnforcedAtSubmit) {
