@@ -19,6 +19,24 @@
 
 namespace parhuff {
 
+template <typename Sym>
+std::vector<u64> build_histogram(std::span<const Sym> data,
+                                 const PipelineConfig& cfg,
+                                 simt::MemTally* tally,
+                                 const CancelToken* cancel) {
+  obs::TraceSpan span("pipeline.histogram", "pipeline");
+  switch (cfg.histogram) {
+    case HistogramKind::kSerial:
+      return histogram_serial(data, cfg.nbins, cancel);
+    case HistogramKind::kOpenMP:
+      return histogram_openmp(data, cfg.nbins, cfg.cpu_threads, cancel);
+    case HistogramKind::kSimt:
+      break;
+  }
+  return histogram_simt(data, cfg.nbins, tally, SimtHistogramConfig{},
+                        cancel);
+}
+
 Codebook build_codebook(std::span<const u64> freq, const PipelineConfig& cfg,
                         PipelineReport* report, const CancelToken* cancel) {
   if (freq.empty()) {
@@ -125,6 +143,25 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
 }
 
 template <typename Sym>
+EncodedStream encode_and_annotate(std::span<const Sym> data,
+                                  const Codebook& cb,
+                                  const PipelineConfig& cfg,
+                                  std::span<const u64> freq,
+                                  PipelineReport* report,
+                                  const CancelToken* cancel) {
+  EncodedStream stream =
+      encode_with_codebook<Sym>(data, cb, cfg, freq, report, cancel);
+  if (cfg.gap_subseq_bits != 0) {
+    if (cancel) cancel->check();
+    obs::TraceSpan span("pipeline.gap_annotate", "pipeline");
+    Timer t;
+    annotate_gaps(stream, cb, cfg.gap_subseq_bits);
+    if (report) report->gap_seconds = t.seconds();
+  }
+  return stream;
+}
+
+template <typename Sym>
 Compressed<Sym> compress(std::span<const Sym> data, const PipelineConfig& cfg,
                          PipelineReport* report, const CancelToken* cancel) {
   if (cfg.nbins == 0) throw std::invalid_argument("nbins must be positive");
@@ -139,22 +176,8 @@ Compressed<Sym> compress(std::span<const Sym> data, const PipelineConfig& cfg,
 
   // --- Stage 1: histogram. ------------------------------------------------
   Timer t;
-  std::vector<u64> freq;
-  {
-    obs::TraceSpan span("pipeline.histogram", "pipeline");
-    switch (cfg.histogram) {
-      case HistogramKind::kSerial:
-        freq = histogram_serial(data, cfg.nbins, cancel);
-        break;
-      case HistogramKind::kOpenMP:
-        freq = histogram_openmp(data, cfg.nbins, cfg.cpu_threads, cancel);
-        break;
-      case HistogramKind::kSimt:
-        freq = histogram_simt(data, cfg.nbins, &rep.hist_tally,
-                              SimtHistogramConfig{}, cancel);
-        break;
-    }
-  }
+  const std::vector<u64> freq =
+      build_histogram(data, cfg, &rep.hist_tally, cancel);
   rep.hist_seconds = t.seconds();
   rep.entropy_bits = shannon_entropy(freq);
   if (cancel) cancel->check();
@@ -164,18 +187,9 @@ Compressed<Sym> compress(std::span<const Sym> data, const PipelineConfig& cfg,
   rep.avg_bits = average_bitwidth(out.codebook, freq);
   if (cancel) cancel->check();
 
-  // --- Stage 4: encode. ----------------------------------------------------
+  // --- Stage 4 (+ optional stage 5, gap-array decode metadata). ----------
   out.stream =
-      encode_with_codebook<Sym>(data, out.codebook, cfg, freq, &rep, cancel);
-
-  // --- Stage 5 (optional): gap-array decode metadata. ----------------------
-  if (cfg.gap_subseq_bits != 0) {
-    if (cancel) cancel->check();
-    obs::TraceSpan span("pipeline.gap_annotate", "pipeline");
-    Timer tg;
-    annotate_gaps(out.stream, out.codebook, cfg.gap_subseq_bits);
-    rep.gap_seconds = tg.seconds();
-  }
+      encode_and_annotate<Sym>(data, out.codebook, cfg, freq, &rep, cancel);
   rep.compressed_bytes = out.stream.stored_bytes();
   obs::publish(obs::MetricsRegistry::global(), rep);
   return out;
@@ -242,6 +256,26 @@ template EncodedStream encode_with_codebook<u16>(std::span<const u16>,
                                                  std::span<const u64>,
                                                  PipelineReport*,
                                                  const CancelToken*);
+template std::vector<u64> build_histogram<u8>(std::span<const u8>,
+                                              const PipelineConfig&,
+                                              simt::MemTally*,
+                                              const CancelToken*);
+template std::vector<u64> build_histogram<u16>(std::span<const u16>,
+                                               const PipelineConfig&,
+                                               simt::MemTally*,
+                                               const CancelToken*);
+template EncodedStream encode_and_annotate<u8>(std::span<const u8>,
+                                               const Codebook&,
+                                               const PipelineConfig&,
+                                               std::span<const u64>,
+                                               PipelineReport*,
+                                               const CancelToken*);
+template EncodedStream encode_and_annotate<u16>(std::span<const u16>,
+                                                const Codebook&,
+                                                const PipelineConfig&,
+                                                std::span<const u64>,
+                                                PipelineReport*,
+                                                const CancelToken*);
 template Compressed<u8> compress<u8>(std::span<const u8>,
                                      const PipelineConfig&, PipelineReport*,
                                      const CancelToken*);

@@ -122,6 +122,15 @@ template <typename Sym>
 // once. Neither function mutates the codebook, so a `const Codebook`
 // (typically behind a shared_ptr) is safely shareable across threads.
 
+/// Stage 1 standalone: the frequency profile of `data` under cfg's
+/// histogram policy (cfg.nbins slots). `tally` collects the SIMT kernel's
+/// transactions (ignored by the host kernels); `cancel` is polled inside
+/// every kernel.
+template <typename Sym>
+[[nodiscard]] std::vector<u64> build_histogram(
+    std::span<const Sym> data, const PipelineConfig& cfg,
+    simt::MemTally* tally = nullptr, const CancelToken* cancel = nullptr);
+
 /// Stages 2+3 standalone: build a canonical codebook for the frequency
 /// profile `freq` (one slot per symbol; freq.size() is the alphabet size)
 /// under cfg's codebook policy. When `report` is given, fills
@@ -144,6 +153,17 @@ template <typename Sym>
 /// SIMT encoders.
 template <typename Sym>
 [[nodiscard]] EncodedStream encode_with_codebook(
+    std::span<const Sym> data, const Codebook& cb, const PipelineConfig& cfg,
+    std::span<const u64> freq = {}, PipelineReport* report = nullptr,
+    const CancelToken* cancel = nullptr);
+
+/// Stage 4 plus the optional stage 5: encode_with_codebook, then — when
+/// cfg.gap_subseq_bits is set — annotate the stream with gap-array decode
+/// metadata (fills report->gap_seconds). compress(), the fused lossy path
+/// and the service all encode through this, so each honours
+/// gap_subseq_bits.
+template <typename Sym>
+[[nodiscard]] EncodedStream encode_and_annotate(
     std::span<const Sym> data, const Codebook& cb, const PipelineConfig& cfg,
     std::span<const u64> freq = {}, PipelineReport* report = nullptr,
     const CancelToken* cancel = nullptr);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/bytesio.hpp"
-#include "core/decode_gaparray.hpp"
 #include "core/format.hpp"
 #include "core/rle.hpp"
 #include "data/quant.hpp"
@@ -79,15 +78,12 @@ std::vector<u8> encode_residual(const std::vector<u16>& residual,
       for (std::size_t i = 0; i < residual.size(); ++i) {
         narrow[i] = static_cast<u8>(residual[i]);
       }
-      stream = encode_with_codebook<u8>(narrow, *book, pc, freq, &rep.huffman,
-                                        cancel);
+      stream = encode_and_annotate<u8>(narrow, *book, pc, freq, &rep.huffman,
+                                       cancel);
     } else {
-      stream = encode_with_codebook<u16>(residual, *book, pc, freq,
-                                         &rep.huffman, cancel);
+      stream = encode_and_annotate<u16>(residual, *book, pc, freq,
+                                        &rep.huffman, cancel);
     }
-  }
-  if (pc.gap_subseq_bits != 0) {
-    annotate_gaps(stream, *book, pc.gap_subseq_bits);
   }
   acc.annotate(stream);
   const Compressed<Sym> blob{*book, std::move(stream)};

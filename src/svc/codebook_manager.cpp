@@ -274,8 +274,10 @@ void CodebookManager::run_rebuild(const RebuildJob& job) {
         break;
     }
     --inflight_;
+    // Notify under mu_: once quiesce() sees inflight_ == 0 the manager may
+    // be destroyed, so the cv must not be touched after the unlock.
+    idle_cv_.notify_all();
   }
-  idle_cv_.notify_all();
 }
 
 bool CodebookManager::take_rebuild_token() {

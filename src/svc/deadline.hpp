@@ -6,10 +6,8 @@
 // submit(). It is enforced everywhere the request spends time:
 //
 //   * where it waits — a blocked submit() gives up at the deadline, the
-//     scheduler prunes expired pending requests before batching, batch
-//     admission triages members whose remaining budget is below the
-//     expected service time, and a batch re-checks each member when it
-//     finally starts;
+//     scheduler prunes expired pending requests before batching, and a
+//     batch re-checks each member when it finally starts;
 //   * and *inside the stage kernels* — submit() arms the request's
 //     core::CancelToken with the deadline, and the histogram, codebook and
 //     encode kernels poll it cooperatively (per chunk / per reduce round),

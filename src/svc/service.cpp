@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/decode.hpp"
-#include "core/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault_inject.hpp"
@@ -19,41 +18,6 @@ namespace {
 
 using detail::ReqPhase;
 
-/// The batch's pooled histogram under the request config's histogram
-/// policy. Per-request histograms accumulate into `freq` so the codebook
-/// covers every member. `cancel` is the batch-scope token the kernels
-/// poll (see run_batch for how it is chosen).
-template <typename Sym>
-void accumulate_histogram(std::span<const Sym> data,
-                          const PipelineConfig& cfg, std::vector<u64>& freq,
-                          const CancelToken* cancel) {
-  util::FaultInjector::global().maybe_throw("svc.histogram");
-  std::vector<u64> h;
-  switch (cfg.histogram) {
-    case HistogramKind::kSerial:
-      h = histogram_serial(data, cfg.nbins, cancel);
-      break;
-    case HistogramKind::kOpenMP:
-      h = histogram_openmp(data, cfg.nbins, cfg.cpu_threads, cancel);
-      break;
-    case HistogramKind::kSimt:
-      h = histogram_simt(data, cfg.nbins, nullptr, SimtHistogramConfig{},
-                         cancel);
-      break;
-  }
-  // Hard invariant, not an assert: every member of a batch was admitted
-  // with an operator==-equal config, so the widths must agree. If a
-  // future config change ever breaks that, fail the batch cleanly
-  // instead of silently truncating the accumulation.
-  if (h.size() != freq.size()) {
-    throw std::logic_error(
-        "CompressionService: histogram width mismatch inside a batch (" +
-        std::to_string(h.size()) + " vs " + std::to_string(freq.size()) +
-        " bins)");
-  }
-  for (std::size_t b = 0; b < freq.size(); ++b) freq[b] += h[b];
-}
-
 [[nodiscard]] bool is_transient(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
@@ -64,21 +28,64 @@ void accumulate_histogram(std::span<const Sym> data,
   }
 }
 
-/// Why a stage abandoned work at a poll point — these outrank transient
-/// classification: no retry, no degraded fallback, straight to the typed
-/// failure.
-enum class AbandonKind { kNone, kCancelled, kDeadline };
-
-[[nodiscard]] AbandonKind abandon_kind(const std::exception_ptr& err) {
+/// A stage abandoned work at a poll point (cancel or deadline). Outranks
+/// transient classification: no retry, no degraded fallback, straight to
+/// the typed failure.
+[[nodiscard]] bool is_abandon(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
   } catch (const OperationCancelled&) {
-    return AbandonKind::kCancelled;
+    return true;
   } catch (const DeadlineExpired&) {
-    return AbandonKind::kDeadline;
+    return true;
   } catch (...) {
-    return AbandonKind::kNone;
+    return false;
   }
+}
+
+/// The one retry loop: runs `attempt(n)` until it succeeds. A transient
+/// failure is retried after a jittered backoff while `charge()` grants
+/// budget; abandons and permanent errors return at once. Returns the last
+/// error, or nullptr on success.
+template <typename Attempt, typename Charge>
+std::exception_ptr with_retry(Attempt&& attempt, Charge&& charge,
+                              const util::BackoffPolicy& backoff,
+                              const util::Clock& clock, Xoshiro256& rng) {
+  for (int n = 0;; ++n) {
+    try {
+      attempt(n);
+      return nullptr;
+    } catch (...) {
+      std::exception_ptr err = std::current_exception();
+      if (is_abandon(err) || !is_transient(err) || !charge()) return err;
+      obs::MetricsRegistry::global().counter_add("svc.retries");
+      obs::TraceRecorder::global().instant("svc.retry", "svc");
+      util::backoff_sleep(backoff, n, rng, clock);
+    }
+  }
+}
+
+/// Draw one retry from a request's budget; false once it is spent.
+[[nodiscard]] bool take_retry(int& budget) {
+  if (budget <= 0) return false;
+  --budget;
+  return true;
+}
+
+/// A fresh backoff-jitter stream per handoff / batch.
+[[nodiscard]] Xoshiro256 jitter_rng(std::atomic<u64>& salt) {
+  return Xoshiro256(salt.fetch_add(1, std::memory_order_relaxed) *
+                        0x9e3779b97f4a7c15ull +
+                    1);
+}
+
+template <typename Sym>
+[[nodiscard]] std::size_t output_bytes(const CompressResult<Sym>& r) {
+  return r.stream.stored_bytes();
+}
+
+[[nodiscard]] std::size_t output_bytes(const LossyResult& r) {
+  return r.container.size();
 }
 
 }  // namespace
@@ -114,10 +121,6 @@ CompressionService<Sym>::CompressionService(ServiceConfig cfg)
   if (cfg_.retry.max_attempts < 0) {
     throw std::invalid_argument(
         "CompressionService: retry.max_attempts must be >= 0");
-  }
-  if (cfg_.triage.quantile < 0.0 || cfg_.triage.quantile > 1.0) {
-    throw std::invalid_argument(
-        "CompressionService: triage.quantile must be in [0, 1]");
   }
   if (cfg_.adaptive.enabled) {
     if (cfg_.adaptive.window_decay < 0.0 || cfg_.adaptive.window_decay >= 1.0) {
@@ -176,45 +179,16 @@ Submission<Sym> CompressionService<Sym>::submit(std::vector<Sym>&& data,
   if (pipeline.nbins == 0) {
     throw std::invalid_argument("CompressionService: nbins must be positive");
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-
   Request r;
   r.data = std::move(data);
   r.pipeline = pipeline;
   r.priority = opts.priority;
-  r.deadline = opts.deadline;
-  r.retry_budget = cfg_.retry.max_attempts;
-  r.handle = std::make_shared<detail::HandleState>();
-  // Arm the in-flight token before the request is shared: the stage
-  // kernels poll it per chunk, so the deadline keeps biting even after
-  // encode begins (core/cancel.hpp).
-  if (!opts.deadline.unlimited()) {
-    r.handle->token.arm_deadline(opts.deadline.at, *clock_);
+  Submission<Sym> sub;
+  if (admit(r, opts.deadline, sub, [&] { pending_.push_back(std::move(r)); })) {
+    obs::TraceRecorder::global().instant("svc.enqueue", "svc");
+    sched_cv_.notify_one();
   }
-  RequestHandle handle(r.handle);
-  std::future<CompressResult<Sym>> fut = r.promise.get_future();
-
-  // Dead on arrival, or the deadline passed while blocked at admission:
-  // the future fails instead of the caller blocking past its budget.
-  bool admitted = !opts.deadline.expired(clock_->now());
-  if (admitted) {
-    std::unique_lock<std::mutex> lock(mu_);
-    admitted = admit(lock, r.deadline);
-    if (admitted) {
-      r.enqueue_us = obs::TraceRecorder::global().now_us();
-      pending_.push_back(std::move(r));
-    }
-  }
-  reg.counter_add("svc.requests_submitted");
-  if (!admitted) {
-    r.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
-    r.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-    reg.counter_add("svc.deadline_exceeded");
-    return Submission<Sym>{std::move(fut), std::move(handle)};
-  }
-  obs::TraceRecorder::global().instant("svc.enqueue", "svc");
-  sched_cv_.notify_one();
-  return Submission<Sym>{std::move(fut), std::move(handle)};
+  return sub;
 }
 
 template <typename Sym>
@@ -224,53 +198,6 @@ std::future<CompressResult<Sym>> CompressionService<Sym>::submit(
   SubmitOptions opts;
   opts.priority = priority;
   return submit(data, pipeline, opts).result;
-}
-
-template <typename Sym>
-bool CompressionService<Sym>::admit(std::unique_lock<std::mutex>& lock,
-                                    const Deadline& deadline) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (stopping_) {
-    throw std::logic_error("CompressionService: submit() after shutdown");
-  }
-  if (outstanding_ >= cfg_.queue_capacity) {
-    if (cfg_.overflow == OverflowPolicy::kReject) {
-      // Rejected before admission: svc.rejected_requests only — never a
-      // request tick (the caller's throw IS the resolution).
-      reg.counter_add("svc.rejected_requests");
-      throw QueueFullError();
-    }
-    reg.counter_add("svc.backpressure_events");
-    const auto has_space = [&] {
-      return stopping_ || outstanding_ < cfg_.queue_capacity;
-    };
-    ++waiting_submitters_;
-    bool admitted = true;
-    if (deadline.unlimited()) {
-      space_cv_.wait(lock, has_space);
-    } else {
-      // Predicate loop over the injected clock's wait primitive —
-      // equivalent to cv.wait_until(pred) on the real clock, and
-      // virtual-clock-driven in tests.
-      while (!has_space()) {
-        if (clock_->wait_until(space_cv_, lock, deadline.at) ==
-                std::cv_status::timeout &&
-            !has_space()) {
-          admitted = false;
-          break;
-        }
-      }
-    }
-    --waiting_submitters_;
-    if (stopping_) {
-      drain_cv_.notify_all();  // the destructor waits for us to leave
-      throw std::logic_error("CompressionService: submit() after shutdown");
-    }
-    if (!admitted) return false;
-  }
-  ++outstanding_;
-  reg.gauge_set("svc.queue_depth", static_cast<double>(outstanding_));
-  return true;
 }
 
 template <typename Sym>
@@ -286,52 +213,93 @@ LossySubmission CompressionService<Sym>::submit_lossy(
         "CompressionService: lossy nbins does not match this service's "
         "symbol width (nbins <= 256 belongs on the u8 instance)");
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-
   LossyJob j;
   j.field = std::move(field);
   j.dims = dims;
   j.cfg = cfg;
-  j.deadline = opts.deadline;
-  j.handle = std::make_shared<detail::HandleState>();
-  if (!opts.deadline.unlimited()) {
-    j.handle->token.arm_deadline(opts.deadline.at, *clock_);
+  LossySubmission sub;
+  if (admit(j, opts.deadline, sub, [] {})) {
+    obs::TraceRecorder::global().instant("svc.lossy_enqueue", "svc");
+    // Solo dispatch, straight to the pool — a float field amortizes its
+    // own codebook build, so the batching scheduler has nothing to add.
+    auto boxed = std::make_shared<LossyJob>(std::move(j));
+    hand_off([this, boxed] { run_lossy(*boxed); });
   }
-  RequestHandle handle(j.handle);
-  std::future<LossyResult> fut = j.promise.get_future();
+  return sub;
+}
 
-  // Dead on arrival, or the deadline passed while blocked at admission:
-  // counts as a request AND a failure so lossy.requests == completed +
-  // failed holds.
-  bool admitted = !opts.deadline.expired(clock_->now());
+template <typename Sym>
+template <typename Job, typename Sub, typename Enqueue>
+bool CompressionService<Sym>::admit(Job& j, const Deadline& deadline,
+                                    Sub& sub, Enqueue&& enqueue) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  j.deadline = deadline;
+  j.retry_budget = cfg_.retry.max_attempts;
+  j.handle = std::make_shared<detail::HandleState>();
+  // Arm the in-flight token before the request is shared: the stage
+  // kernels poll it per chunk, so the deadline keeps biting even after
+  // encode begins (core/cancel.hpp).
+  if (!deadline.unlimited()) j.handle->token.arm_deadline(deadline.at, *clock_);
+  sub.result = j.promise.get_future();
+  sub.handle = RequestHandle(j.handle);
+
+  // Dead on arrival, or the deadline passes while blocked at the bound:
+  // the future fails instead of the caller blocking past its budget.
+  bool admitted = !deadline.expired(clock_->now());
   if (admitted) {
     std::unique_lock<std::mutex> lock(mu_);
-    admitted = admit(lock, j.deadline);
-    if (admitted) j.enqueue_us = obs::TraceRecorder::global().now_us();
+    if (stopping_) {
+      throw std::logic_error("CompressionService: submit() after shutdown");
+    }
+    if (outstanding_ >= cfg_.queue_capacity) {
+      if (cfg_.overflow == OverflowPolicy::kReject) {
+        // Rejected before admission: svc.rejected_requests only — never a
+        // request tick (the caller's throw IS the resolution).
+        reg.counter_add("svc.rejected_requests");
+        throw QueueFullError();
+      }
+      reg.counter_add("svc.backpressure_events");
+      const auto has_space = [&] {
+        return stopping_ || outstanding_ < cfg_.queue_capacity;
+      };
+      ++waiting_submitters_;
+      if (deadline.unlimited()) {
+        space_cv_.wait(lock, has_space);
+      } else {
+        // Predicate loop over the injected clock's wait primitive —
+        // equivalent to cv.wait_until(pred) on the real clock, and
+        // virtual-clock-driven in tests.
+        while (!has_space()) {
+          if (clock_->wait_until(space_cv_, lock, deadline.at) ==
+                  std::cv_status::timeout &&
+              !has_space()) {
+            admitted = false;
+            break;
+          }
+        }
+      }
+      --waiting_submitters_;
+      if (stopping_) {
+        drain_cv_.notify_all();  // the destructor waits for us to leave
+        throw std::logic_error("CompressionService: submit() after shutdown");
+      }
+    }
+    if (admitted) {
+      ++outstanding_;
+      reg.gauge_set("svc.queue_depth", static_cast<double>(outstanding_));
+      j.enqueue_us = obs::TraceRecorder::global().now_us();
+      enqueue();
+    }
   }
-  reg.counter_add("lossy.requests");
+  // A request that timed out at admission still counts as submitted, so
+  // the submitted/resolved balance holds.
+  reg.counter_add(Job::kSubmitted);
   if (!admitted) {
     j.handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved);
-    j.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-    reg.counter_add("lossy.failed");
-    reg.counter_add("svc.deadline_exceeded");
-    return LossySubmission{std::move(fut), std::move(handle)};
+    fail_request(j, std::make_exception_ptr(DeadlineExceeded{}),
+                 "svc.deadline_exceeded", /*admitted=*/false);
   }
-  obs::TraceRecorder::global().instant("svc.lossy_enqueue", "svc");
-
-  // Solo dispatch, straight to the pool — a float field amortizes its own
-  // codebook build, so the batching scheduler has nothing to add. The
-  // shared_ptr box gives std::function the copyable callable it needs; the
-  // inline fallback preserves the resolve-always invariant when the
-  // executor refuses the handoff (matching dispatch()'s last resort).
-  auto boxed = std::make_shared<LossyJob>(std::move(j));
-  try {
-    pool_->submit([this, boxed] { run_lossy(*boxed); });
-  } catch (...) {
-    reg.counter_add("svc.inline_dispatches");
-    run_lossy(*boxed);
-  }
-  return LossySubmission{std::move(fut), std::move(handle)};
+  return admitted;
 }
 
 template <typename Sym>
@@ -361,45 +329,22 @@ void CompressionService<Sym>::sweep_batch(std::vector<Request>& batch,
   // By value: push_back below may reallocate `batch` and a reference into
   // it would dangle.
   const PipelineConfig want = batch.front().pipeline;
-  const auto now = clock_->now();
-  // Deadline-aware admission: a member whose remaining budget is below
-  // the expected service time cannot finish — fail it now instead of
-  // spending batch work on it (svc.triage_skipped).
-  const double expected = expected_service_seconds();
+  prune_pending(expired, cancelled);
   for (auto it = pending_.begin();
        it != pending_.end() && batch.size() < cfg_.batch_max_requests;) {
-    if (it->handle->load() == ReqPhase::kCancelled) {
-      cancelled.push_back(std::move(*it));
-      it = pending_.erase(it);
-      continue;
-    }
     if (!(it->pipeline == want) ||
         it->data.size() > cfg_.batch_eligible_symbols ||
         total_syms + it->data.size() > cfg_.batch_max_symbols) {
       ++it;
       continue;
     }
-    if (it->deadline.expired(now) ||
-        it->deadline.remaining_seconds(now) < expected) {
-      if (it->handle->try_transition(ReqPhase::kPending, ReqPhase::kResolved)) {
-        if (!it->deadline.expired(now)) {
-          obs::MetricsRegistry::global().counter_add("svc.triage_skipped");
-        }
-        expired.push_back(std::move(*it));
-      } else {
-        cancelled.push_back(std::move(*it));
-      }
-      it = pending_.erase(it);
-      continue;
-    }
-    if (!it->handle->try_transition(ReqPhase::kPending,
-                                    ReqPhase::kDispatched)) {
+    if (it->handle->try_transition(ReqPhase::kPending,
+                                   ReqPhase::kDispatched)) {
+      total_syms += it->data.size();
+      batch.push_back(std::move(*it));
+    } else {
       cancelled.push_back(std::move(*it));  // cancel() won the race
-      it = pending_.erase(it);
-      continue;
     }
-    total_syms += it->data.size();
-    batch.push_back(std::move(*it));
     it = pending_.erase(it);
   }
 }
@@ -420,16 +365,6 @@ void CompressionService<Sym>::resolve_doomed(std::vector<Request>& expired,
 }
 
 template <typename Sym>
-void CompressionService<Sym>::fail_request(Request& r, std::exception_ptr err,
-                                           const char* counter) {
-  // Count before resolving: a caller that wakes on the future already
-  // sees the failure in the ledger.
-  obs::MetricsRegistry::global().counter_add(counter);
-  r.promise.set_exception(std::move(err));
-  finish_one();
-}
-
-template <typename Sym>
 void CompressionService<Sym>::scheduler_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   std::vector<Request> expired, cancelled;
@@ -440,26 +375,19 @@ void CompressionService<Sym>::scheduler_loop() {
     // Leader: oldest request of the highest priority present that the
     // scheduler can still claim (cancel() may win the race).
     std::vector<Request> batch;
-    std::size_t total_syms = 0;
     while (!pending_.empty()) {
-      auto lead = pending_.begin();
-      for (auto it = std::next(lead); it != pending_.end(); ++it) {
-        if (static_cast<int>(it->priority) >
-            static_cast<int>(lead->priority)) {
-          lead = it;
-        }
-      }
-      if (lead->handle->try_transition(ReqPhase::kPending,
-                                       ReqPhase::kDispatched)) {
-        total_syms = lead->data.size();
-        batch.push_back(std::move(*lead));
-        pending_.erase(lead);
-        break;
-      }
-      cancelled.push_back(std::move(*lead));
+      // max_element keeps the first of equals: the oldest.
+      const auto lead = std::max_element(
+          pending_.begin(), pending_.end(),
+          [](const Request& a, const Request& b) {
+            return a.priority < b.priority;
+          });
+      const bool claimed = lead->handle->try_transition(
+          ReqPhase::kPending, ReqPhase::kDispatched);
+      (claimed ? batch : cancelled).push_back(std::move(*lead));
       pending_.erase(lead);
+      if (claimed) break;
     }
-
     if (batch.empty()) {
       if (!expired.empty() || !cancelled.empty()) {
         lock.unlock();
@@ -471,91 +399,62 @@ void CompressionService<Sym>::scheduler_loop() {
       continue;
     }
 
-    const bool batchable = total_syms <= cfg_.batch_eligible_symbols &&
-                           cfg_.batch_max_requests > 1 &&
-                           cfg_.batch_window_seconds > 0;
-    if (batchable) {
+    std::size_t total_syms = batch.front().data.size();
+    if (total_syms <= cfg_.batch_eligible_symbols &&
+        cfg_.batch_max_requests > 1 && cfg_.batch_window_seconds > 0) {
       const auto window_end =
           clock_->now() + util::Clock::dur(cfg_.batch_window_seconds);
-      for (;;) {
+      // Sweep, then linger until the batch is full or the window closes;
+      // at shutdown, flush without lingering.
+      for (bool closed = false;;) {
         sweep_batch(batch, total_syms, expired, cancelled);
-        if (batch.size() >= cfg_.batch_max_requests) break;
-        if (stopping_) {  // shutdown: flush without lingering
-          sweep_batch(batch, total_syms, expired, cancelled);
+        if (closed || stopping_ || batch.size() >= cfg_.batch_max_requests) {
           break;
         }
-        if (clock_->wait_until(sched_cv_, lock, window_end) ==
-            std::cv_status::timeout) {
-          sweep_batch(batch, total_syms, expired, cancelled);
-          break;
-        }
+        closed = clock_->wait_until(sched_cv_, lock, window_end) ==
+                 std::cv_status::timeout;
       }
     }
     lock.unlock();
     resolve_doomed(expired, cancelled);
-    dispatch(std::move(batch));
+    // std::function needs a copyable callable; promises are move-only, so
+    // the batch rides behind a shared_ptr.
+    auto boxed = std::make_shared<std::vector<Request>>(std::move(batch));
+    hand_off([this, boxed] { run_batch(std::move(*boxed)); });
     lock.lock();
   }
 }
 
 template <typename Sym>
-void CompressionService<Sym>::dispatch(std::vector<Request> batch) {
-  // std::function needs a copyable callable; promises are move-only, so
-  // the batch rides behind a shared_ptr.
-  auto boxed = std::make_shared<std::vector<Request>>(std::move(batch));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  Xoshiro256 rng(rng_salt_.fetch_add(1, std::memory_order_relaxed) *
-                     0x9e3779b97f4a7c15ull +
-                 1);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      pool_->submit([this, boxed] { run_batch(std::move(*boxed)); });
-      return;
-    } catch (...) {
-      if (!is_transient(std::current_exception()) ||
-          attempt >= cfg_.retry.max_attempts) {
-        break;
-      }
-      // Executor handoff happens before any member's stage work starts, so
-      // this bound is per batch, not drawn from the members' budgets.
-      reg.counter_add("svc.retries");
-      util::backoff_sleep(cfg_.retry.backoff, attempt, rng, *clock_);
-    }
-  }
-  // Executor unavailable even after retries: run the batch inline on the
-  // scheduler thread. Throughput degrades but every future resolves.
-  reg.counter_add("svc.inline_dispatches");
-  run_batch(std::move(*boxed));
+void CompressionService<Sym>::hand_off(std::function<void()> task) {
+  Xoshiro256 rng = jitter_rng(rng_salt_);
+  const std::exception_ptr err = with_retry(
+      [&](int) { pool_->submit(task); },
+      [left = cfg_.retry.max_attempts]() mutable { return take_retry(left); },
+      cfg_.retry.backoff, *clock_, rng);
+  if (!err) return;
+  // Executor unavailable even after retries: run the work inline on the
+  // calling thread. Throughput degrades but every future resolves.
+  obs::MetricsRegistry::global().counter_add("svc.inline_dispatches");
+  task();
 }
 
 template <typename Sym>
 void CompressionService<Sym>::run_batch(std::vector<Request> batch) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::TraceRecorder& rec = obs::TraceRecorder::global();
   obs::TraceSpan batch_span("svc.batch", "svc");
   util::FaultInjector& faults = util::FaultInjector::global();
-  const double batch_start_us = rec.now_us();
-  Xoshiro256 rng(rng_salt_.fetch_add(1, std::memory_order_relaxed) *
-                     0xbf58476d1ce4e5b9ull +
-                 1);
+  const double batch_start_us = obs::TraceRecorder::global().now_us();
+  Xoshiro256 rng = jitter_rng(rng_salt_);
 
-  // Members whose deadline passed while the batch waited for a worker are
-  // failed before any work is spent on them.
-  {
-    const auto now = clock_->now();
-    std::vector<Request> live;
-    live.reserve(batch.size());
-    for (Request& r : batch) {
-      if (r.deadline.expired(now)) {
-        fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                     "svc.deadline_exceeded");
-      } else {
-        live.push_back(std::move(r));
-      }
-    }
-    batch = std::move(live);
-  }
-  if (batch.empty()) return;
+  // Members whose deadline passed while the batch waited for a worker (or,
+  // later, during a retry backoff) are failed before more work is spent
+  // on them. Returns whether anyone is left.
+  const auto drop_expired = [&] {
+    std::erase_if(batch, [&](Request& r) { return fail_if_expired(r); });
+    return !batch.empty();
+  };
+  if (!drop_expired()) return;
 
   // Cancel scope for the shared stages. A solo batch polls its member's
   // own token, so a post-dispatch cancel() or the member's deadline aborts
@@ -570,22 +469,17 @@ void CompressionService<Sym>::run_batch(std::vector<Request> batch) {
   if (batch.size() == 1) {
     solo_state = batch.front().handle;
     shared_cancel = &solo_state->token;
-  } else {
-    auto latest = Deadline::clock::time_point::min();
-    bool all_limited = true;
-    for (const Request& r : batch) {
-      if (r.deadline.unlimited()) {
-        all_limited = false;
-        break;
-      }
-      latest = std::max(latest, r.deadline.at);
-    }
-    if (all_limited) batch_token.arm_deadline(latest, *clock_);
+  } else if (std::none_of(batch.begin(), batch.end(), [](const Request& r) {
+               return r.deadline.unlimited();
+             })) {
+    const auto latest = std::max_element(
+        batch.begin(), batch.end(), [](const Request& a, const Request& b) {
+          return a.deadline.at < b.deadline.at;
+        });
+    batch_token.arm_deadline(latest->deadline.at, *clock_);
   }
 
-  // By value: the deadline triage in the retry loop reassigns `batch`, and
-  // a reference into the old vector would dangle (the same trap the
-  // scheduler's sweep_batch documents).
+  // By value: drop_expired() reassigns `batch`'s elements.
   const PipelineConfig cfg = batch.front().pipeline;
   reg.counter_add("svc.batches");
   if (batch.size() > 1) reg.counter_add("svc.coalesced_requests", batch.size());
@@ -594,223 +488,111 @@ void CompressionService<Sym>::run_batch(std::vector<Request> batch) {
                      (batch_start_us - r.enqueue_us) / 1e6);
   }
 
-  // Shared stages: histogram pooling, cache lookup, codebook build. A
-  // transient failure here retries the whole shared phase (with backoff);
-  // exhaustion falls through to the per-request degraded path.
-  std::shared_ptr<const Codebook> cb;
+  // Shared stages: pooled histogram, cache lookup, codebook build. A
+  // transient failure retries the whole shared phase while any live
+  // member still has budget, charging every live member for the round
+  // (they all consume the repeated work); exhaustion falls through to the
+  // per-request degraded path.
   std::vector<u64> freq;
+  std::shared_ptr<const Codebook> cb;
   bool cache_hit = false;
-  std::exception_ptr shared_err;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      Timer t;
-      freq.assign(cfg.nbins, 0);
-      for (const Request& r : batch) {
-        accumulate_histogram<Sym>(r.data, cfg, freq, shared_cancel);
-      }
-      reg.stage_add("svc.histogram", t.seconds());
-
-      t.reset();
-      cb = nullptr;
-      cache_hit = false;
-      Fingerprint fp{};
-      if (cfg_.enable_cache) {
-        fp = fingerprint_histogram(freq, cache_seed(cfg));
-        if (std::shared_ptr<const Codebook> hit = cache_.find(fp)) {
-          if (CodebookCache::covers(*hit, freq)) {
-            cb = std::move(hit);
-            cache_hit = true;
-            reg.counter_add("svc.cache_hits");
+  const std::exception_ptr shared_err = with_retry(
+      [&](int attempt) {
+        if (attempt > 0 && !drop_expired()) return;
+        Timer t;
+        freq.clear();
+        for (const Request& r : batch) {
+          faults.maybe_throw("svc.histogram");
+          std::vector<u64> h = build_histogram<Sym>(r.data, cfg, nullptr,
+                                                    shared_cancel);
+          if (freq.empty()) {
+            freq = std::move(h);
           } else {
-            // Fingerprint aliased onto a codebook missing some of this
-            // batch's symbols — rebuild; the fresh book replaces the entry.
-            reg.counter_add("svc.cache_guard_rejects");
+            for (std::size_t b = 0; b < freq.size(); ++b) freq[b] += h[b];
           }
-        } else {
-          reg.counter_add("svc.cache_misses");
         }
+        reg.stage_add("svc.histogram", t.seconds());
+
+        t.reset();
+        CacheLookup look;
+        if (cfg_.enable_cache) {
+          look = find_cached(freq, cfg, "svc.cache_hits", "svc.cache_misses");
+        }
+        cache_hit = look.book != nullptr;
+        cb = std::move(look.book);
         if (!cb) {
           faults.maybe_throw("svc.codebook");
           cb = std::make_shared<const Codebook>(
               build_codebook(freq, cfg, nullptr, shared_cancel));
-          try {
-            cache_.insert(fp, cb);
-          } catch (...) {
-            // An insert failure loses only the cache write, never the
-            // batch: keep the freshly built codebook, don't retry, don't
-            // degrade — future batches just miss and rebuild.
-            reg.counter_add("svc.cache_insert_dropped");
-          }
+          if (cfg_.enable_cache) store_cached(look.key, cb);
         }
-      } else {
-        faults.maybe_throw("svc.codebook");
-        cb = std::make_shared<const Codebook>(
-            build_codebook(freq, cfg, nullptr, shared_cancel));
-      }
-      reg.stage_add("svc.codebook", t.seconds());
-      // Feed the adaptive lifecycle manager (never throws, never fails
-      // the batch). The degraded per-request fallback below deliberately
-      // does not observe: its serial books are built outside the cache's
-      // fingerprint discipline.
-      if (adaptive_ && cfg_.enable_cache) {
-        adaptive_->observe(fp, freq, cb, cfg, cache_hit);
-      }
-      shared_err = nullptr;
-      break;
-    } catch (...) {
-      shared_err = std::current_exception();
-      // A poll-point abort outranks transient classification: no retry.
-      if (abandon_kind(shared_err) != AbandonKind::kNone) break;
-      // The retry budget is per request, pooled across the shared phase:
-      // retry while any live member still has budget, and charge every
-      // live member for the round (they all consume the repeated work).
-      int budget = 0;
-      for (const Request& r : batch) {
-        budget = std::max(budget, r.retry_budget);
-      }
-      if (!is_transient(shared_err) || budget <= 0) break;
-      for (Request& r : batch) {
-        if (r.retry_budget > 0) --r.retry_budget;
-      }
-      reg.counter_add("svc.retries");
-      rec.instant("svc.retry", "svc");
-      util::backoff_sleep(cfg_.retry.backoff, attempt, rng, *clock_);
-      // Deadlines keep ticking while we back off.
-      const auto now = clock_->now();
-      std::vector<Request> live;
-      live.reserve(batch.size());
-      for (Request& r : batch) {
-        if (r.deadline.expired(now)) {
-          fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                       "svc.deadline_exceeded");
-        } else {
-          live.push_back(std::move(r));
-        }
-      }
-      batch = std::move(live);
-      if (batch.empty()) return;
-    }
-  }
-
-  if (shared_err) {
-    const AbandonKind kind = abandon_kind(shared_err);
-    if (kind != AbandonKind::kNone) {
-      // A stage kernel abandoned the shared work at a poll point. Fail
-      // every member with the typed error — no retry, no degraded
-      // fallback: the request asked to stop (or ran out of time), and
-      // more work is exactly what it doesn't want.
-      for (Request& r : batch) {
-        reg.counter_add("svc.cancelled_midstage");
-        if (kind == AbandonKind::kCancelled) {
-          fail_request(r, std::make_exception_ptr(CancelledError{}),
-                       "svc.cancelled_requests");
-        } else {
-          fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                       "svc.deadline_exceeded");
-        }
-      }
-      return;
-    }
-    // Batched path is down for this batch: rescue each member through the
-    // solo serial pipeline, or fail it with the shared error.
-    for (Request& r : batch) {
-      if (cfg_.degraded_fallback) {
-        run_degraded(r, batch_start_us);
-      } else {
-        fail_request(r, shared_err, "svc.requests_failed");
-      }
-    }
-    return;
-  }
+        reg.stage_add("svc.codebook", t.seconds());
+        // Feed the adaptive lifecycle manager (never throws, never fails
+        // the batch; it exists only with the cache on). The degraded
+        // fallback does not observe: its serial books are built outside
+        // the cache's fingerprint discipline.
+        if (adaptive_) adaptive_->observe(look.key, freq, cb, cfg, cache_hit);
+      },
+      [&] {
+        bool any = false;
+        for (Request& r : batch) any |= take_retry(r.retry_budget);
+        return any;
+      },
+      cfg_.retry.backoff, *clock_, rng);
+  if (batch.empty()) return;
 
   // Per-request encode: a transient failure retries while the request's
   // remaining budget allows, then degrades; a poll-point abort fails the
   // future with the typed error immediately.
   for (Request& r : batch) {
-    // Boundary re-check: a member whose own (earlier) deadline passed
-    // during the shared phase fails here, before its encode starts — it
-    // never reached a kernel, so it doesn't count as a mid-stage abort.
-    if (r.deadline.expired(clock_->now())) {
-      fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                   "svc.deadline_exceeded");
-      continue;
-    }
     CompressResult<Sym> res;
-    std::exception_ptr err;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        Timer t;
-        faults.maybe_throw("svc.encode");
-        res.codebook = cb;
-        res.stream =
-            encode_with_codebook<Sym>(std::span<const Sym>(r.data), *cb, cfg,
-                                      freq, nullptr, &r.handle->token);
-        res.cache_hit = cache_hit;
-        res.batch_requests = batch.size();
-        res.encode_seconds = t.seconds();
-        res.queue_seconds = (batch_start_us - r.enqueue_us) / 1e6;
-        err = nullptr;
-        break;
-      } catch (...) {
-        err = std::current_exception();
-        if (abandon_kind(err) != AbandonKind::kNone) break;
-        if (!is_transient(err) || r.retry_budget <= 0) break;
-        --r.retry_budget;
-        reg.counter_add("svc.retries");
-        rec.instant("svc.retry", "svc");
-        util::backoff_sleep(cfg_.retry.backoff, attempt, rng, *clock_);
-      }
+    std::exception_ptr err = shared_err;
+    if (!err) {
+      // Boundary re-check: a member whose own (earlier) deadline passed
+      // during the shared phase fails here, before its encode starts — it
+      // never reached a kernel, so it doesn't count as a mid-stage abort.
+      if (fail_if_expired(r)) continue;
+      err = with_retry(
+          [&](int) {
+            Timer t;
+            faults.maybe_throw("svc.encode");
+            res.stream = encode_and_annotate<Sym>(r.data, *cb, cfg, freq,
+                                                  nullptr, &r.handle->token);
+            res.encode_seconds = t.seconds();
+          },
+          [&] { return take_retry(r.retry_budget); }, cfg_.retry.backoff,
+          *clock_, rng);
     }
     if (err) {
-      const AbandonKind kind = abandon_kind(err);
-      if (kind != AbandonKind::kNone) {
-        reg.counter_add("svc.cancelled_midstage");
-        if (kind == AbandonKind::kCancelled) {
-          fail_request(r, std::make_exception_ptr(CancelledError{}),
-                       "svc.cancelled_requests");
-        } else {
-          fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                       "svc.deadline_exceeded");
-        }
-        continue;
-      }
-      if (cfg_.degraded_fallback) {
+      // Abandons take the typed failure; anything else gets the solo
+      // serial rescue, or fails as is.
+      if (!is_abandon(err) && cfg_.degraded_fallback) {
         run_degraded(r, batch_start_us);
       } else {
-        fail_request(r, err, "svc.requests_failed");
+        fail_stage(r, err);
       }
       continue;
     }
+    res.codebook = cb;
+    res.cache_hit = cache_hit;
+    res.batch_requests = batch.size();
+    res.queue_seconds = (batch_start_us - r.enqueue_us) / 1e6;
     reg.stage_add("svc.encode", res.encode_seconds);
-    reg.counter_add("svc.requests_completed");
-    reg.counter_add("svc.input_bytes", r.data.size() * sizeof(Sym));
-    reg.counter_add("svc.output_bytes", res.stream.stored_bytes());
-    const double done_us = rec.now_us();
-    reg.histo_record("svc.request_seconds", (done_us - r.enqueue_us) / 1e6);
-    // Lifecycle span: admission → completion, anchored at the enqueue
-    // timestamp (crosses threads, so TraceSpan's RAII doesn't fit).
-    rec.complete("svc.request", "svc", r.enqueue_us, done_us - r.enqueue_us);
-    r.promise.set_value(std::move(res));
-    finish_one();
+    complete(r, std::move(res));
   }
 }
 
 template <typename Sym>
 void CompressionService<Sym>::run_degraded(Request& r,
                                            double batch_start_us) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::TraceRecorder& rec = obs::TraceRecorder::global();
   obs::TraceSpan span("svc.degraded", "svc");
-  reg.counter_add("svc.degraded");
+  obs::MetricsRegistry::global().counter_add("svc.degraded");
   // The rescue inherits the request's remaining budget: a member whose
   // deadline already passed (or that was cancelled) while the batched path
   // failed gets no solo work at all, and the solo stages below poll the
   // member's own token so a rescue cannot overshoot mid-stage either.
-  if (r.deadline.expired(clock_->now())) {
-    fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                 "svc.deadline_exceeded");
-    return;
-  }
+  if (fail_if_expired(r)) return;
+  CompressResult<Sym> res;
   try {
     // The solo serial path shares nothing with the batched machinery: its
     // own histogram, a serial-tree codebook, the serial encoder — and no
@@ -822,151 +604,158 @@ void CompressionService<Sym>::run_degraded(Request& r,
     const CancelToken* token = &r.handle->token;
     Timer t;
     const std::vector<u64> freq =
-        histogram_serial<Sym>(r.data, solo.nbins, token);
-    auto cb = std::make_shared<const Codebook>(
+        build_histogram<Sym>(r.data, solo, nullptr, token);
+    res.codebook = std::make_shared<const Codebook>(
         build_codebook(freq, solo, nullptr, token));
-    CompressResult<Sym> res;
-    res.codebook = cb;
-    res.stream = encode_with_codebook<Sym>(std::span<const Sym>(r.data), *cb,
-                                           solo, freq, nullptr, token);
-    res.degraded = true;
+    res.stream = encode_and_annotate<Sym>(r.data, *res.codebook, solo, freq,
+                                          nullptr, token);
     res.encode_seconds = t.seconds();
-    res.queue_seconds = (batch_start_us - r.enqueue_us) / 1e6;
-    reg.counter_add("svc.requests_completed");
-    reg.counter_add("svc.input_bytes", r.data.size() * sizeof(Sym));
-    reg.counter_add("svc.output_bytes", res.stream.stored_bytes());
-    const double done_us = rec.now_us();
-    reg.histo_record("svc.request_seconds", (done_us - r.enqueue_us) / 1e6);
-    rec.complete("svc.request", "svc", r.enqueue_us, done_us - r.enqueue_us);
-    r.promise.set_value(std::move(res));
-    finish_one();
   } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    const AbandonKind kind = abandon_kind(err);
-    if (kind == AbandonKind::kCancelled) {
-      reg.counter_add("svc.cancelled_midstage");
-      fail_request(r, std::make_exception_ptr(CancelledError{}),
-                   "svc.cancelled_requests");
-    } else if (kind == AbandonKind::kDeadline) {
-      reg.counter_add("svc.cancelled_midstage");
-      fail_request(r, std::make_exception_ptr(DeadlineExceeded{}),
-                   "svc.deadline_exceeded");
-    } else {
-      fail_request(r, err, "svc.requests_failed");
-    }
+    fail_stage(r, std::current_exception());
+    return;
   }
+  res.degraded = true;
+  res.queue_seconds = (batch_start_us - r.enqueue_us) / 1e6;
+  complete(r, std::move(res));
 }
 
 template <typename Sym>
 void CompressionService<Sym>::run_lossy(LossyJob& job) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::TraceRecorder& rec = obs::TraceRecorder::global();
   obs::TraceSpan span("svc.lossy", "svc");
-  const double start_us = rec.now_us();
-  reg.histo_record("svc.queue_wait_seconds",
-                   (start_us - job.enqueue_us) / 1e6);
+  const double start_us = obs::TraceRecorder::global().now_us();
+  obs::MetricsRegistry::global().histo_record(
+      "svc.queue_wait_seconds", (start_us - job.enqueue_us) / 1e6);
 
   // cancel() wins outright while the job waited for a worker.
   if (!job.handle->try_transition(ReqPhase::kPending, ReqPhase::kDispatched)) {
-    job.promise.set_exception(std::make_exception_ptr(CancelledError{}));
-    reg.counter_add("lossy.failed");
-    reg.counter_add("svc.cancelled_requests");
-    finish_one();
+    fail_request(job, std::make_exception_ptr(CancelledError{}),
+                 "svc.cancelled_requests");
     return;
   }
   // Deadline boundary re-check before any quantization work is spent.
-  if (job.deadline.expired(clock_->now())) {
-    job.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-    reg.counter_add("lossy.failed");
-    reg.counter_add("svc.deadline_exceeded");
-    finish_one();
-    return;
-  }
+  if (fail_if_expired(job)) return;
 
-  // Splice the service's sharded-LRU cache into the fused path. The hooks
-  // run synchronously inside compress_field_fused, so capturing locals by
-  // reference is safe. Keying mirrors run_batch: the residual histogram's
-  // fingerprint under cache_seed(pc), guarded by covers() so an aliased
-  // hit can never drop symbols.
-  bool cache_hit = false;
+  // Splice the service's cache into the fused path, keyed on the residual
+  // histogram. The hooks run synchronously inside compress_field_fused,
+  // and find() always precedes store(), which reuses its key.
+  Fingerprint key{};
   lossy::CodebookSource books;
-  if (cfg_.enable_cache) {
-    books.find = [this, &reg, &cache_hit](std::span<const u64> freq,
-                                          const PipelineConfig& pc)
-        -> std::shared_ptr<const Codebook> {
-      const Fingerprint fp = fingerprint_histogram(freq, cache_seed(pc));
-      if (std::shared_ptr<const Codebook> hit = cache_.find(fp)) {
-        if (CodebookCache::covers(*hit, freq)) {
-          cache_hit = true;
-          reg.counter_add("lossy.cache_hits");
-          return hit;
-        }
-        reg.counter_add("svc.cache_guard_rejects");
-      }
-      reg.counter_add("lossy.cache_misses");
-      return nullptr;
-    };
-    books.store = [this, &reg](std::span<const u64> freq,
-                               const PipelineConfig& pc,
-                               const std::shared_ptr<const Codebook>& cb) {
-      try {
-        cache_.insert(fingerprint_histogram(freq, cache_seed(pc)), cb);
-      } catch (...) {
-        reg.counter_add("svc.cache_insert_dropped");
-      }
-    };
-  }
+  books.find = [&](std::span<const u64> freq, const PipelineConfig& pc) {
+    CacheLookup look =
+        find_cached(freq, pc, "lossy.cache_hits", "lossy.cache_misses");
+    key = look.key;
+    return std::move(look.book);
+  };
+  books.store = [&](std::span<const u64>, const PipelineConfig&,
+                    const std::shared_ptr<const Codebook>& cb) {
+    store_cached(key, cb);
+  };
 
-  // One attempt, no retry tier: the fused pass has no batch machinery to
-  // fall back from, and re-running a whole-field quantization on a
-  // transient blip costs more than letting the caller decide.
+  LossyResult res;
   try {
-    LossyResult res;
     res.container = lossy::compress_field_fused(
         job.field, job.dims, job.cfg, &res.report,
         cfg_.enable_cache ? &books : nullptr, &job.handle->token);
-    res.cache_hit = cache_hit;
-    res.queue_seconds = (start_us - job.enqueue_us) / 1e6;
-    reg.counter_add("lossy.completed");
-    reg.counter_add("svc.input_bytes", job.field.size() * sizeof(float));
-    reg.counter_add("svc.output_bytes", res.container.size());
-    const double done_us = rec.now_us();
-    reg.histo_record("svc.request_seconds", (done_us - job.enqueue_us) / 1e6);
-    rec.complete("svc.request", "svc", job.enqueue_us,
-                 done_us - job.enqueue_us);
-    job.promise.set_value(std::move(res));
-    finish_one();
   } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    const AbandonKind kind = abandon_kind(err);
-    reg.counter_add("lossy.failed");
-    if (kind == AbandonKind::kCancelled) {
-      reg.counter_add("svc.cancelled_midstage");
-      job.promise.set_exception(std::make_exception_ptr(CancelledError{}));
-      reg.counter_add("svc.cancelled_requests");
-    } else if (kind == AbandonKind::kDeadline) {
-      reg.counter_add("svc.cancelled_midstage");
-      job.promise.set_exception(std::make_exception_ptr(DeadlineExceeded{}));
-      reg.counter_add("svc.deadline_exceeded");
-    } else {
-      job.promise.set_exception(err);
-      reg.counter_add("svc.requests_failed");
-    }
-    finish_one();
+    fail_stage(job, std::current_exception());
+    return;
+  }
+  res.cache_hit = res.report.cache_hit;
+  res.queue_seconds = (start_us - job.enqueue_us) / 1e6;
+  complete(job, std::move(res));
+}
+
+template <typename Sym>
+typename CompressionService<Sym>::CacheLookup
+CompressionService<Sym>::find_cached(std::span<const u64> freq,
+                                     const PipelineConfig& cfg,
+                                     const char* hits, const char* misses) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  CacheLookup look;
+  look.key = fingerprint_histogram(freq, cache_seed(cfg));
+  std::shared_ptr<const Codebook> hit = cache_.find(look.key);
+  if (!hit) {
+    reg.counter_add(misses);
+  } else if (CodebookCache::covers(*hit, freq)) {
+    reg.counter_add(hits);
+    look.book = std::move(hit);
+  } else {
+    // Fingerprint aliased onto a codebook missing some of these symbols —
+    // the caller rebuilds, and the fresh book replaces the entry.
+    reg.counter_add("svc.cache_guard_rejects");
+  }
+  return look;
+}
+
+template <typename Sym>
+void CompressionService<Sym>::store_cached(
+    const Fingerprint& key, const std::shared_ptr<const Codebook>& book) {
+  try {
+    cache_.insert(key, book);
+  } catch (...) {
+    // An insert failure loses only the cache write, never the request:
+    // keep the fresh codebook, don't retry, don't degrade — later lookups
+    // just miss and rebuild.
+    obs::MetricsRegistry::global().counter_add("svc.cache_insert_dropped");
   }
 }
 
 template <typename Sym>
-double CompressionService<Sym>::expected_service_seconds() const {
-  // Triage estimate: a quantile of the observed end-to-end latency
-  // (svc.request_seconds). Until enough samples accumulate the estimate
-  // is 0, which disables triage — a cold service never sheds load on a
-  // guess.
-  if (!cfg_.triage.enabled) return 0.0;
-  const obs::HistoStat stat =
-      obs::MetricsRegistry::global().histo("svc.request_seconds");
-  if (stat.count < cfg_.triage.min_samples) return 0.0;
-  return stat.quantile(cfg_.triage.quantile);
+template <typename Job, typename Result>
+void CompressionService<Sym>::complete(Job& j, Result&& res) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::TraceRecorder& rec = obs::TraceRecorder::global();
+  reg.counter_add(Job::kCompleted);
+  reg.counter_add("svc.input_bytes", j.input_bytes());
+  reg.counter_add("svc.output_bytes", output_bytes(res));
+  const double done_us = rec.now_us();
+  reg.histo_record("svc.request_seconds", (done_us - j.enqueue_us) / 1e6);
+  // Lifecycle span: admission → completion, anchored at the enqueue
+  // timestamp (crosses threads, so TraceSpan's RAII doesn't fit).
+  rec.complete("svc.request", "svc", j.enqueue_us, done_us - j.enqueue_us);
+  j.promise.set_value(std::forward<Result>(res));
+  finish_one();
+}
+
+template <typename Sym>
+template <typename Job>
+void CompressionService<Sym>::fail_request(Job& j, std::exception_ptr err,
+                                           const char* counter,
+                                           bool admitted) {
+  // Count before resolving: a caller that wakes on the future already
+  // sees the failure in the ledger.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  if (Job::kFailed) reg.counter_add(Job::kFailed);
+  reg.counter_add(counter);
+  j.promise.set_exception(std::move(err));
+  if (admitted) finish_one();
+}
+
+template <typename Sym>
+template <typename Job>
+void CompressionService<Sym>::fail_stage(Job& j, std::exception_ptr err) {
+  try {
+    std::rethrow_exception(err);
+  } catch (const OperationCancelled&) {
+    obs::MetricsRegistry::global().counter_add("svc.cancelled_midstage");
+    fail_request(j, std::make_exception_ptr(CancelledError{}),
+                 "svc.cancelled_requests");
+  } catch (const DeadlineExpired&) {
+    obs::MetricsRegistry::global().counter_add("svc.cancelled_midstage");
+    fail_request(j, std::make_exception_ptr(DeadlineExceeded{}),
+                 "svc.deadline_exceeded");
+  } catch (...) {
+    fail_request(j, std::move(err), "svc.requests_failed");
+  }
+}
+
+template <typename Sym>
+template <typename Job>
+bool CompressionService<Sym>::fail_if_expired(Job& j) {
+  if (!j.deadline.expired(clock_->now())) return false;
+  fail_request(j, std::make_exception_ptr(DeadlineExceeded{}),
+               "svc.deadline_exceeded");
+  return true;
 }
 
 template <typename Sym>

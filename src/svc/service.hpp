@@ -36,10 +36,7 @@
 //     starts), *and* mid-stage: submit() arms the request's CancelToken
 //     with the deadline and the stage kernels poll it per chunk / per
 //     reduce round, abandoning work whose deadline has passed
-//     (svc.cancelled_midstage counts these). Batch admission additionally
-//     triages members whose remaining budget is below the expected
-//     service time — the svc.request_seconds histogram's quantile — and
-//     fails them up front (svc.triage_skipped).
+//     (svc.cancelled_midstage counts these).
 //   * Cancellation — submit() returns a RequestHandle. cancel() wins
 //     outright while the request is pending; after dispatch it signals
 //     the in-flight token and the stages abandon at their next poll
@@ -49,7 +46,9 @@
 //     exponential backoff + full jitter (util/backoff.hpp) against a
 //     per-request total budget of ServiceConfig::retry.max_attempts
 //     shared across all stages (shared phase + encode), bounding
-//     worst-case added latency per request rather than per stage.
+//     worst-case added latency per request rather than per stage. The
+//     executor handoff — batches and lossy jobs alike — retries under the
+//     same policy, then runs the work inline.
 //   * Graceful degradation — when the batched path exhausts its retry
 //     budget, each member request falls back to a solo serial pipeline
 //     (serial histogram → serial tree codebook → serial encode), which
@@ -63,7 +62,7 @@
 // Observability (docs/service.md, docs/observability.md): svc.* counters
 // (requests, batches, cache hits/misses/guard rejects, rejections,
 // backpressure events, deadline_exceeded, cancelled_requests,
-// cancelled_midstage, triage_skipped, cache_insert_dropped, retries,
+// cancelled_midstage, cache_insert_dropped, retries,
 // degraded, inline_dispatches), the svc.queue_depth gauge, svc.histogram/
 // codebook/encode stage timers, svc.request_seconds and
 // svc.queue_wait_seconds latency histograms (p50/p95/p99 in the
@@ -72,6 +71,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -119,25 +119,10 @@ struct RetryPolicy {
   /// Per-request total retry budget (beyond first attempts), shared
   /// across all stages: a shared-phase retry and an encode retry draw
   /// from the same budget, so a request never retries more than this
-  /// many times end to end. (The executor-handoff retry in dispatch() is
-  /// a per-batch bound reusing this value — it happens before any stage
-  /// runs.)
+  /// many times end to end. (The executor-handoff retry is a per-handoff
+  /// bound reusing this value — it happens before any stage runs.)
   int max_attempts = 2;
   util::BackoffPolicy backoff;
-};
-
-/// Deadline-aware batch admission: members whose remaining deadline
-/// budget is below the expected service time are failed up front
-/// (DeadlineExceeded, counted in svc.triage_skipped) instead of wasting
-/// batch work that cannot finish in time.
-struct TriagePolicy {
-  bool enabled = true;
-  /// Samples the svc.request_seconds histogram must hold before its
-  /// estimate is trusted (cold services never triage).
-  u64 min_samples = 64;
-  /// Which quantile of svc.request_seconds is "the expected service
-  /// time".
-  double quantile = 0.5;
 };
 
 struct ServiceConfig {
@@ -164,7 +149,6 @@ struct ServiceConfig {
   /// svc.adaptive.rebuild.
   AdaptivePolicy adaptive;
   RetryPolicy retry;
-  TriagePolicy triage;
   /// Fall back to the solo serial pipeline when the batched path fails
   /// (after retries). Off: the batched path's error fails the future.
   bool degraded_fallback = true;
@@ -277,9 +261,9 @@ class CompressionService {
   /// larger alphabets on the u16 instance (std::invalid_argument
   /// otherwise — the RPC server routes by nbins). Codebooks are looked up
   /// in / inserted into cache() under the residual quant-code histogram's
-  /// fingerprint; there is no retry/degraded tier (the fused pass has no
-  /// batch machinery to fall back from), so a failure reaches the future
-  /// after at most one attempt. Counters: lossy.requests ==
+  /// fingerprint; the stages have no retry/degraded tier (the fused pass
+  /// has no batch machinery to fall back from), so a stage failure reaches
+  /// the future after one attempt. Counters: lossy.requests ==
   /// lossy.completed + lossy.failed (rejected submissions throw before
   /// counting as requests).
   [[nodiscard]] LossySubmission submit_lossy(std::vector<float>&& field,
@@ -300,63 +284,108 @@ class CompressionService {
   [[nodiscard]] CodebookManager* adaptive() { return adaptive_.get(); }
 
  private:
-  struct Request {
-    std::vector<Sym> data;
-    PipelineConfig pipeline;
-    Priority priority = Priority::kNormal;
+  /// Lifecycle state every request kind carries.
+  struct Ticket {
     Deadline deadline;
     std::shared_ptr<detail::HandleState> handle;
-    std::promise<CompressResult<Sym>> promise;
     double enqueue_us = 0;  ///< trace-recorder clock at admission
-    /// Remaining per-request retry budget, shared across stages
-    /// (initialized from RetryPolicy::max_attempts at submit).
+    /// Remaining per-request retry budget, shared across stages.
     int retry_budget = 0;
   };
 
-  struct LossyJob {
+  struct Request : Ticket {
+    static constexpr const char* kSubmitted = "svc.requests_submitted";
+    static constexpr const char* kCompleted = "svc.requests_completed";
+    static constexpr const char* kFailed = nullptr;
+    std::vector<Sym> data;
+    PipelineConfig pipeline;
+    Priority priority = Priority::kNormal;
+    std::promise<CompressResult<Sym>> promise;
+    [[nodiscard]] std::size_t input_bytes() const {
+      return data.size() * sizeof(Sym);
+    }
+  };
+
+  struct LossyJob : Ticket {
+    static constexpr const char* kSubmitted = "lossy.requests";
+    static constexpr const char* kCompleted = "lossy.completed";
+    static constexpr const char* kFailed = "lossy.failed";
     std::vector<float> field;
     data::Dims dims;
     lossy::FusedConfig cfg;
-    Deadline deadline;
-    std::shared_ptr<detail::HandleState> handle;
     std::promise<LossyResult> promise;
-    double enqueue_us = 0;
+    [[nodiscard]] std::size_t input_bytes() const {
+      return field.size() * sizeof(float);
+    }
   };
 
+  // --- Admission (submitter thread). ---
+  /// Set up `j`'s ticket (deadline, retry budget, a handle whose token is
+  /// armed with the deadline) and fill `sub`; reserve an outstanding slot,
+  /// blocking for space under kBlock; count `j` as submitted. `enqueue`
+  /// runs under mu_ once the slot is held. False when the deadline passed
+  /// before or while blocked — `j` is then failed with DeadlineExceeded.
+  /// Throws std::logic_error after shutdown and QueueFullError under
+  /// kReject.
+  template <typename Job, typename Sub, typename Enqueue>
+  bool admit(Job& j, const Deadline& deadline, Sub& sub, Enqueue&& enqueue);
+
+  // --- Scheduling (scheduler thread, mu_ held unless noted). ---
   void scheduler_loop();
-  /// Execute one fused lossy request on a pool worker (or inline when the
-  /// executor handoff fails — the resolve-always invariant).
-  void run_lossy(LossyJob& job);
-  /// Admission under `lock` (held on mu_): reserves one outstanding slot,
-  /// blocking for space under kBlock. False when `deadline` passed while
-  /// blocked; throws std::logic_error after shutdown and QueueFullError
-  /// under kReject.
-  bool admit(std::unique_lock<std::mutex>& lock, const Deadline& deadline);
   /// Move cancelled / deadline-expired pending requests into the doom
-  /// lists (caller holds mu_; resolution happens unlocked later).
+  /// lists (resolution happens unlocked later).
   void prune_pending(std::vector<Request>& expired,
                      std::vector<Request>& cancelled);
-  /// Move config-equal, batch-eligible pending requests into `batch`
-  /// (caller holds mu_). Unclaimable requests land in the doom lists.
+  /// Prune, then move config-equal, batch-eligible pending requests into
+  /// `batch`. Unclaimable requests land in the doom lists.
   void sweep_batch(std::vector<Request>& batch, std::size_t& total_syms,
                    std::vector<Request>& expired,
                    std::vector<Request>& cancelled);
   /// Fail doomed requests (DeadlineExceeded / CancelledError). No lock.
   void resolve_doomed(std::vector<Request>& expired,
                       std::vector<Request>& cancelled);
-  /// Hand the batch to the pool; on persistent executor failure, runs it
-  /// inline on the scheduler thread so the futures still resolve.
-  void dispatch(std::vector<Request> batch);
+  /// Executor handoff: submit `task` to the pool, retrying transient
+  /// refusals under RetryPolicy; when the pool stays unavailable, run it
+  /// inline on the calling thread so the futures still resolve.
+  void hand_off(std::function<void()> task);
+
+  // --- Execution (pool worker). ---
   void run_batch(std::vector<Request> batch);
   /// Solo serial pipeline for one request after the batched path failed.
   void run_degraded(Request& r, double batch_start_us);
-  void fail_request(Request& r, std::exception_ptr err, const char* counter);
+  void run_lossy(LossyJob& job);
+  /// Cache lookup: find() under the histogram's fingerprint, guarded by
+  /// covers(). `book` is null on a miss or guard reject.
+  struct CacheLookup {
+    Fingerprint key{};
+    std::shared_ptr<const Codebook> book;
+  };
+  CacheLookup find_cached(std::span<const u64> freq,
+                          const PipelineConfig& cfg, const char* hits,
+                          const char* misses);
+  /// Cache insert; a failed insert drops only the cache write.
+  void store_cached(const Fingerprint& key,
+                    const std::shared_ptr<const Codebook>& book);
+
+  // --- Resolution: count first, then resolve, then free the slot. ---
+  /// Success accounting.
+  template <typename Job, typename Result>
+  void complete(Job& j, Result&& res);
+  /// Fail `j` under `counter`; `admitted` jobs also release their slot.
+  template <typename Job>
+  void fail_request(Job& j, std::exception_ptr err, const char* counter,
+                    bool admitted = true);
+  /// Typed-failure mapping: a stage abandon (OperationCancelled /
+  /// DeadlineExpired) fails `j` with CancelledError / DeadlineExceeded and
+  /// counts svc.cancelled_midstage; any other error fails it as is.
+  template <typename Job>
+  void fail_stage(Job& j, std::exception_ptr err);
+  /// Fail `j` with DeadlineExceeded if its deadline has passed.
+  template <typename Job>
+  bool fail_if_expired(Job& j);
   /// Mark one outstanding request finished; wakes blocked submitters and
   /// drain().
   void finish_one();
-  /// Triage estimate: the configured quantile of svc.request_seconds, or
-  /// 0 while disabled / too few samples (see TriagePolicy).
-  [[nodiscard]] double expected_service_seconds() const;
 
   ServiceConfig cfg_;
   const util::Clock* clock_ = nullptr;  // resolved from cfg_.clock
@@ -375,7 +404,7 @@ class CompressionService {
   std::size_t waiting_submitters_ = 0;  // blocked in submit() under kBlock
   bool stopping_ = false;
 
-  std::atomic<u64> rng_salt_{0x5eedu};  // per-batch backoff jitter streams
+  std::atomic<u64> rng_salt_{0x5eedu};  // per-use backoff jitter streams
 
   std::thread scheduler_;  // started last in the ctor
 };

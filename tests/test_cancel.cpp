@@ -4,8 +4,8 @@
 // (histogram serial/SIMT, parallel codebook rounds, reduce-shuffle /
 // coarse / prefix-sum chunks), the service-level translation to
 // DeadlineExceeded / CancelledError with the svc.cancelled_midstage
-// counter, the per-request retry budget, deadline-aware batch triage, and
-// a concurrent cancel storm for TSan.
+// counter, the per-request retry budget, and a concurrent cancel storm for
+// TSan.
 
 #include <gtest/gtest.h>
 
@@ -506,42 +506,6 @@ TEST(ServiceCancel, RetryBudgetIsPerRequestTotal) {
     EXPECT_THROW((void)fut.get(), util::InjectedFault);
     EXPECT_EQ(reg.counter("svc.retries"), retries0 + 2);
   }
-}
-
-TEST(ServiceCancel, TriageSkipsMembersBelowExpectedServiceTime) {
-  auto& reg = obs::MetricsRegistry::global();
-  // Prime the latency estimate: enough heavy samples that the median of
-  // svc.request_seconds is ~0.5 s regardless of what earlier tests in
-  // this binary recorded.
-  for (int i = 0; i < 512; ++i) reg.histo_record("svc.request_seconds", 0.5);
-  const u64 triaged0 = reg.counter("svc.triage_skipped");
-
-  VirtualClock vc;
-  svc::ServiceConfig sc;
-  sc.workers = 1;
-  sc.batch_window_seconds = 1.0;  // held open by the frozen virtual clock
-  sc.batch_max_requests = 8;
-  sc.clock = &vc;
-  svc::CompressionService<u8> svc(sc);
-
-  const auto data = ramp_data(2000);
-  // Leader (no deadline) parks the scheduler in the batch window; the
-  // member's 10 ms of remaining budget is far below the ~0.5 s expected
-  // service time, so the sweep triages it instead of batching it.
-  auto leader =
-      svc.submit(std::span<const u8>(data), serial_config()).share();
-  svc::SubmitOptions opts;
-  opts.deadline = svc::Deadline::in(10e-3, vc);
-  auto doomed = svc.submit(std::span<const u8>(data), serial_config(), opts);
-  // Let the scheduler's sweep observe the member while virtual time is
-  // still short of its deadline (sweeps run every ~200 µs of real time
-  // while the window is open) — that observation is the triage.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  vc.advance_seconds(5.0);  // close the window
-  EXPECT_THROW(doomed.result.get(), svc::DeadlineExceeded);
-  EXPECT_NO_THROW((void)leader.get());
-  svc.drain();
-  EXPECT_GE(reg.counter("svc.triage_skipped"), triaged0 + 1);
 }
 
 }  // namespace

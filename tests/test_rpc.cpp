@@ -303,6 +303,33 @@ TEST(RpcClientTest, SixteenBitSymbolsRoundTrip) {
   EXPECT_EQ(out, data);
 }
 
+TEST(RpcClientTest, GapSubseqBitsReachTheDecodeTier) {
+  // Regression: the service's encode skipped the gap-array annotation, so
+  // the compress verb never produced gap-array containers even with
+  // gap_subseq_bits set server-side.
+  LoopbackHub hub;
+  ServerConfig sc;
+  sc.pipeline16.gap_subseq_bits = 1024;
+  RpcServer server(hub.listener(), sc);
+  RpcClient cli([&] { return hub.connect(); });
+
+  Xoshiro256 rng(13);
+  std::vector<u16> data(16384);
+  for (auto& s : data) s = static_cast<u16>(rng.below(300));
+  const std::vector<u8> container =
+      cli.compress_data<u16>(std::span<const u16>(data)).result.get();
+
+  auto& reg = obs::MetricsRegistry::global();
+  const u64 gap0 = reg.counter("decode.gaparray");
+  const std::vector<u8> raw =
+      cli.decompress(std::span<const u8>(container), 2).result.get();
+  EXPECT_EQ(reg.counter("decode.gaparray"), gap0 + 1);
+  ASSERT_EQ(raw.size(), data.size() * 2);
+  std::vector<u16> out(data.size());
+  std::memcpy(out.data(), raw.data(), raw.size());
+  EXPECT_EQ(out, data);
+}
+
 TEST(RpcClientTest, StatsReturnsMetricsSchemaDocument) {
   LoopbackHub hub;
   RpcServer server(hub.listener());

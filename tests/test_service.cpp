@@ -26,6 +26,7 @@
 #include "svc/fingerprint.hpp"
 #include "svc/service.hpp"
 #include "util/clock.hpp"
+#include "util/fault_inject.hpp"
 #include "util/rng.hpp"
 #include "util/work_steal.hpp"
 
@@ -445,6 +446,34 @@ TEST(Service, CacheGuardForcesRebuildWhenCachedBookLacksSymbols) {
   EXPECT_EQ(svc::decompress(repeat), request);
 }
 
+TEST(Service, GapSubseqBitsYieldsGapArrayStreams) {
+  // Regression: the batched and degraded encodes skipped the gap-array
+  // annotation compress() applies, so the service silently ignored
+  // PipelineConfig::gap_subseq_bits.
+  const auto text = data::generate_text(32768, 47);
+  PipelineConfig cfg = serial_config();
+  cfg.gap_subseq_bits = 1024;
+  svc::ServiceConfig sc;
+  sc.workers = 1;
+  sc.retry.max_attempts = 0;
+  svc::CompressionService<u8> service(sc);
+
+  const svc::CompressResult<u8> batched =
+      service.submit(std::span<const u8>(text), cfg).get();
+  EXPECT_FALSE(batched.degraded);
+  EXPECT_TRUE(batched.stream.has_gaps());
+  EXPECT_EQ(svc::decompress(batched), text);
+
+  // The solo serial rescue annotates too.
+  util::ScopedFaults faults(util::FaultInjector::global());
+  faults.arm("svc.encode", 1.0);
+  const svc::CompressResult<u8> rescued =
+      service.submit(std::span<const u8>(text), cfg).get();
+  EXPECT_TRUE(rescued.degraded);
+  EXPECT_TRUE(rescued.stream.has_gaps());
+  EXPECT_EQ(svc::decompress(rescued), text);
+}
+
 // --- Lifecycle. --------------------------------------------------------------
 
 TEST(Service, InvalidConfigThrows) {
@@ -642,6 +671,68 @@ TEST(ServiceLossy, CountersBalanceAcrossSuccessAndFailure) {
   EXPECT_EQ(reg.counter("lossy.requests") - req0,
             (reg.counter("lossy.completed") - done0) +
                 (reg.counter("lossy.failed") - fail0));
+}
+
+TEST(ServiceLossy, FailuresAreCountedBeforeTheFutureResolves) {
+  // Regression: the lossy path resolved a failed future before bumping
+  // lossy.failed and the typed svc.* counter, so a caller woken by get()
+  // could read a stale ledger. Every read below follows get() directly.
+  auto& reg = obs::MetricsRegistry::global();
+  const data::Dims dims{64, 64, 32};
+  const auto field = lossy_test_field(dims, 31);
+  const lossy::FusedConfig cfg = lossy_serial_config(1024);
+  svc::ServiceConfig sc;
+  sc.workers = 1;
+  sc.enable_cache = false;
+
+  // Cancelled: `a` is cancelled mid-stage (or before it starts), `b`
+  // while it queues behind `a` on the single worker.
+  {
+    svc::CompressionService<u16> service(sc);
+    u64 throws = 0;
+    const u64 failed0 = reg.counter("lossy.failed");
+    const u64 cancelled0 = reg.counter("svc.cancelled_requests");
+    for (int round = 0; round < 4; ++round) {
+      svc::LossySubmission a =
+          service.submit_lossy(std::vector<float>(field), dims, cfg);
+      svc::LossySubmission b =
+          service.submit_lossy(std::vector<float>(field), dims, cfg);
+      a.handle.cancel();
+      b.handle.cancel();
+      for (svc::LossySubmission* sub : {&a, &b}) {
+        try {
+          (void)sub->result.get();
+        } catch (const svc::CancelledError&) {
+          ++throws;
+          EXPECT_GE(reg.counter("lossy.failed") - failed0, throws);
+          EXPECT_GE(reg.counter("svc.cancelled_requests") - cancelled0,
+                    throws);
+        }
+      }
+    }
+    EXPECT_GT(throws, 0u);
+  }
+
+  // Expired: a virtual clock that steps 1 s per query runs a 3.5 s budget
+  // out within the first few checks — at admission, at the start
+  // boundary, or at a mid-stage poll. Each is a DeadlineExceeded.
+  {
+    util::VirtualClock vc;
+    vc.auto_advance_every(1, std::chrono::seconds(1));
+    sc.clock = &vc;
+    svc::CompressionService<u16> service(sc);
+    for (u64 i = 1; i <= 4; ++i) {
+      const u64 failed0 = reg.counter("lossy.failed");
+      const u64 expired0 = reg.counter("svc.deadline_exceeded");
+      svc::SubmitOptions opts;
+      opts.deadline = svc::Deadline::in(3.5, vc);
+      svc::LossySubmission sub = service.submit_lossy(
+          std::vector<float>(field), dims, cfg, opts);
+      EXPECT_THROW((void)sub.result.get(), svc::DeadlineExceeded);
+      EXPECT_EQ(reg.counter("lossy.failed") - failed0, 1u);
+      EXPECT_EQ(reg.counter("svc.deadline_exceeded") - expired0, 1u);
+    }
+  }
 }
 
 }  // namespace
