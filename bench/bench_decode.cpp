@@ -1,5 +1,7 @@
 // Decoder-tier comparison across the paper's six datasets (docs/decode.md):
-//   serial     — decode_stream pinned to one thread (validation baseline)
+//   bit-serial — decode_symbols chunk by chunk, one thread (the reference)
+//   host       — decode_stream pinned to one thread: the table-driven,
+//                4-lane interleaved core every tier runs on
 //   self-sync  — CUHD-style kernel: tentative decode + Jacobi sync passes
 //   gap-array  — Rivera-style kernel driven by encoder-recorded metadata
 // The streams are identical (serial encoder, no overflow groups), so the
@@ -9,9 +11,10 @@
 // gap array pays one, which is the whole story the table tells.
 //
 // Emits BENCH_decode.json (parhuff-metrics-v1): one record per dataset
-// with the modeled/measured throughput of each tier and
-// speedup_vs_selfsync, plus the global registry snapshot carrying the
-// decode.* counters and stage timers accumulated through decode_auto.
+// with the modeled/measured throughput of each tier, speedup_vs_selfsync
+// (modeled) and host_speedup_vs_bitserial (measured), plus the global
+// registry snapshot carrying the decode.* counters and stage timers
+// accumulated through decode_auto.
 
 #include "common.hpp"
 #include "core/decode.hpp"
@@ -39,13 +42,25 @@ void run_case(bench::Driver& run, TextTable& t, const data::DatasetInfo& info,
       static_cast<double>(enc.gaps.size() + 2 * enc.gap_counts.size()) /
       static_cast<double>(enc.payload.size() * sizeof(word_t));
 
-  // --- Serial tier: measured, one thread. --------------------------------
-  double serial_s = 1e30;
+  // --- Bit-serial reference and host tier: measured, one thread. ---------
+  std::vector<Sym> bitserial(syms.size());
+  double bitserial_s = 1e30;
+  for (int r = 0; r < kReps; ++r) {
+    Timer tm;
+    for (std::size_t c = 0; c < enc.chunks(); ++c) {
+      BitReader br = enc.chunk_reader(c);
+      decode_symbols(br, cb, enc.chunk_size(c),
+                     bitserial.data() + c * enc.chunk_symbols);
+    }
+    bitserial_s = std::min(bitserial_s, tm.seconds());
+  }
+  if (bitserial != syms) std::exit(1);
+  double host_s = 1e30;
   if (decode_stream<Sym>(enc, cb, 1) != syms) std::exit(1);
   for (int r = 0; r < kReps; ++r) {
     Timer tm;
     (void)decode_stream<Sym>(enc, cb, 1);
-    serial_s = std::min(serial_s, tm.seconds());
+    host_s = std::min(host_s, tm.seconds());
   }
 
   // --- Self-sync tier: modeled from one tallied run, timed without. ------
@@ -79,14 +94,17 @@ void run_case(bench::Driver& run, TextTable& t, const data::DatasetInfo& info,
 
   const double gb = static_cast<double>(bytes) / 1e9;
   const double speedup = ga_gbps / ss_gbps;
-  t.row({info.name, fmt(gb / serial_s, 2), fmt(ss_gbps, 1),
+  t.row({info.name, fmt(gb / bitserial_s, 2), fmt(gb / host_s, 2),
+         fmt(bitserial_s / host_s, 2) + "x", fmt(ss_gbps, 1),
          fmt(gb / selfsync_s, 2), fmt(ga_gbps, 1), fmt(gb / gaparray_s, 2),
          fmt(speedup, 2) + "x", fmt_pct(meta_overhead, 2)});
   run.record(
       obs::Json::object()
           .set("dataset", info.name)
           .set("input_bytes", static_cast<u64>(bytes))
-          .set("serial_host_gbps", gb / serial_s)
+          .set("bitserial_host_gbps", gb / bitserial_s)
+          .set("host_gbps", gb / host_s)
+          .set("host_speedup_vs_bitserial", bitserial_s / host_s)
           .set("selfsync_v100_gbps", ss_gbps)
           .set("selfsync_host_gbps", gb / selfsync_s)
           .set("selfsync_sync_passes", ss_st.sync_passes)
@@ -105,14 +123,16 @@ int main(int argc, char** argv) {
   using namespace parhuff;
   bench::Driver run("decode", argc, argv);
   bench::banner(
-      "Decode tiers: serial vs self-sync vs gap-array (docs/decode.md)");
+      "Decode tiers: bit-serial vs host vs self-sync vs gap-array "
+      "(docs/decode.md)");
   run.config()
       .set("chunk_symbols", static_cast<u64>(kChunkSymbols))
       .set("gap_subseq_bits", static_cast<u64>(kDefaultGapSubseqBits))
       .set("reps", static_cast<u64>(kReps));
 
   TextTable t("decode throughput by tier (six paper datasets)");
-  t.header({"dataset", "serial host GB/s", "self-sync V100 GB/s",
+  t.header({"dataset", "bit-serial host GB/s", "host GB/s",
+            "host vs bit-serial", "self-sync V100 GB/s",
             "self-sync host GB/s", "gap-array V100 GB/s",
             "gap-array host GB/s", "gap vs self-sync", "meta overhead"});
   for (const auto& info : data::paper_datasets()) {

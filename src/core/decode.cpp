@@ -34,62 +34,88 @@ void decode_symbols(BitReader& br, const Codebook& cb, std::size_t count,
   }
 }
 
-namespace {
-
-/// Chunk → overflow-entry run boundaries (entries sorted by chunk, group).
-std::vector<std::size_t> overflow_runs(const EncodedStream& s) {
+std::vector<std::size_t> overflow_index(const EncodedStream& s) {
   const std::size_t chunks = s.chunks();
-  std::vector<std::size_t> ovf_begin(chunks + 1, s.overflow.size());
+  const std::size_t n = s.overflow.size();
+  std::vector<std::size_t> index(chunks + 1);
   std::size_t e = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
-    ovf_begin[c] = e;
-    while (e < s.overflow.size() && s.overflow[e].chunk == c) ++e;
-  }
-  ovf_begin[chunks] = e;
-  if (e != s.overflow.size()) {
-    throw std::runtime_error("decode: overflow entries out of order");
-  }
-  return ovf_begin;
-}
-
-/// Decode all of chunk `c` into `dst` (which must hold chunk_size(c)
-/// symbols), splicing overflow groups from the side stream.
-template <typename Sym>
-void decode_chunk(const EncodedStream& s, const Codebook& cb,
-                  const std::vector<std::size_t>& ovf_begin, std::size_t c,
-                  Sym* dst, const CancelToken* cancel) {
-  const std::size_t nc = s.chunk_size(c);
-  BitReader br = s.chunk_reader(c);
-  const std::size_t e0 = ovf_begin[c];
-  const std::size_t e1 = ovf_begin[c + 1];
-  if (e0 == e1) {
-    decode_symbols(br, cb, nc, dst, cancel);
-    return;
-  }
-  const std::size_t group_syms = s.group_symbols(c);
-  BitReader obr(std::span<const word_t>(s.overflow_payload.data(),
-                                        s.overflow_payload.size()),
-                static_cast<u64>(s.overflow_payload.size()) * kWordBits);
-  std::size_t e = e0;
-  std::size_t i = 0;
-  while (i < nc) {
-    const std::size_t group = i / group_syms;
-    if (e < e1 && s.overflow[e].group == group) {
-      const OverflowEntry& entry = s.overflow[e];
-      obr.seek(entry.bit_offset);
-      decode_symbols(obr, cb, entry.n_symbols, dst + i, cancel);
-      i += entry.n_symbols;
-      ++e;
-    } else {
-      const std::size_t next =
-          std::min<std::size_t>((group + 1) * group_syms, nc);
-      decode_symbols(br, cb, next - i, dst + i, cancel);
-      i = next;
+    index[c] = e;
+    for (; e < n && s.overflow[e].chunk == c; ++e) {
+      if (e > index[c] && s.overflow[e].group <= s.overflow[e - 1].group) {
+        break;
+      }
     }
   }
-  if (e != e1) {
-    throw std::runtime_error("decode: unconsumed overflow entries");
+  index[chunks] = e;
+  if (e != n) throw std::runtime_error("decode: overflow entries out of order");
+  return index;
+}
+
+template <typename Sym>
+void plan_chunk(const EncodedStream& s, std::span<const std::size_t> index,
+                std::size_t c, Sym* dst, SegmentPlan<Sym>& plan) {
+  const std::size_t nc = s.chunk_size(c);
+  const std::span<const word_t> words = s.chunk_words_to_end(c);
+  const std::size_t e0 = index[c];
+  const std::size_t e1 = index[c + 1];
+  if (e0 == e1) {
+    plan.add(words, s.chunk_bits[c], 0, dst, nc, /*poll=*/true);
+    return;
   }
+  // Main stream: one cursor whose output skips the overflow groups.
+  DecodeSegment main{words, s.chunk_bits[c], 0, plan.pieces.size(), 0,
+                     DecodeSegment::kAnyEnd, /*poll=*/true};
+  const std::size_t group_syms = s.group_symbols(c);
+  std::size_t i = 0;
+  for (std::size_t e = e0; e < e1; ++e) {
+    if (!s.overflow_entry_fits(s.overflow[e])) {
+      throw std::runtime_error("decode: overflow entry is not a whole group");
+    }
+    // Entries ascend by group (overflow_index), so begin >= i.
+    const std::size_t begin = s.overflow[e].group * group_syms;
+    if (begin > i) plan.pieces.push_back({dst + i, begin - i});
+    i = begin + s.overflow[e].n_symbols;
+  }
+  if (i < nc) plan.pieces.push_back({dst + i, nc - i});
+  main.end_piece = plan.pieces.size();
+  plan.segments.push_back(main);
+  // Side stream: each overflow group decodes from its own offset.
+  const std::span<const word_t> side(s.overflow_payload);
+  for (std::size_t e = e0; e < e1; ++e) {
+    const OverflowEntry& entry = s.overflow[e];
+    plan.add(side, static_cast<u64>(side.size()) * kWordBits,
+             entry.bit_offset, dst + entry.group * group_syms,
+             entry.n_symbols);
+  }
+}
+
+namespace {
+
+/// Chunks one plan covers: enough segments to keep the lanes busy, small
+/// enough that a plan stays in cache and threads share the work evenly.
+constexpr std::size_t kPlanChunks = 64;
+
+/// Decode chunks [c0, c1), chunk c's symbols landing at dst(c).
+template <typename Sym, typename Dst>
+void decode_chunks(const EncodedStream& s, const Codebook& cb,
+                   std::size_t c0, std::size_t c1, Dst&& dst, int threads,
+                   const CancelToken* cancel) {
+  const std::vector<std::size_t> index = overflow_index(s);
+  const DecodeTable table(cb);
+  const std::size_t plans = (c1 - c0 + kPlanChunks - 1) / kPlanChunks;
+  parallel_for(
+      plans,
+      [&](std::size_t p) {
+        SegmentPlan<Sym> plan;
+        const std::size_t lo = c0 + p * kPlanChunks;
+        const std::size_t hi = std::min(lo + kPlanChunks, c1);
+        for (std::size_t c = lo; c < hi; ++c) {
+          plan_chunk(s, index, c, dst(c), plan);
+        }
+        decode_segments(table, plan, cancel);
+      },
+      threads);
 }
 
 }  // namespace
@@ -99,14 +125,10 @@ std::vector<Sym> decode_stream(const EncodedStream& s, const Codebook& cb,
                                int threads, const CancelToken* cancel) {
   std::vector<Sym> out(s.n_symbols);
   if (s.n_symbols == 0) return out;
-  const std::vector<std::size_t> ovf_begin = overflow_runs(s);
-  parallel_for(
-      s.chunks(),
-      [&](std::size_t c) {
-        decode_chunk(s, cb, ovf_begin, c, out.data() + c * s.chunk_symbols,
-                     cancel);
-      },
-      threads);
+  decode_chunks<Sym>(
+      s, cb, 0, s.chunks(),
+      [&](std::size_t c) { return out.data() + c * s.chunk_symbols; },
+      threads, cancel);
   return out;
 }
 
@@ -119,37 +141,36 @@ std::vector<Sym> decode_range(const EncodedStream& s, const Codebook& cb,
   }
   std::vector<Sym> out(count);
   if (count == 0) return out;
-  const std::vector<std::size_t> ovf_begin = overflow_runs(s);
-
+  const std::size_t last = first + count;
   const std::size_t c0 = first / s.chunk_symbols;
-  const std::size_t c1 = (first + count - 1) / s.chunk_symbols;
-  parallel_for(
-      c1 - c0 + 1,
-      [&](std::size_t k) {
-        const std::size_t c = c0 + k;
-        const std::size_t chunk_begin = c * s.chunk_symbols;
-        const std::size_t nc = s.chunk_size(c);
-        // Intersection of the chunk with the requested range.
-        const std::size_t lo = std::max(first, chunk_begin);
-        const std::size_t hi =
-            std::min(first + count, chunk_begin + nc);
-        if (lo >= hi) return;
-        if (lo == chunk_begin && hi == chunk_begin + nc) {
-          decode_chunk(s, cb, ovf_begin, c, out.data() + (lo - first),
-                       cancel);
-          return;
-        }
-        // Partial chunk: decode it into scratch, copy the slice. (Huffman
-        // streams have no sub-chunk entry points.)
-        std::vector<Sym> scratch(nc);
-        decode_chunk(s, cb, ovf_begin, c, scratch.data(), cancel);
-        std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lo -
-                                                                chunk_begin),
-                  scratch.begin() + static_cast<std::ptrdiff_t>(hi -
-                                                                chunk_begin),
-                  out.begin() + static_cast<std::ptrdiff_t>(lo - first));
+  const std::size_t c1 = (last - 1) / s.chunk_symbols;
+  // Chunks wholly inside the range decode in place; a partial chunk at
+  // either end decodes into scratch and contributes its slice. (Huffman
+  // streams have no sub-chunk entry points.)
+  const auto base = [&](std::size_t c) { return c * s.chunk_symbols; };
+  const auto partial = [&](std::size_t c) {
+    return base(c) < first || base(c) + s.chunk_size(c) > last;
+  };
+  std::vector<Sym> head(partial(c0) ? s.chunk_size(c0) : 0);
+  std::vector<Sym> tail(c1 != c0 && partial(c1) ? s.chunk_size(c1) : 0);
+  decode_chunks<Sym>(
+      s, cb, c0, c1 + 1,
+      [&](std::size_t c) {
+        if (c == c0 && !head.empty()) return head.data();
+        if (c == c1 && !tail.empty()) return tail.data();
+        return out.data() + (base(c) - first);
       },
-      threads);
+      threads, cancel);
+  const auto copy_slice = [&](const std::vector<Sym>& scratch,
+                              std::size_t c) {
+    const std::size_t lo = std::max(first, base(c));
+    const std::size_t hi = std::min(last, base(c) + scratch.size());
+    std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lo - base(c)),
+              scratch.begin() + static_cast<std::ptrdiff_t>(hi - base(c)),
+              out.begin() + static_cast<std::ptrdiff_t>(lo - first));
+  };
+  if (!head.empty()) copy_slice(head, c0);
+  if (!tail.empty()) copy_slice(tail, c1);
   return out;
 }
 
@@ -157,6 +178,12 @@ template void decode_symbols<u8>(BitReader&, const Codebook&, std::size_t,
                                  u8*, const CancelToken*);
 template void decode_symbols<u16>(BitReader&, const Codebook&, std::size_t,
                                   u16*, const CancelToken*);
+template void plan_chunk<u8>(const EncodedStream&,
+                             std::span<const std::size_t>, std::size_t, u8*,
+                             SegmentPlan<u8>&);
+template void plan_chunk<u16>(const EncodedStream&,
+                              std::span<const std::size_t>, std::size_t, u16*,
+                              SegmentPlan<u16>&);
 template std::vector<u8> decode_stream<u8>(const EncodedStream&,
                                            const Codebook&, int,
                                            const CancelToken*);

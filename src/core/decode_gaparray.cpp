@@ -15,35 +15,6 @@ namespace {
 constexpr u32 kMinSubseqBits = 64;
 constexpr u32 kMaxSubseqBits = 32768;
 
-/// Chunk → overflow-entry run boundaries (entries sorted by chunk, group).
-std::vector<std::size_t> overflow_runs(const EncodedStream& s) {
-  const std::size_t chunks = s.chunks();
-  std::vector<std::size_t> ovf_begin(chunks + 1, s.overflow.size());
-  std::size_t e = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ovf_begin[c] = e;
-    while (e < s.overflow.size() && s.overflow[e].chunk == c) ++e;
-  }
-  ovf_begin[chunks] = e;
-  return ovf_begin;
-}
-
-/// Advance br past exactly one codeword. Unlike the self-sync tentative
-/// scan this is encode-side (or emit-side) ground truth: failure to match
-/// is corruption, not a desynchronized guess.
-void skip_codeword(BitReader& br, const Codebook& cb) {
-  u64 v = 0;
-  unsigned l = 0;
-  while (!br.exhausted() && l < cb.max_len) {
-    v = (v << 1) | br.bit();
-    ++l;
-    if (cb.count[l] != 0 && v >= cb.first[l] && v - cb.first[l] < cb.count[l]) {
-      return;
-    }
-  }
-  throw std::runtime_error("gaparray: stream does not decode under codebook");
-}
-
 }  // namespace
 
 void annotate_gaps(EncodedStream& s, const Codebook& cb, u32 subseq_bits) {
@@ -65,7 +36,7 @@ void annotate_gaps(EncodedStream& s, const Codebook& cb, u32 subseq_bits) {
   s.gaps.assign(base[chunks], EncodedStream::kNoGap);
   s.gap_counts.assign(base[chunks], 0);
 
-  const std::vector<std::size_t> ovf_begin = overflow_runs(s);
+  const std::vector<std::size_t> ovf_begin = overflow_index(s);
   parallel_for(chunks, [&](std::size_t c) {
     if (ovf_begin[c] != ovf_begin[c + 1]) return;  // fallback chunk
     const std::size_t nc = s.chunk_size(c);
@@ -84,7 +55,10 @@ void annotate_gaps(EncodedStream& s, const Codebook& cb, u32 subseq_bits) {
         g[sub] = static_cast<u8>(p - static_cast<u64>(sub) * S);
         ++sub;
       }
-      skip_codeword(br, cb);
+      // Encode-side ground truth, unlike the self-sync tentative scan: a
+      // codeword that fails to decode is corruption.
+      u16 discard;
+      decode_symbols(br, cb, 1, &discard);
       ++cnt[sub - 1];
     }
     if (br.position() != s.chunk_bits[c]) {
@@ -122,7 +96,8 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
     if (stats) *stats = {};
     return out;
   }
-  const std::vector<std::size_t> ovf_begin = overflow_runs(s);
+  const std::vector<std::size_t> ovf_begin = overflow_index(s);
+  const DecodeTable table(cb);
 
   u64 total_subseq = 0;
   u64 fallbacks = 0;
@@ -135,34 +110,15 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
         if (nc == 0) return;
         Sym* dst = out.data() + c * s.chunk_symbols;
         auto& t = blk.tally();
+        SegmentPlan<Sym> plan;
 
-        // --- Fallback: overflow-bearing chunks decode sequentially; the
-        // side stream splices into the main one, so per-subsequence
-        // metadata does not apply (entries are all-sentinel).
+        // --- Fallback: overflow-bearing chunks decode through the chunk
+        // walk; the side stream splices into the main one, so
+        // per-subsequence metadata does not apply (entries are
+        // all-sentinel).
         if (ovf_begin[c] != ovf_begin[c + 1]) {
-          const std::size_t group_syms = s.group_symbols(c);
-          BitReader br = s.chunk_reader(c);
-          BitReader obr(
-              std::span<const word_t>(s.overflow_payload.data(),
-                                      s.overflow_payload.size()),
-              static_cast<u64>(s.overflow_payload.size()) * kWordBits);
-          std::size_t e = ovf_begin[c];
-          std::size_t i = 0;
-          while (i < nc) {
-            const std::size_t group = i / group_syms;
-            if (e < ovf_begin[c + 1] && s.overflow[e].group == group) {
-              obr.seek(s.overflow[e].bit_offset);
-              decode_symbols(obr, cb, s.overflow[e].n_symbols, dst + i,
-                             cancel);
-              i += s.overflow[e].n_symbols;
-              ++e;
-            } else {
-              const std::size_t next =
-                  std::min<std::size_t>((group + 1) * group_syms, nc);
-              decode_symbols(br, cb, next - i, dst + i, cancel);
-              i = next;
-            }
-          }
+          plan_chunk(s, ovf_begin, c, dst, plan);
+          decode_segments(table, plan, cancel);
           simt::atomic_add(fallbacks, u64{1});
           t.global_read(words_for_bits(s.chunk_bits[c]), sizeof(word_t),
                         simt::Pattern::kStrided);
@@ -202,30 +158,21 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
         if (total != nc) {
           throw std::runtime_error("gaparray: symbol count mismatch");
         }
-        // Each populated subsequence must decode up to exactly the next
-        // populated one's start (or the chunk's end): the chain check that
-        // catches forged gaps/counts whose sums still balance.
-        std::vector<u64> expect(n_sub, B);
-        {
-          u64 nxt = B;
-          for (std::size_t i = n_sub; i-- > 0;) {
-            expect[i] = nxt;
-            if (g[i] != EncodedStream::kNoGap) nxt = start[i];
-          }
-        }
 
         // --- Emit: the single payload walk (one thread per subsequence
-        // on hardware; no inter-thread traffic).
+        // on hardware; no inter-thread traffic). Each populated
+        // subsequence must decode up to exactly the next populated one's
+        // start (or the chunk's end): the chain check that catches forged
+        // gaps/counts whose sums still balance.
+        const std::span<const word_t> words = s.chunk_words_to_end(c);
         for (std::size_t i = 0; i < n_sub; ++i) {
           if (cnt[i] == 0) continue;
-          BitReader br = s.chunk_reader(c);
-          br.seek(start[i]);
-          decode_symbols(br, cb, cnt[i], dst + offset[i], cancel);
-          if (br.position() != expect[i]) {
-            throw std::runtime_error(
-                "gaparray: subsequence does not chain to its successor");
+          if (!plan.segments.empty()) {
+            plan.segments.back().expect_end = start[i];
           }
+          plan.add(words, B, start[i], dst + offset[i], cnt[i], false, B);
         }
+        decode_segments(table, plan, cancel);
         t.global_read(n_sub * 3, 1, simt::Pattern::kCoalesced);  // gap+count
         t.global_read((B + 7) / 8, 1, simt::Pattern::kCoalesced);
         t.global_write(nc, sizeof(Sym), simt::Pattern::kCoalesced);

@@ -22,9 +22,10 @@
 // symbols — one pass over the payload instead of the self-sync decoder's
 // three, and no inter-thread fixpoint iteration at all.
 //
-// Chunks containing overflow (breaking) groups fall back to the sequential
-// splice path, exactly like decode_selfsync: the side stream interrupts
-// the main bitstream, so per-subsequence metadata does not apply.
+// Chunks containing overflow (breaking) groups fall back to the shared
+// chunk → segment walk (plan_chunk), exactly like decode_selfsync: the side
+// stream interrupts the main bitstream, so per-subsequence metadata does
+// not apply.
 //
 // Metadata travels in the container as a versioned optional field
 // (docs/format.md): old streams simply lack it (decoders pick another
@@ -52,7 +53,7 @@ inline constexpr u32 kDefaultGapSubseqBits = 1024;
 
 struct GapArrayStats {
   u64 subsequences = 0;     ///< gap-metadata entries consumed
-  u64 fallback_chunks = 0;  ///< chunks decoded sequentially (overflow)
+  u64 fallback_chunks = 0;  ///< overflow chunks decoded by the chunk walk
 };
 
 /// Encode-time annotation: scan each chunk's main bitstream against `cb`

@@ -41,13 +41,6 @@ std::size_t scan_subsequence(BitReader& br, const Codebook& cb,
   return count;
 }
 
-/// Decode exactly `count` symbols starting at br's position.
-template <typename Sym>
-void emit_symbols(BitReader& br, const Codebook& cb, std::size_t count,
-                  Sym* out) {
-  decode_symbols(br, cb, count, out);
-}
-
 }  // namespace
 
 template <typename Sym>
@@ -63,15 +56,8 @@ std::vector<Sym> decode_selfsync(const EncodedStream& s, const Codebook& cb,
   if (s.n_symbols == 0) return out;
   const std::size_t chunks = s.chunks();
 
-  std::vector<std::size_t> ovf_begin(chunks + 1, s.overflow.size());
-  {
-    std::size_t e = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      ovf_begin[c] = e;
-      while (e < s.overflow.size() && s.overflow[e].chunk == c) ++e;
-    }
-    ovf_begin[chunks] = e;
-  }
+  const std::vector<std::size_t> ovf_begin = overflow_index(s);
+  const DecodeTable table(cb);
 
   // Per-chunk stats accumulated with atomics (chunks run concurrently).
   u64 total_subseq = 0;
@@ -88,30 +74,13 @@ std::vector<Sym> decode_selfsync(const EncodedStream& s, const Codebook& cb,
         Sym* dst = out.data() + begin;
         auto& t = blk.tally();
 
-        // --- Fallback: overflow-bearing chunks decode sequentially. ------
+        SegmentPlan<Sym> plan;
+
+        // --- Fallback: overflow-bearing chunks decode through the chunk
+        // walk. -----------------------------------------------------------
         if (ovf_begin[c] != ovf_begin[c + 1]) {
-          const std::size_t group_syms = s.group_symbols(c);
-          BitReader br = s.chunk_reader(c);
-          BitReader obr(
-              std::span<const word_t>(s.overflow_payload.data(),
-                                      s.overflow_payload.size()),
-              static_cast<u64>(s.overflow_payload.size()) * kWordBits);
-          std::size_t e = ovf_begin[c];
-          std::size_t i = 0;
-          while (i < nc) {
-            const std::size_t group = i / group_syms;
-            if (e < ovf_begin[c + 1] && s.overflow[e].group == group) {
-              obr.seek(s.overflow[e].bit_offset);
-              emit_symbols(obr, cb, s.overflow[e].n_symbols, dst + i);
-              i += s.overflow[e].n_symbols;
-              ++e;
-            } else {
-              const std::size_t next =
-                  std::min<std::size_t>((group + 1) * group_syms, nc);
-              emit_symbols(br, cb, next - i, dst + i);
-              i = next;
-            }
-          }
+          plan_chunk(s, ovf_begin, c, dst, plan);
+          decode_segments(table, plan);
           simt::atomic_add(fallbacks, u64{1});
           t.global_read(words_for_bits(s.chunk_bits[c]), sizeof(word_t),
                         simt::Pattern::kStrided);
@@ -182,12 +151,13 @@ std::vector<Sym> decode_selfsync(const EncodedStream& s, const Codebook& cb,
         if (total != nc) {
           throw std::runtime_error("selfsync: symbol count mismatch");
         }
+        const std::span<const word_t> words = s.chunk_words_to_end(c);
         for (std::size_t i = 0; i < n_sub; ++i) {
-          if (count[i] == 0) continue;
-          BitReader br = s.chunk_reader(c);
-          br.seek(start[i]);
-          emit_symbols(br, cb, count[i], dst + offset[i]);
+          if (count[i] != 0) {
+            plan.add(words, B, start[i], dst + offset[i], count[i]);
+          }
         }
+        decode_segments(table, plan);
         t.global_read((B + 7) / 8, 1, simt::Pattern::kCoalesced);
         t.global_write(nc, sizeof(Sym), simt::Pattern::kCoalesced);
         t.ops(B * 32 + nc * 2);

@@ -22,8 +22,8 @@
 // The functional result is bit-exact with the sequential decoder (tested
 // against it); the win on hardware is 2^s-way parallelism inside every
 // chunk. Chunks containing overflow (breaking) groups fall back to the
-// sequential per-chunk path — the side stream interrupts the main
-// bitstream, which breaks the self-synchronization argument.
+// shared chunk → segment walk (plan_chunk) — the side stream interrupts
+// the main bitstream, which breaks the self-synchronization argument.
 
 #include <span>
 #include <vector>
@@ -45,7 +45,7 @@ struct SelfSyncStats {
   u64 subsequences = 0;
   u64 sync_passes = 0;       ///< total correction passes across chunks
   u64 max_chunk_passes = 0;  ///< worst chunk
-  u64 fallback_chunks = 0;   ///< chunks decoded sequentially (overflow)
+  u64 fallback_chunks = 0;   ///< overflow chunks decoded by the chunk walk
 };
 
 template <typename Sym>

@@ -1,7 +1,6 @@
 #include "core/decode_simt.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/decode.hpp"
 #include "simt/block.hpp"
@@ -15,20 +14,8 @@ std::vector<Sym> decode_simt(const EncodedStream& s, const Codebook& cb,
   std::vector<Sym> out(s.n_symbols);
   if (s.n_symbols == 0) return out;
   const std::size_t chunks = s.chunks();
-
-  // Chunk → overflow-entry run index (entries sorted by chunk, group).
-  std::vector<std::size_t> ovf_begin(chunks + 1, s.overflow.size());
-  {
-    std::size_t e = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      ovf_begin[c] = e;
-      while (e < s.overflow.size() && s.overflow[e].chunk == c) ++e;
-    }
-    ovf_begin[chunks] = e;
-    if (e != s.overflow.size()) {
-      throw std::runtime_error("decode_simt: overflow entries out of order");
-    }
-  }
+  const std::vector<std::size_t> index = overflow_index(s);
+  const DecodeTable table(cb);
 
   const int block_dim = 128;
   const int grid =
@@ -44,44 +31,20 @@ std::vector<Sym> decode_simt(const EncodedStream& s, const Codebook& cb,
     blk.tally().global_read(state_bytes, 1, simt::Pattern::kCoalesced);
     blk.tally().shared_access(state_bytes, 1);
     blk.sync();
+    // One thread per chunk: the block's chunks are independent segments,
+    // decoded by the host core in lockstep. The chunk walk polls the
+    // cancel token at every chunk entry (one poll per simulated thread).
+    const std::size_t lo = std::min(blk.global_id(0), chunks);
+    const std::size_t hi = std::min(blk.global_id(block_dim - 1) + 1, chunks);
+    SegmentPlan<Sym> plan;
+    for (std::size_t c = lo; c < hi; ++c) {
+      plan_chunk(s, index, c, out.data() + c * s.chunk_symbols, plan);
+    }
+    decode_segments(table, plan, cancel);
     blk.threads([&](int tid) {
       const std::size_t c = blk.global_id(tid);
       if (c >= chunks) return;
-      // Cooperative poll per chunk, matching the encode kernels' per-block
-      // cadence; decode_symbols adds a finer 64 Ki-symbol stride inside.
-      if (cancel) cancel->check();
-      const std::size_t begin = c * s.chunk_symbols;
       const std::size_t nc = s.chunk_size(c);
-      Sym* dst = out.data() + begin;
-      BitReader br = s.chunk_reader(c);
-
-      const std::size_t e0 = ovf_begin[c];
-      const std::size_t e1 = ovf_begin[c + 1];
-      if (e0 == e1) {
-        decode_symbols(br, cb, nc, dst, cancel);
-      } else {
-        const std::size_t group_syms = s.group_symbols(c);
-        std::size_t e = e0;
-        std::size_t i = 0;
-        BitReader obr(std::span<const word_t>(s.overflow_payload.data(),
-                                              s.overflow_payload.size()),
-                      static_cast<u64>(s.overflow_payload.size()) * kWordBits);
-        while (i < nc) {
-          const std::size_t group = i / group_syms;
-          if (e < e1 && s.overflow[e].group == group) {
-            const OverflowEntry& entry = s.overflow[e];
-            obr.seek(entry.bit_offset);
-            decode_symbols(obr, cb, entry.n_symbols, dst + i, cancel);
-            i += entry.n_symbols;
-            ++e;
-          } else {
-            const std::size_t next =
-                std::min<std::size_t>((group + 1) * group_syms, nc);
-            decode_symbols(br, cb, next - i, dst + i, cancel);
-            i = next;
-          }
-        }
-      }
       // Per-lane sequential chunk walk: strided payload reads; output
       // writes are per-thread sequential too (strided across the warp).
       auto& t = blk.tally();

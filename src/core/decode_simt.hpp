@@ -9,7 +9,9 @@
 // reverse codebook — in shared memory per block, and walks each chunk's
 // bits sequentially. The tally records the access profile (strided payload
 // reads, coalesced-but-thread-owned output writes), which is what bounds
-// decode throughput on real hardware.
+// decode throughput on real hardware. On the host, a block's chunks run
+// through the shared decode core (core/decode_table.hpp); the tally still
+// prices the bit-serial walk a GPU thread performs.
 
 #include <span>
 #include <vector>

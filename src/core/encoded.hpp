@@ -22,6 +22,7 @@
 // (core/decode_gaparray.hpp). The metadata is an optional, versioned
 // container field — streams without it decode exactly as before.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -56,7 +57,8 @@ struct EncodedStream {
   std::vector<u8> chunk_reduce;
   std::vector<word_t> overflow_payload;
   u64 overflow_bits = 0;
-  /// Sorted by (chunk, group).
+  /// Strictly ascending by (chunk, group); each entry covers one whole
+  /// group (overflow_entry_fits).
   std::vector<OverflowEntry> overflow;
 
   /// Sentinel gap value: no codeword starts inside this subsequence (only
@@ -142,12 +144,13 @@ struct EncodedStream {
     return (end <= n_symbols ? end : n_symbols) - begin;
   }
 
-  /// Bit reader over chunk `c`'s main stream. Throws std::out_of_range
-  /// when the chunk's claimed extent does not fit inside payload — a
-  /// deserialized stream is untrusted until every chunk passes this (and
-  /// words_for_bits() alone cannot be trusted: near-2^64 bit counts wrap
-  /// it to 0 words, which is why the check is against the bit count).
-  [[nodiscard]] BitReader chunk_reader(std::size_t c) const {
+  /// Payload cells of chunk `c`'s main stream (chunk_bits[c] bits). Throws
+  /// std::out_of_range when the chunk's claimed extent does not fit inside
+  /// payload — a deserialized stream is untrusted until every chunk passes
+  /// this (and words_for_bits() alone cannot be trusted: near-2^64 bit
+  /// counts wrap it to 0 words, which is why the check is against the bit
+  /// count).
+  [[nodiscard]] std::span<const word_t> chunk_words(std::size_t c) const {
     if (c >= chunk_bits.size() || c >= chunk_word_offset.size()) {
       throw std::out_of_range("EncodedStream: chunk index out of range");
     }
@@ -158,9 +161,38 @@ struct EncodedStream {
       throw std::out_of_range(
           "EncodedStream: chunk extent exceeds payload");
     }
-    return BitReader(
-        std::span<const word_t>(payload.data() + w0, words_for_bits(bits)),
-        bits);
+    return {payload.data() + w0, words_for_bits(bits)};
+  }
+
+  /// Payload cells from chunk `c`'s first cell to the end of the payload
+  /// (same checks as chunk_words). A decoder reading chunk_bits[c] bits
+  /// from here may load whole windows past the chunk's last cell.
+  [[nodiscard]] std::span<const word_t> chunk_words_to_end(
+      std::size_t c) const {
+    const word_t* first = chunk_words(c).data();
+    return {first, payload.data() + payload.size()};
+  }
+
+  /// Bit reader over chunk `c`'s main stream (same checks as chunk_words).
+  [[nodiscard]] BitReader chunk_reader(std::size_t c) const {
+    return BitReader(chunk_words(c), chunk_bits[c]);
+  }
+
+  /// True when `e` names one whole reduce group of its chunk: the chunk
+  /// groups symbols (reduce factor 1..31), the group starts inside the
+  /// chunk, and n_symbols is exactly that group's size — 2^r, or the short
+  /// remainder at the chunk's tail. Checked when a container is parsed and
+  /// again by the decoders' chunk walk: a forged count would otherwise
+  /// steer symbols past the chunk's output.
+  [[nodiscard]] bool overflow_entry_fits(const OverflowEntry& e) const {
+    if (e.chunk >= chunks()) return false;
+    const u32 r = e.chunk < chunk_reduce.size() ? chunk_reduce[e.chunk]
+                                                : reduce_factor;
+    if (r == 0 || r > 31) return false;
+    const u64 group = u64{1} << r;
+    const u64 begin = static_cast<u64>(e.group) * group;
+    const u64 nc = chunk_size(e.chunk);
+    return begin < nc && e.n_symbols == std::min(group, nc - begin);
   }
 };
 

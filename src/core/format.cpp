@@ -273,6 +273,18 @@ EncodedStream deserialize_stream(std::span<const u8> bytes,
     if (e.chunk >= n_chunks) {
       throw std::runtime_error("parhuff container: overflow chunk range");
     }
+    // Strictly ascending by (chunk, group), one whole group each: the
+    // decoders' chunk walk splices entries at their group boundaries, and
+    // a forged count would otherwise steer symbols past the chunk.
+    if (!s.overflow.empty() &&
+        (e.chunk < s.overflow.back().chunk ||
+         (e.chunk == s.overflow.back().chunk &&
+          e.group <= s.overflow.back().group))) {
+      throw std::runtime_error("parhuff container: overflow entry order");
+    }
+    if (!s.overflow_entry_fits(e)) {
+      throw std::runtime_error("parhuff container: overflow entry group");
+    }
     s.overflow.push_back(e);
   }
   const u64 ovf_words = r.get<u64>();

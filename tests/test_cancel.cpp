@@ -2,10 +2,10 @@
 // deterministic virtual clock (util/clock.hpp): the clock and token
 // primitives themselves, a mid-stage abort test per kernel poll-point site
 // (histogram serial/SIMT, parallel codebook rounds, reduce-shuffle /
-// coarse / prefix-sum chunks), the service-level translation to
-// DeadlineExceeded / CancelledError with the svc.cancelled_midstage
-// counter, the per-request retry budget, and a concurrent cancel storm for
-// TSan.
+// coarse / prefix-sum chunks, and the decode tiers), the service-level
+// translation to DeadlineExceeded / CancelledError with the
+// svc.cancelled_midstage counter, the per-request retry budget, and a
+// concurrent cancel storm for TSan.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,14 @@
 #include <vector>
 
 #include "core/decode.hpp"
+#include "core/decode_gaparray.hpp"
 #include "core/decode_simt.hpp"
 #include "core/encode_reduceshuffle.hpp"
+#include "core/encode_serial.hpp"
 #include "core/encode_simt.hpp"
 #include "core/histogram.hpp"
 #include "core/pipeline.hpp"
+#include "core/streaming.hpp"
 #include "obs/metrics.hpp"
 #include "svc/deadline.hpp"
 #include "svc/service.hpp"
@@ -332,6 +335,49 @@ TEST(CancelSite, ArmedFarDeadlineDecodeIsBitIdentical) {
   EXPECT_EQ(plain, guarded);
   EXPECT_EQ(plain, data);
   EXPECT_GT(vc.queries(), 0u);  // the guard really did consult the clock
+}
+
+TEST(CancelSite, InterleavedDecodesAbortAfterTheFirstPoll) {
+  // Every decode tier runs on the interleaved core, which polls at chunk
+  // entries and every 64 Ki symbols. A deadline that passes between the
+  // first poll and the second must abort each entry point with the typed
+  // error — not only a token that has fired before the decode starts.
+  const auto data = ramp_data(64 * 1024);
+  const Codebook cb = codebook_for(data);
+  ReduceShuffleConfig rs;
+  rs.magnitude = 10;  // 64 chunks, with overflow groups
+  const EncodedStream ovf = encode_reduceshuffle_simt<u8>(data, cb, rs);
+  ASSERT_FALSE(ovf.overflow.empty());
+  EncodedStream gapped = encode_serial<u8>(data, cb, 1024);
+  annotate_gaps(gapped, cb);
+  StreamingCompressor<u8> sc(serial_config());
+  sc.observe(data);
+  sc.freeze();
+  const std::vector<u8> frame = sc.encode_segment(data);
+  const StreamingDecompressor<u8> sd(sc.header());
+
+  const auto expires_after_first_poll = [&](const char* what, auto&& decode) {
+    SCOPED_TRACE(what);
+    VirtualClock vc;
+    vc.auto_advance_every(1, Clock::dur(1e-3));
+    CancelToken tok;
+    tok.arm_deadline(vc.peek() + Clock::dur(1.5e-3), vc);
+    EXPECT_THROW((void)decode(&tok), DeadlineExpired);
+    EXPECT_GE(vc.queries(), 2u);  // the first poll passed
+    // The same decode under a token that never fires is untouched.
+    CancelToken far;
+    far.arm_deadline(vc.peek() + Clock::dur(3600.0), vc);
+    EXPECT_EQ(decode(&far), data);
+  };
+  expires_after_first_poll("decode_stream", [&](const CancelToken* t) {
+    return decode_stream<u8>(ovf, cb, /*threads=*/1, t);
+  });
+  expires_after_first_poll("decode_gaparray", [&](const CancelToken* t) {
+    return decode_gaparray<u8>(gapped, cb, nullptr, nullptr, t);
+  });
+  expires_after_first_poll("decode_segment", [&](const CancelToken* t) {
+    return sd.decode_segment(frame, t);
+  });
 }
 
 // --- Service-level propagation. ----------------------------------------------

@@ -1,6 +1,8 @@
 // Documentation coverage: every "svc.*" and "lossy.*" string literal in
-// src/svc and src/lossy — counters, gauges, stages, histograms, trace spans
-// and fault sites — must be listed in docs/observability.md. The doc
+// src/svc and src/lossy, and every "decode.*", "pipeline.decode.*" and
+// "streaming.*" literal in src/core — counters, gauges, stages,
+// histograms, trace spans and fault sites — must be listed in
+// docs/observability.md. The doc
 // abbreviates name families with brace patterns (`svc.cache_{hits,misses}`),
 // which the test expands before comparing.
 
@@ -8,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <regex>
 #include <set>
@@ -72,14 +75,19 @@ TEST(ObsDocs, BraceExpansion) {
             (std::vector<std::string>{"x.a_c", "x.a_d", "x.b_c", "x.b_d"}));
 }
 
-TEST(ObsDocs, EveryServiceAndLossyNameIsDocumented) {
+/// Names matching `prefix_alternation` (e.g. "svc|lossy") in string
+/// literals under `dirs` that docs/observability.md does not list; `seen`
+/// counts every matching literal.
+std::set<std::string> undocumented(std::initializer_list<const char*> dirs,
+                                   const std::string& prefix_alternation,
+                                   std::size_t& seen) {
   const std::set<std::string> documented =
       documented_names(slurp(kRoot / "docs" / "observability.md"));
-  ASSERT_FALSE(documented.empty()) << "docs/observability.md not found";
-  const std::regex literal("\"((?:svc|lossy)\\.[A-Za-z0-9_.]+)\"");
+  EXPECT_FALSE(documented.empty()) << "docs/observability.md not found";
+  const std::regex literal("\"((?:" + prefix_alternation +
+                           ")\\.[A-Za-z0-9_.]+)\"");
   std::set<std::string> missing;
-  std::size_t seen = 0;
-  for (const char* dir : {"src/svc", "src/lossy"}) {
+  for (const char* dir : dirs) {
     for (const fs::directory_entry& e : fs::directory_iterator(kRoot / dir)) {
       const std::string text = slurp(e.path());
       for (auto it = std::sregex_iterator(text.begin(), text.end(), literal);
@@ -89,13 +97,35 @@ TEST(ObsDocs, EveryServiceAndLossyNameIsDocumented) {
       }
     }
   }
-  EXPECT_GT(seen, 0u);
+  return missing;
+}
+
+std::string listing(const std::set<std::string>& names) {
   std::string list;
-  for (const std::string& m : missing) list += "\n  " + m;
+  for (const std::string& m : names) list += "\n  " + m;
+  return list;
+}
+
+TEST(ObsDocs, EveryServiceAndLossyNameIsDocumented) {
+  std::size_t seen = 0;
+  const std::set<std::string> missing =
+      undocumented({"src/svc", "src/lossy"}, "svc|lossy", seen);
+  EXPECT_GT(seen, 0u);
   EXPECT_TRUE(missing.empty())
       << "names published from src/svc or src/lossy but missing from "
          "docs/observability.md:"
-      << list;
+      << listing(missing);
+}
+
+TEST(ObsDocs, EveryCoreDecodeAndStreamingNameIsDocumented) {
+  std::size_t seen = 0;
+  const std::set<std::string> missing =
+      undocumented({"src/core"}, "decode|pipeline\\.decode|streaming", seen);
+  EXPECT_GT(seen, 0u);
+  EXPECT_TRUE(missing.empty())
+      << "decode.*, pipeline.decode.* or streaming.* names published from "
+         "src/core but missing from docs/observability.md:"
+      << listing(missing);
 }
 
 }  // namespace

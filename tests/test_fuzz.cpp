@@ -584,6 +584,59 @@ TEST(FuzzLossy, HostileFloatsNeverCrashTheFusedQuantizer) {
   }
 }
 
+TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
+  // A wide alphabet breaks 2^3-symbol groups constantly, so the stream
+  // carries many overflow entries.
+  Xoshiro256 rng(77);
+  std::vector<u16> input(20000);
+  for (auto& v : input) v = static_cast<u16>(rng.below(1500));
+  const Codebook cb = build_codebook_serial(histogram_serial<u16>(input, 1500));
+  ReduceShuffleConfig rs;
+  rs.magnitude = 10;
+  rs.reduce_factor = 3;
+  const EncodedStream enc = encode_reduceshuffle_simt<u16>(input, cb, rs);
+  ASSERT_FALSE(enc.overflow.empty());
+  ASSERT_EQ(decode_stream<u16>(enc, cb, 1), input);
+  EXPECT_EQ(deserialize_stream(serialize_stream(enc)).overflow.size(),
+            enc.overflow.size());
+
+  // The last entry (the last group of the short last chunk) claims its
+  // group plus 8 symbols, decoded from the start of the side stream so
+  // the bits never run out: the splice would write 16 symbols past the
+  // output. serialize_stream recomputes the checksum, so only the entry
+  // rules stand between the forgery and a decoder.
+  EncodedStream forged = enc;
+  OverflowEntry& last = forged.overflow.back();
+  ASSERT_EQ(last.chunk + 1, forged.chunks());
+  last.n_symbols = static_cast<u32>(forged.group_symbols(last.chunk) + 8);
+  last.bit_offset = 0;
+  EXPECT_THROW((void)deserialize_stream(serialize_stream(forged)),
+               std::runtime_error);
+  // Built in memory, the stream skips the parser; every decoder's chunk
+  // walk rejects the entry instead.
+  EXPECT_THROW((void)decode_stream<u16>(forged, cb, 1), std::runtime_error);
+  EXPECT_THROW((void)decode_range<u16>(forged, cb, 0, input.size(), 1),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_simt<u16>(forged, cb), std::runtime_error);
+
+  // The other entry rules: a group past its chunk, a duplicate, and
+  // descending order are rejected at parse as well.
+  EncodedStream outside = enc;
+  outside.overflow.back().group = 1u << 20;
+  EXPECT_THROW((void)deserialize_stream(serialize_stream(outside)),
+               std::runtime_error);
+  ASSERT_GE(enc.overflow.size(), 2u);
+  EncodedStream duplicate = enc;
+  duplicate.overflow[1] = duplicate.overflow[0];
+  EXPECT_THROW((void)deserialize_stream(serialize_stream(duplicate)),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_stream<u16>(duplicate, cb, 1), std::runtime_error);
+  EncodedStream swapped = enc;
+  std::swap(swapped.overflow[0], swapped.overflow[1]);
+  EXPECT_THROW((void)deserialize_stream(serialize_stream(swapped)),
+               std::runtime_error);
+}
+
 TEST(FuzzDecode, RandomPayloadBitFlipsThrowOrMisdecode) {
   Xoshiro256 rng(404);
   std::size_t nbins = 0;
