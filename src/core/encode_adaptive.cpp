@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/codeword.hpp"
-#include "core/sparse.hpp"
 #include "simt/block.hpp"
 
 namespace parhuff {
@@ -134,40 +133,34 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
         }
 
         // --- Breaking points (rarer by construction, same handling). -----
-        std::vector<u8> mask(n_slots, 0);
+        auto& ovf = chunk_ovf[c];
+        BitWriter bw(ovf.words);  // writes nothing until a slot breaks
         for (std::size_t g = 0; g < n_slots; ++g) {
-          mask[g] = cells[g].breaking ? 1 : 0;
-        }
-        const std::vector<u32> broken = dense_to_sparse(mask, nullptr);
-        if (!broken.empty()) {
-          auto& ovf = chunk_ovf[c];
-          BitWriter bw(ovf.words);
-          for (const u32 g : broken) {
-            const std::size_t gb = begin + g * group_syms;
-            const std::size_t ge = std::min(gb + group_syms, end);
-            OverflowEntry e;
-            e.chunk = static_cast<u32>(c);
-            e.group = g;
-            e.bit_offset = bw.bits();
-            e.n_symbols = static_cast<u32>(ge - gb);
-            for (std::size_t i = gb; i < ge; ++i) {
-              const Codeword cw = cb.cw[static_cast<std::size_t>(data[i])];
-              bw.put(cw.bits, cw.len);
-            }
-            e.bit_len = static_cast<u32>(bw.bits() - e.bit_offset);
-            ovf.entries.push_back(e);
-            cells[g] = MergedCell<Width>{};
-            t.global_read(ge - gb, sizeof(Sym), simt::Pattern::kStrided);
-            t.global_write((e.bit_len + 7) / 8, 1, simt::Pattern::kStrided);
+          if (!cells[g].breaking) continue;
+          const std::size_t gb = begin + g * group_syms;
+          const std::size_t ge = std::min(gb + group_syms, end);
+          OverflowEntry e;
+          e.chunk = static_cast<u32>(c);
+          e.group = static_cast<u32>(g);
+          e.bit_offset = bw.bits();
+          e.n_symbols = static_cast<u32>(ge - gb);
+          for (std::size_t i = gb; i < ge; ++i) {
+            const Codeword cw = cb.cw[static_cast<std::size_t>(data[i])];
+            bw.put(cw.bits, cw.len);
           }
-          bw.finish_into_sink();
+          e.bit_len = static_cast<u32>(bw.bits() - e.bit_offset);
+          ovf.entries.push_back(e);
+          cells[g] = MergedCell<Width>{};
+          t.global_read(ge - gb, sizeof(Sym), simt::Pattern::kStrided);
+          t.global_write((e.bit_len + 7) / 8, 1, simt::Pattern::kStrided);
         }
+        if (!ovf.entries.empty()) bw.finish_into_sink();
         blk.sync();
 
         // --- SHUFFLE-merge over Width-bit slots. --------------------------
         word_t* buf = work.data() + c * ws_stride;
         const std::size_t slot_cells = kCellsPerSlot;
-        std::vector<u64> glen(n_slots, 0);
+        auto glen = blk.shared_array<u64>(n_slots);
         for (std::size_t j = 0; j < n_slots; ++j) {
           const auto& cell = cells[j];
           const unsigned len = cell.breaking ? 0 : cell.len;
@@ -186,7 +179,7 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
         }
         t.shared_access(n_slots * slot_cells * 2, sizeof(word_t));
 
-        std::vector<word_t> scratch(n_slots * slot_cells / 2 + 1, 0);
+        auto scratch = blk.shared_array<word_t>(n_slots * slot_cells / 2 + 1);
         const u32 s = M - r;
         for (u32 it = 1; it <= s; ++it) {
           const std::size_t pairs = n_slots >> it;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/codeword.hpp"
-#include "core/sparse.hpp"
 #include "simt/block.hpp"
 
 namespace parhuff {
@@ -111,37 +110,33 @@ EncodedStream encode_reduceshuffle_simt(std::span<const Sym> data,
           blk.sync();
         }
 
-        // --- Breaking points: mask, dense→sparse, backtrace. -------------
-        std::vector<u8> mask(n_cells, 0);
-        [[maybe_unused]] const std::size_t groups_in_chunk = (nc + group_syms - 1) / group_syms;
+        // --- Breaking points: ascending scan, backtrace. -----------------
+        // The block runs on one host thread, so the in-order scan over the
+        // reduced cells already yields the compact, ascending index list.
+        auto& ovf = chunk_ovf[c];
+        BitWriter bw(ovf.words);  // writes nothing until a group breaks
         for (std::size_t g = 0; g < n_cells; ++g) {
-          mask[g] = cells[g].breaking ? 1 : 0;
-        }
-        const std::vector<u32> broken = dense_to_sparse(mask, nullptr);
-        if (!broken.empty()) {
-          auto& ovf = chunk_ovf[c];
-          BitWriter bw(ovf.words);
-          for (const u32 g : broken) {
-            assert(g < groups_in_chunk);
-            const std::size_t gb = begin + g * group_syms;
-            const std::size_t ge = std::min(gb + group_syms, end);
-            OverflowEntry e;
-            e.chunk = static_cast<u32>(c);
-            e.group = g;
-            e.bit_offset = bw.bits();
-            e.n_symbols = static_cast<u32>(ge - gb);
-            for (std::size_t i = gb; i < ge; ++i) {
-              const Codeword cw =
-                  cb.cw[static_cast<std::size_t>(data[i])];
-              bw.put(cw.bits, cw.len);
-            }
-            e.bit_len = static_cast<u32>(bw.bits() - e.bit_offset);
-            ovf.entries.push_back(e);
-            cells[g] = MergedCell<kWordBits>{};  // zero bits in main stream
-            // Backtrace reduction: re-read the group's source symbols.
-            t.global_read(ge - gb, sizeof(Sym), simt::Pattern::kStrided);
-            t.global_write((e.bit_len + 7) / 8, 1, simt::Pattern::kStrided);
+          if (!cells[g].breaking) continue;
+          const std::size_t gb = begin + g * group_syms;
+          const std::size_t ge = std::min(gb + group_syms, end);
+          assert(gb < end);
+          OverflowEntry e;
+          e.chunk = static_cast<u32>(c);
+          e.group = static_cast<u32>(g);
+          e.bit_offset = bw.bits();
+          e.n_symbols = static_cast<u32>(ge - gb);
+          for (std::size_t i = gb; i < ge; ++i) {
+            const Codeword cw = cb.cw[static_cast<std::size_t>(data[i])];
+            bw.put(cw.bits, cw.len);
           }
+          e.bit_len = static_cast<u32>(bw.bits() - e.bit_offset);
+          ovf.entries.push_back(e);
+          cells[g] = MergedCell<kWordBits>{};  // zero bits in main stream
+          // Backtrace reduction: re-read the group's source symbols.
+          t.global_read(ge - gb, sizeof(Sym), simt::Pattern::kStrided);
+          t.global_write((e.bit_len + 7) / 8, 1, simt::Pattern::kStrided);
+        }
+        if (!ovf.entries.empty()) {
           ovf.bits = bw.bits();
           bw.finish_into_sink();
         }
@@ -149,7 +144,7 @@ EncodedStream encode_reduceshuffle_simt(std::span<const Sym> data,
 
         // --- SHUFFLE-merge: s batch-move iterations (Fig. 2). ------------
         word_t* buf = work.data() + c * (n_cells + 1);
-        std::vector<u64> glen(n_cells, 0);
+        auto glen = blk.shared_array<u64>(n_cells);
         for (std::size_t j = 0; j < n_cells; ++j) {
           const auto& cell = cells[j];
           glen[j] = cell.breaking ? 0 : cell.len;
@@ -159,7 +154,7 @@ EncodedStream encode_reduceshuffle_simt(std::span<const Sym> data,
                                              << (kWordBits - cell.len));
         }
         t.shared_access(n_cells * 2, 8);
-        std::vector<word_t> scratch((n_cells / 2) + 1, 0);
+        auto scratch = blk.shared_array<word_t>((n_cells / 2) + 1);
         for (u32 it = 1; it <= s; ++it) {
           const std::size_t half = std::size_t{1} << (it - 1);
           const std::size_t stride = half * 2;

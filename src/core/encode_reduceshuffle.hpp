@@ -13,8 +13,10 @@
 //  2. Breaking points: a group whose 2^r codewords exceed the 32-bit cell
 //     is "breaking". The kernel backtraces it (a second reduction without
 //     bit operations), re-encodes the group's source symbols into an
-//     overflow bitstream, and records it via dense→sparse conversion. The
-//     group contributes zero bits to the main stream.
+//     overflow bitstream, and records it in an ascending scan over the
+//     block's groups (the compact index list cuSPARSE's dense→sparse
+//     produces on hardware). The group contributes zero bits to the main
+//     stream.
 //
 //  3. SHUFFLE-merge (Fig. 2): s = M − r iterations merge adjacent
 //     variable-length cell groups with the two-step batch move (residual

@@ -80,6 +80,12 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
                                    PipelineReport* report,
                                    const CancelToken* cancel) {
   obs::TraceSpan span("pipeline.encode", "pipeline");
+  // One range for every encoder kind: 2^12 symbols is the largest chunk a
+  // block's 96 KiB of shared memory holds, and a config must not turn
+  // invalid when only its encoder changes.
+  if (cfg.magnitude < 1 || cfg.magnitude > 12) {
+    throw std::invalid_argument("magnitude must be in [1, 12]");
+  }
   PipelineReport local;
   PipelineReport& rep = report ? *report : local;
   // Stage-entry check covers the encoder kinds without in-kernel polls

@@ -24,10 +24,24 @@
 //
 // Warp-level execution (shuffles, ballots) is provided by warp.hpp on top of
 // `BlockCtx::warps()`.
+//
+// Shared memory
+// -------------
+// Each host thread leases one 96 KiB arena and reuses it for every block it
+// runs; a block's `shared_array` allocations are carved from that arena and
+// released when the block retires. As on hardware, shared memory starts
+// *uninitialised*: a block sees whatever the previous block on that host
+// thread left behind, so every kernel must write what it reads. Leases
+// stack: a `launch` started from inside a block on the same host thread
+// gets the next arena down, never its parent's live buffer. Allocations
+// past the 96 KiB budget throw `std::length_error` (in every build type).
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -37,21 +51,28 @@
 
 namespace parhuff::simt {
 
-/// Per-block shared-memory arena. Allocations live until the block retires,
-/// mirroring the shared-memory lifecycle binding described in §III-A of the
-/// paper.
+/// Volta/Turing expose up to 96 KiB of shared memory per block.
+inline constexpr std::size_t kSharedMemBytes = 96 * 1024;
+
+/// A block's shared memory: a bump allocator over a borrowed buffer.
+/// Allocations live until the block retires, mirroring the shared-memory
+/// lifecycle binding described in §III-A of the paper. Contents are not
+/// initialised.
 class SharedMem {
  public:
-  explicit SharedMem(std::size_t capacity_bytes)
-      : storage_(capacity_bytes), used_(0) {}
+  explicit SharedMem(std::span<std::byte> storage) : storage_(storage) {}
 
+  /// `n` elements of `T`, aligned; throws std::length_error when the
+  /// request does not fit the remaining capacity.
   template <typename T>
   std::span<T> alloc(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
     const std::size_t aligned = (used_ + alignof(T) - 1) & ~(alignof(T) - 1);
-    assert(aligned + bytes <= storage_.size() &&
-           "simulated shared memory exhausted (96 KiB/block)");
-    used_ = aligned + bytes;
+    if (aligned > storage_.size() ||
+        n > (storage_.size() - aligned) / sizeof(T)) {
+      throw std::length_error(
+          "simulated shared memory exhausted (96 KiB/block)");
+    }
+    used_ = aligned + n * sizeof(T);
     return {reinterpret_cast<T*>(storage_.data() + aligned), n};
   }
 
@@ -59,12 +80,60 @@ class SharedMem {
   [[nodiscard]] std::size_t capacity() const { return storage_.size(); }
 
  private:
-  std::vector<std::byte> storage_;
-  std::size_t used_;
+  std::span<std::byte> storage_;
+  std::size_t used_ = 0;
 };
 
-/// Volta/Turing expose up to 96 KiB of shared memory per block.
-inline constexpr std::size_t kSharedMemBytes = 96 * 1024;
+namespace detail {
+
+/// The calling host thread's arenas, one per nesting depth. Arenas are
+/// allocated on first use at a depth and kept for the thread's lifetime.
+struct ArenaStack {
+  std::vector<std::unique_ptr<std::byte[]>> arenas;
+  std::size_t depth = 0;
+
+  void grow() {
+    arenas.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(kSharedMemBytes));
+  }
+};
+
+inline ArenaStack& thread_arenas() {
+  thread_local ArenaStack stack;
+  return stack;
+}
+
+/// RAII lease of the calling thread's next free arena.
+class ArenaLease {
+ public:
+  ArenaLease() : stack_(thread_arenas()) {
+    if (stack_.depth == stack_.arenas.size()) stack_.grow();
+    storage_ = {stack_.arenas[stack_.depth++].get(), kSharedMemBytes};
+  }
+  ~ArenaLease() { --stack_.depth; }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  [[nodiscard]] std::span<std::byte> storage() const { return storage_; }
+
+ private:
+  ArenaStack& stack_;
+  std::span<std::byte> storage_;
+};
+
+}  // namespace detail
+
+/// Fill every shared-memory arena the calling host thread holds with
+/// `value`, creating its first arena if it has none yet. A test hook: run
+/// it on every pool thread to show a kernel's output does not depend on
+/// what shared memory held before the block started.
+inline void fill_thread_arenas(std::byte value) {
+  auto& stack = detail::thread_arenas();
+  if (stack.arenas.empty()) stack.grow();
+  for (auto& arena : stack.arenas) {
+    std::fill_n(arena.get(), kSharedMemBytes, value);
+  }
+}
 
 class BlockCtx {
  public:
@@ -72,7 +141,7 @@ class BlockCtx {
       : block_id_(block_id),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
-        shmem_(kSharedMemBytes),
+        shmem_(lease_.storage()),
         tally_(tally) {}
 
   [[nodiscard]] int block_id() const { return block_id_; }
@@ -112,6 +181,7 @@ class BlockCtx {
   int block_id_;
   int block_dim_;
   int grid_dim_;
+  detail::ArenaLease lease_;
   SharedMem shmem_;
   MemTally* tally_;
   MemTally scratch_tally_;  // used when the caller doesn't collect metrics

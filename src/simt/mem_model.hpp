@@ -54,6 +54,8 @@ struct MemTally {
 
   void reset() { *this = MemTally{}; }
 
+  friend bool operator==(const MemTally&, const MemTally&) = default;
+
   MemTally& operator+=(const MemTally& o) {
     global_read_bytes += o.global_read_bytes;
     global_write_bytes += o.global_write_bytes;

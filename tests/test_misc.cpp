@@ -1,4 +1,4 @@
-// Entropy + reduction-factor rule, dense→sparse, parallel scan helpers,
+// Entropy + reduction-factor rule, parallel scan helpers,
 // histogram variants, and the performance models' sanity properties.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "core/entropy.hpp"
 #include "core/histogram.hpp"
-#include "core/sparse.hpp"
 #include "core/tree.hpp"
 #include "data/synth_hist.hpp"
 #include "data/textgen.hpp"
@@ -60,29 +59,6 @@ TEST(ReduceFactorRule, DecisionCappedAtThree) {
   EXPECT_EQ(decide_reduce_factor(1.0272, 10), 3u);
   EXPECT_EQ(decide_reduce_factor(5.16, 10), 2u);
   EXPECT_EQ(decide_reduce_factor(1.0, 2), 1u);  // cap at magnitude-1
-}
-
-// --- Dense→sparse. ---------------------------------------------------------
-
-TEST(Sparse, BasicAndEdges) {
-  EXPECT_TRUE(dense_to_sparse(std::vector<u8>{}).empty());
-  EXPECT_TRUE(dense_to_sparse(std::vector<u8>(100, 0)).empty());
-  const auto all = dense_to_sparse(std::vector<u8>(5, 1));
-  EXPECT_EQ(all, (std::vector<u32>{0, 1, 2, 3, 4}));
-}
-
-TEST(Sparse, MatchesReferenceOnRandomMasks) {
-  Xoshiro256 rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + rng.below(100000);
-    std::vector<u8> mask(n);
-    for (auto& m : mask) m = rng.below(17) == 0 ? 1 : 0;
-    std::vector<u32> expect;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask[i]) expect.push_back(static_cast<u32>(i));
-    }
-    EXPECT_EQ(dense_to_sparse(mask), expect);
-  }
 }
 
 // --- Parallel helpers. ------------------------------------------------------

@@ -3,6 +3,7 @@
 // where bit-identity is guaranteed.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -107,6 +108,30 @@ TEST(Pipeline, TinyInputs) {
     cfg.nbins = 256;
     const auto blob = compress<u8>(input, cfg);
     EXPECT_EQ(decompress(blob, 1), input) << "n=" << n;
+  }
+}
+
+TEST(Pipeline, MagnitudeOutOfRangeRejectedForEveryEncoder) {
+  // The prefix-sum encoder stages a chunk's bit offsets in shared memory:
+  // at magnitude 14 they would need 128 KiB of the block's 96 KiB. Every
+  // encoder kind rejects the magnitude at stage entry instead.
+  const auto input = data::generate_text(20000, 3);
+  for (const EncoderKind e :
+       {EncoderKind::kSerial, EncoderKind::kOpenMP, EncoderKind::kCoarseSimt,
+        EncoderKind::kPrefixSumSimt, EncoderKind::kReduceShuffleSimt,
+        EncoderKind::kAdaptiveSimt}) {
+    PipelineConfig cfg;
+    cfg.encoder = e;
+    for (const u32 m : {0u, 13u, 14u, 40u}) {
+      cfg.magnitude = m;
+      EXPECT_THROW((void)compress<u8>(input, cfg), std::invalid_argument)
+          << "encoder " << static_cast<int>(e) << " magnitude " << m;
+    }
+    for (const u32 m : {8u, 12u}) {
+      cfg.magnitude = m;
+      EXPECT_EQ(decompress(compress<u8>(input, cfg), 2), input)
+          << "encoder " << static_cast<int>(e) << " magnitude " << m;
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 // the memory model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "simt/atomics.hpp"
@@ -182,12 +185,63 @@ TEST(Spec, DeviceFactories) {
 }
 
 TEST(SharedMem, AlignedAllocation) {
-  SharedMem sh(1024);
+  alignas(8) std::byte storage[1024];
+  SharedMem sh(storage);
   auto a = sh.alloc<u8>(3);
   auto b = sh.alloc<u64>(2);
   EXPECT_EQ(a.size(), 3u);
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % alignof(u64), 0u);
+}
+
+TEST(SharedMem, AllocPastCapacityThrows) {
+  alignas(8) std::byte storage[1024];
+  SharedMem sh(storage);
+  EXPECT_THROW((void)sh.alloc<u8>(1025), std::length_error);
+  EXPECT_THROW((void)sh.alloc<u64>(std::size_t{1} << 61), std::length_error);
+  (void)sh.alloc<u8>(1);
+  EXPECT_THROW((void)sh.alloc<u64>(128), std::length_error);  // 8 + 1024
+  EXPECT_EQ(sh.alloc<u64>(127).size(), 127u);  // exactly fills the rest
+  EXPECT_EQ(sh.used(), sh.capacity());
+  EXPECT_THROW((void)sh.alloc<u8>(1), std::length_error);
+}
+
+TEST(SharedMem, BlockBudgetIsEnforcedInEveryBuild) {
+  EXPECT_THROW(launch(4, 32, nullptr,
+                      [](BlockCtx& blk) {
+                        (void)blk.shared_array<u8>(kSharedMemBytes + 1);
+                      }),
+               std::length_error);
+  // Two allocations that each fit but together do not.
+  EXPECT_THROW(launch(1, 32, nullptr,
+                      [](BlockCtx& blk) {
+                        (void)blk.shared_array<u8>(kSharedMemBytes / 2 + 1);
+                        (void)blk.shared_array<u8>(kSharedMemBytes / 2);
+                      }),
+               std::length_error);
+  // The failed blocks returned their leases: the whole budget is free.
+  launch(4, 32, nullptr, [](BlockCtx& blk) {
+    EXPECT_EQ(blk.shared_array<u8>(kSharedMemBytes).size(), kSharedMemBytes);
+  });
+}
+
+TEST(Block, NestedLaunchGetsDisjointSharedMemory) {
+  launch(4, 32, nullptr, [](BlockCtx& outer) {
+    auto parent = outer.shared_array<u32>(kSharedMemBytes / sizeof(u32));
+    std::fill(parent.begin(), parent.end(), 7u);
+    const auto* p_lo = reinterpret_cast<const std::byte*>(parent.data());
+    const auto* p_hi = p_lo + parent.size_bytes();
+    launch(3, 32, nullptr, [&](BlockCtx& inner) {
+      auto child = inner.shared_array<u32>(kSharedMemBytes / sizeof(u32));
+      const auto* c_lo = reinterpret_cast<const std::byte*>(child.data());
+      const auto* c_hi = c_lo + child.size_bytes();
+      EXPECT_TRUE(c_hi <= p_lo || p_hi <= c_lo);
+      std::fill(child.begin(), child.end(), 9u);
+    });
+    // The nested blocks never wrote into the parent's live buffer.
+    EXPECT_EQ(std::count(parent.begin(), parent.end(), 7u),
+              static_cast<std::ptrdiff_t>(parent.size()));
+  });
 }
 
 }  // namespace
