@@ -46,7 +46,11 @@ int main(int argc, char** argv) {
     t.row(row);
     obs::Json merged = obs::Json::object();
     for (u32 r = 1; r <= 5; ++r) {
-      merged.set("r" + std::to_string(r), merged_bitwidth(avg, r));
+      // Appended rather than `"r" + to_string(r)`: GCC 12 reports a false
+      // -Wrestrict overlap on that concatenation at -O3.
+      std::string key = "r";
+      key += std::to_string(r);
+      merged.set(key, merged_bitwidth(avg, r));
     }
     run.record(obs::Json::object()
                    .set("dataset", info.name)

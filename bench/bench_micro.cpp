@@ -188,6 +188,29 @@ void BM_EncodeReduceShuffle(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeReduceShuffle)->Arg(2)->Arg(3)->Arg(4);
 
+// The same stream from the host emitter compress() runs. Args: r, and
+// whether to charge the kernel's MemTally as compress() does (1) or skip it
+// like the kernel benchmark above (0).
+void BM_EmitReduceShuffle(benchmark::State& state) {
+  const auto codes = data::generate_nyx_quant(1u << 21, 5);
+  const auto freq = histogram_serial<u16>(codes, 1024);
+  const Codebook cb = build_codebook_serial(freq);
+  const ReduceShuffleConfig cfg{10, static_cast<u32>(state.range(0))};
+  simt::MemTally tally;
+  simt::MemTally* charge = state.range(1) != 0 ? &tally : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        emit_reduceshuffle<u16>(codes, cb, cfg, charge, nullptr));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(codes.size() * 2));
+}
+BENCHMARK(BM_EmitReduceShuffle)
+    ->Args({2, 0})
+    ->Args({3, 0})
+    ->Args({4, 0})
+    ->Args({3, 1});
+
 void BM_Decode(benchmark::State& state) {
   const auto codes = data::generate_nyx_quant(1u << 21, 5);
   const auto freq = histogram_serial<u16>(codes, 1024);

@@ -90,6 +90,57 @@ class BitWriter {
   u64 bits_ = 0;
 };
 
+/// MSB-first writer into caller-sized cells through a 64-bit accumulator:
+/// each put shifts the value in and stores a cell whenever 32 bits are
+/// pending. The encoders size the destination first (chunk bit counts, or
+/// the reduce/shuffle bound of one cell per group), so there is no growth
+/// check and no per-bit loop.
+class CellWriter {
+ public:
+  explicit CellWriter(word_t* out) : out_(out) {}
+
+  /// Append `value`, which must fit in its low `len` bits
+  /// (1 <= len <= 32). The current cell is stored on every call, complete
+  /// or not, and the cursor moves only when it is complete: no branch.
+  /// That store stays inside the writer's extent because a put of at least
+  /// one bit leaves the current cell holding output.
+  void put32(u64 value, unsigned len) {
+    assert(len >= 1 && len <= kWordBits &&
+           (len == kWordBits || value >> len == 0));
+    acc_ = (acc_ << len) | value;
+    fill_ += len;
+    const unsigned full = fill_ >= kWordBits ? 1 : 0;
+    fill_ -= full * kWordBits;
+    *out_ = static_cast<word_t>(acc_ >> fill_);
+    out_ += full;
+  }
+
+  /// Append `value`, which must fit in its low `len` bits (1 <= len <= 64).
+  void put(u64 value, unsigned len) {
+    if (len > kWordBits) {
+      put32(value >> kWordBits, len - kWordBits);
+      put32(value & 0xFFFFFFFFu, kWordBits);
+    } else {
+      put32(value, len);
+    }
+  }
+
+  /// Store the trailing partial cell, zero-padded; returns one past the
+  /// last cell written.
+  word_t* finish() {
+    if (fill_ > 0) {
+      *out_++ = static_cast<word_t>(acc_ << (kWordBits - fill_));
+      fill_ = 0;
+    }
+    return out_;
+  }
+
+ private:
+  word_t* out_;
+  u64 acc_ = 0;
+  unsigned fill_ = 0;  // pending bits in the low end of acc_, < 32
+};
+
 /// MSB-first bit reader over a word span.
 ///
 /// Bounds are enforced, not asserted: decoders run over attacker-supplied

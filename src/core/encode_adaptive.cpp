@@ -5,16 +5,12 @@
 #include <stdexcept>
 
 #include "core/codeword.hpp"
+#include "core/merge.hpp"
 #include "simt/block.hpp"
 
 namespace parhuff {
 
 namespace {
-
-struct ChunkOverflow {
-  std::vector<word_t> words;
-  std::vector<OverflowEntry> entries;
-};
 
 /// Largest r in [min_r, max_r] whose expected merged cell stays under
 /// `Width` bits for a chunk averaging `avg_bits` per codeword.
@@ -31,6 +27,49 @@ u32 pick_chunk_reduce(double avg_bits, unsigned width, u32 min_r, u32 max_r) {
   return r;
 }
 
+/// The chunk's r from its lookup-phase bit total (a block-local reduction
+/// on the GPU).
+u32 chunk_reduce(u64 chunk_code_bits, std::size_t nc, unsigned width,
+                 const AdaptiveConfig& cfg) {
+  const double avg = nc > 0 ? static_cast<double>(chunk_code_bits) /
+                                  static_cast<double>(nc)
+                            : 1.0;
+  return pick_chunk_reduce(avg, width, cfg.min_reduce, cfg.max_reduce);
+}
+
+void validate(const AdaptiveConfig& cfg) {
+  if (cfg.magnitude < 1 || cfg.magnitude > 12) {
+    throw std::invalid_argument("magnitude must be in [1, 12]");
+  }
+  if (cfg.min_reduce < 1 || cfg.min_reduce > cfg.max_reduce ||
+      cfg.max_reduce >= cfg.magnitude) {
+    throw std::invalid_argument("need 1 <= min_reduce <= max_reduce < magnitude");
+  }
+}
+
+EncodedStream empty_stream(std::size_t n_symbols, const AdaptiveConfig& cfg) {
+  EncodedStream out;
+  out.chunk_symbols = u32{1} << cfg.magnitude;
+  out.n_symbols = n_symbols;
+  out.reduce_factor = cfg.min_reduce;  // fallback for chunks beyond the array
+  const std::size_t chunks =
+      (n_symbols + out.chunk_symbols - 1) / out.chunk_symbols;
+  out.chunk_bits.assign(chunks, 0);
+  out.chunk_reduce.assign(chunks, static_cast<u8>(cfg.min_reduce));
+  return out;
+}
+
+void record(AdaptiveStats* stats, merging::BreakingCount broken,
+            const EncodedStream& out, std::span<const u64> chunk_code_bits) {
+  if (!stats) return;
+  stats->breaking_groups += broken.groups;
+  stats->breaking_symbols += broken.symbols;
+  for (std::size_t c = 0; c < out.chunks(); ++c) {
+    stats->r_histogram[out.chunk_reduce[c]] += 1;
+    stats->total_code_bits += chunk_code_bits[c];
+  }
+}
+
 }  // namespace
 
 template <typename Sym, unsigned Width>
@@ -41,24 +80,13 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
                                    AdaptiveStats* stats) {
   static_assert(Width == 32 || Width == 64,
                 "cells are stored in 32-bit payload words");
-  if (cfg.magnitude < 1 || cfg.magnitude > 12) {
-    throw std::invalid_argument("magnitude must be in [1, 12]");
-  }
-  if (cfg.min_reduce < 1 || cfg.min_reduce > cfg.max_reduce ||
-      cfg.max_reduce >= cfg.magnitude) {
-    throw std::invalid_argument("need 1 <= min_reduce <= max_reduce < magnitude");
-  }
+  validate(cfg);
   constexpr std::size_t kCellsPerSlot = Width / kWordBits;
   const u32 M = cfg.magnitude;
   const std::size_t N = std::size_t{1} << M;
 
-  EncodedStream out;
-  out.chunk_symbols = static_cast<u32>(N);
-  out.n_symbols = data.size();
-  out.reduce_factor = cfg.min_reduce;  // fallback for chunks beyond the array
-  const std::size_t chunks = (data.size() + N - 1) / N;
-  out.chunk_bits.assign(chunks, 0);
-  out.chunk_reduce.assign(chunks, static_cast<u8>(cfg.min_reduce));
+  EncodedStream out = empty_stream(data.size(), cfg);
+  const std::size_t chunks = out.chunks();
   if (chunks == 0) return out;
 
   // Worst-case workspace per chunk: the fewest-merged configuration
@@ -66,15 +94,17 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
   const std::size_t ws_stride =
       ((N >> cfg.min_reduce) * kCellsPerSlot) + 1;
   std::vector<word_t> work(chunks * ws_stride, 0);
-  std::vector<ChunkOverflow> chunk_ovf(chunks);
+  std::vector<merging::OverflowSection> chunk_ovf(chunks);
   // Per-chunk lookup-phase bit totals (each block writes its own slot).
   std::vector<u64> chunk_lookup_bits(chunks, 0);
 
   if (tally) {
-    tally->global_read(cb.cw.size(), sizeof(Codeword),
-                       simt::Pattern::kCoalesced);
+    merging::charge_grid(*tally, merging::Kernel::kAdaptive, cb.cw.size(),
+                         chunks);
   }
 
+  // Every phase ends at a block barrier; merging::charge_block charges the
+  // block's phases, barriers included, once its lengths are known.
   simt::launch(
       static_cast<int>(chunks),
       static_cast<int>(std::clamp<std::size_t>(N >> cfg.max_reduce, 32, 1024)),
@@ -85,7 +115,6 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
         const std::size_t nc = end - begin;
 
         auto cells = blk.shared_array<MergedCell<Width>>(N);
-        auto& t = blk.tally();
 
         // --- Lookup + chunk bit count (free byproduct of the lookup). ----
         u64 chunk_code_bits = 0;
@@ -101,23 +130,13 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
             cells[i] = MergedCell<Width>{};
           }
         }
-        t.global_read(nc, sizeof(Sym), simt::Pattern::kCoalesced);
-        t.shared_access(N, 12);
-        t.ops(N * 8);
         chunk_lookup_bits[c] = chunk_code_bits;
-        blk.sync();
 
-        // --- Per-chunk reduce decision (a block-local reduction on GPU). -
-        const double avg =
-            nc > 0 ? static_cast<double>(chunk_code_bits) /
-                         static_cast<double>(nc)
-                   : 1.0;
-        const u32 r =
-            pick_chunk_reduce(avg, Width, cfg.min_reduce, cfg.max_reduce);
+        // --- Per-chunk reduce decision. ----------------------------------
+        const u32 r = chunk_reduce(chunk_code_bits, nc, Width, cfg);
         out.chunk_reduce[c] = static_cast<u8>(r);
         const std::size_t group_syms = std::size_t{1} << r;
         const std::size_t n_slots = N >> r;
-        t.ops(N);  // tree reduction for the bit count
 
         // --- REDUCE-merge. -----------------------------------------------
         for (u32 it = 1; it <= r; ++it) {
@@ -127,35 +146,18 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
             m.append(cells[2 * k + 1]);
             cells[k] = m;
           }
-          t.shared_access(active * 3, 12);
-          t.ops(N * 3 * static_cast<u64>(it) * it / 2);
-          blk.sync();
         }
 
         // --- Breaking points (rarer by construction, same handling). -----
-        auto& ovf = chunk_ovf[c];
-        BitWriter bw(ovf.words);  // writes nothing until a slot breaks
+        merging::OverflowWriter ovf(chunk_ovf[c], static_cast<u32>(c));
         for (std::size_t g = 0; g < n_slots; ++g) {
           if (!cells[g].breaking) continue;
           const std::size_t gb = begin + g * group_syms;
           const std::size_t ge = std::min(gb + group_syms, end);
-          OverflowEntry e;
-          e.chunk = static_cast<u32>(c);
-          e.group = static_cast<u32>(g);
-          e.bit_offset = bw.bits();
-          e.n_symbols = static_cast<u32>(ge - gb);
-          for (std::size_t i = gb; i < ge; ++i) {
-            const Codeword cw = cb.cw[static_cast<std::size_t>(data[i])];
-            bw.put(cw.bits, cw.len);
-          }
-          e.bit_len = static_cast<u32>(bw.bits() - e.bit_offset);
-          ovf.entries.push_back(e);
+          ovf.add(static_cast<u32>(g), data.subspan(gb, ge - gb), cb);
           cells[g] = MergedCell<Width>{};
-          t.global_read(ge - gb, sizeof(Sym), simt::Pattern::kStrided);
-          t.global_write((e.bit_len + 7) / 8, 1, simt::Pattern::kStrided);
         }
-        if (!ovf.entries.empty()) bw.finish_into_sink();
-        blk.sync();
+        ovf.finish();
 
         // --- SHUFFLE-merge over Width-bit slots. --------------------------
         word_t* buf = work.data() + c * ws_stride;
@@ -177,13 +179,11 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
             buf[j * slot_cells] = static_cast<word_t>(aligned);
           }
         }
-        t.shared_access(n_slots * slot_cells * 2, sizeof(word_t));
 
         auto scratch = blk.shared_array<word_t>(n_slots * slot_cells / 2 + 1);
         const u32 s = M - r;
         for (u32 it = 1; it <= s; ++it) {
           const std::size_t pairs = n_slots >> it;
-          u64 moved_cells = 0;
           for (std::size_t p = 0; p < pairs; ++p) {
             const std::size_t left_slot = p << it;
             const std::size_t right_slot =
@@ -198,16 +198,17 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
               std::copy_n(right_cells, rwords, scratch.data());
               std::fill_n(right_cells, rwords, word_t{0});
               append_bits(left_cells, llen, scratch.data(), rlen);
-              moved_cells += rwords;
             }
             glen[left_slot] = llen + rlen;
           }
-          t.shared_access(moved_cells * 3, sizeof(word_t));
-          t.ops(n_slots * slot_cells * 32);
-          t.divergent_branches += pairs;
-          blk.sync();
         }
         out.chunk_bits[c] = glen[0];
+        // glen now holds the folded pair tree (merging::fold_pair_tree).
+        merging::charge_block(
+            blk.tally(),
+            merging::BlockShape{merging::Kernel::kAdaptive, M, r, nc,
+                                sizeof(Sym), kCellsPerSlot},
+            chunk_ovf[c].entries, glen);
       });
 
   out.payload.assign(layout_chunks(out), 0);
@@ -218,61 +219,59 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
                  const std::size_t words = words_for_bits(out.chunk_bits[c]);
                  std::copy_n(work.data() + c * ws_stride, words,
                              out.payload.data() + out.chunk_word_offset[c]);
-                 blk.tally().global_read(words, sizeof(word_t),
-                                         simt::Pattern::kCoalesced);
-                 blk.tally().global_write(words, sizeof(word_t),
-                                          simt::Pattern::kCoalesced);
+                 merging::charge_copy_block(blk.tally(), words);
                });
-  // Per-chunk factors travel with the stream: one strided byte per chunk.
-  if (tally) {
-    tally->global_write(chunks, 1, simt::Pattern::kCoalesced);
-  }
 
-  u64 ovf_bits = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    auto& ovf = chunk_ovf[c];
-    if (ovf.entries.empty()) continue;
-    for (OverflowEntry e : ovf.entries) {
-      e.bit_offset += ovf_bits;
-      out.overflow.push_back(e);
-      if (stats) {
-        stats->breaking_groups += 1;
-        stats->breaking_symbols += e.n_symbols;
-      }
-    }
-    out.overflow_payload.insert(out.overflow_payload.end(), ovf.words.begin(),
-                                ovf.words.end());
-    ovf_bits += static_cast<u64>(ovf.words.size()) * kWordBits;
-  }
-  out.overflow_bits = ovf_bits;
-  if (stats) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      stats->r_histogram[out.chunk_reduce[c]] += 1;
-      stats->total_code_bits += chunk_lookup_bits[c];
-    }
-  }
+  record(stats, merging::merge_overflow(out, chunk_ovf), out,
+         chunk_lookup_bits);
+  return out;
+}
+
+template <typename Sym, unsigned Width>
+EncodedStream emit_adaptive(std::span<const Sym> data, const Codebook& cb,
+                            const AdaptiveConfig& cfg, simt::MemTally* tally,
+                            AdaptiveStats* stats) {
+  static_assert(Width == 32 || Width == 64,
+                "cells are stored in 32-bit payload words");
+  validate(cfg);
+  EncodedStream out = empty_stream(data.size(), cfg);
+  if (out.chunk_bits.empty()) return out;
+  std::vector<u64> chunk_lookup_bits(out.chunks(), 0);
+  const merging::BreakingCount broken = merging::emit<Width>(
+      out, data, cb, merging::Kernel::kAdaptive,
+      out.chunk_symbols >> cfg.min_reduce,
+      [&](std::size_t c, std::span<const Sym> chunk) {
+        u64 bits = 0;
+        for (const Sym sym : chunk) {
+          const u8 len = cb.cw[static_cast<std::size_t>(sym)].len;
+          if (len == 0) throw std::runtime_error("symbol absent");
+          bits += len;
+        }
+        chunk_lookup_bits[c] = bits;
+        const u32 r = chunk_reduce(bits, chunk.size(), Width, cfg);
+        out.chunk_reduce[c] = static_cast<u8>(r);
+        return r;
+      },
+      tally, nullptr);
+  record(stats, broken, out, chunk_lookup_bits);
   return out;
 }
 
 template EncodedStream encode_adaptive_simt<u8, 32>(std::span<const u8>,
-                                                    const Codebook&,
-                                                    const AdaptiveConfig&,
-                                                    simt::MemTally*,
-                                                    AdaptiveStats*);
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
 template EncodedStream encode_adaptive_simt<u16, 32>(std::span<const u16>,
-                                                     const Codebook&,
-                                                     const AdaptiveConfig&,
-                                                     simt::MemTally*,
-                                                     AdaptiveStats*);
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
 template EncodedStream encode_adaptive_simt<u8, 64>(std::span<const u8>,
-                                                    const Codebook&,
-                                                    const AdaptiveConfig&,
-                                                    simt::MemTally*,
-                                                    AdaptiveStats*);
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
 template EncodedStream encode_adaptive_simt<u16, 64>(std::span<const u16>,
-                                                     const Codebook&,
-                                                     const AdaptiveConfig&,
-                                                     simt::MemTally*,
-                                                     AdaptiveStats*);
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
+template EncodedStream emit_adaptive<u8, 32>(std::span<const u8>,
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
+template EncodedStream emit_adaptive<u16, 32>(std::span<const u16>,
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
+template EncodedStream emit_adaptive<u8, 64>(std::span<const u8>,
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
+template EncodedStream emit_adaptive<u16, 64>(std::span<const u16>,
+    const Codebook&, const AdaptiveConfig&, simt::MemTally*, AdaptiveStats*);
 
 }  // namespace parhuff

@@ -22,6 +22,10 @@
 // The cell width is a template parameter: 32 reproduces the paper's
 // uint32_t configuration; 64 trades double the shuffle traffic for another
 // 2x merge headroom (the uint{8,16,32}_t discussion of §IV-C).
+//
+// As for the fixed-r encoder, encode_adaptive_simt simulates the kernel and
+// emit_adaptive writes the same stream, stats and MemTally in one host pass
+// (core/merge.hpp).
 
 #include <array>
 #include <span>
@@ -51,6 +55,8 @@ struct AdaptiveStats {
   u64 total_code_bits = 0;
   /// Histogram of chosen per-chunk reduce factors (index = r).
   std::array<u64, 16> r_histogram{};
+
+  friend bool operator==(const AdaptiveStats&, const AdaptiveStats&) = default;
 };
 
 template <typename Sym, unsigned Width = 32>
@@ -58,6 +64,15 @@ template <typename Sym, unsigned Width = 32>
     std::span<const Sym> data, const Codebook& cb,
     const AdaptiveConfig& cfg = {}, simt::MemTally* tally = nullptr,
     AdaptiveStats* stats = nullptr);
+
+/// The same stream, stats and MemTally as encode_adaptive_simt, from the
+/// one-pass host emitter (core/merge.hpp).
+template <typename Sym, unsigned Width = 32>
+[[nodiscard]] EncodedStream emit_adaptive(std::span<const Sym> data,
+                                          const Codebook& cb,
+                                          const AdaptiveConfig& cfg = {},
+                                          simt::MemTally* tally = nullptr,
+                                          AdaptiveStats* stats = nullptr);
 
 extern template EncodedStream encode_adaptive_simt<u8, 32>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
@@ -69,6 +84,18 @@ extern template EncodedStream encode_adaptive_simt<u8, 64>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
     simt::MemTally*, AdaptiveStats*);
 extern template EncodedStream encode_adaptive_simt<u16, 64>(
+    std::span<const u16>, const Codebook&, const AdaptiveConfig&,
+    simt::MemTally*, AdaptiveStats*);
+extern template EncodedStream emit_adaptive<u8, 32>(
+    std::span<const u8>, const Codebook&, const AdaptiveConfig&,
+    simt::MemTally*, AdaptiveStats*);
+extern template EncodedStream emit_adaptive<u16, 32>(
+    std::span<const u16>, const Codebook&, const AdaptiveConfig&,
+    simt::MemTally*, AdaptiveStats*);
+extern template EncodedStream emit_adaptive<u8, 64>(
+    std::span<const u8>, const Codebook&, const AdaptiveConfig&,
+    simt::MemTally*, AdaptiveStats*);
+extern template EncodedStream emit_adaptive<u16, 64>(
     std::span<const u16>, const Codebook&, const AdaptiveConfig&,
     simt::MemTally*, AdaptiveStats*);
 

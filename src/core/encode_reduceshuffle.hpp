@@ -28,6 +28,12 @@
 //
 // The decoded output is identical to the baseline encoders'; when no group
 // breaks, the chunk payload is bit-identical too.
+//
+// Two entry points produce the same stream. encode_reduceshuffle_simt
+// simulates the kernel above thread by thread on the SIMT substrate — the
+// model the kernel benches (Table II, Fig. 3, ablation) study.
+// emit_reduceshuffle writes the same bytes in one host pass and charges the
+// same MemTally from lengths (core/merge.hpp); compress() runs it.
 
 #include <span>
 
@@ -50,6 +56,9 @@ struct ReduceShuffleStats {
   u64 breaking_symbols = 0;
   u64 reduce_iterations = 0;
   u64 shuffle_iterations = 0;
+
+  friend bool operator==(const ReduceShuffleStats&,
+                         const ReduceShuffleStats&) = default;
 };
 
 /// `cancel` is polled once per chunk (= one thread block) at the top of
@@ -60,10 +69,26 @@ template <typename Sym>
     const ReduceShuffleConfig& cfg = {}, simt::MemTally* tally = nullptr,
     ReduceShuffleStats* stats = nullptr, const CancelToken* cancel = nullptr);
 
+/// The same stream, stats and MemTally as encode_reduceshuffle_simt, from
+/// the one-pass host emitter (core/merge.hpp). The tally is the kernel's
+/// modeled cost, not a measurement of the emitter. `cancel` is polled once
+/// per chunk.
+template <typename Sym>
+[[nodiscard]] EncodedStream emit_reduceshuffle(
+    std::span<const Sym> data, const Codebook& cb,
+    const ReduceShuffleConfig& cfg = {}, simt::MemTally* tally = nullptr,
+    ReduceShuffleStats* stats = nullptr, const CancelToken* cancel = nullptr);
+
 extern template EncodedStream encode_reduceshuffle_simt<u8>(
     std::span<const u8>, const Codebook&, const ReduceShuffleConfig&,
     simt::MemTally*, ReduceShuffleStats*, const CancelToken*);
 extern template EncodedStream encode_reduceshuffle_simt<u16>(
+    std::span<const u16>, const Codebook&, const ReduceShuffleConfig&,
+    simt::MemTally*, ReduceShuffleStats*, const CancelToken*);
+extern template EncodedStream emit_reduceshuffle<u8>(
+    std::span<const u8>, const Codebook&, const ReduceShuffleConfig&,
+    simt::MemTally*, ReduceShuffleStats*, const CancelToken*);
+extern template EncodedStream emit_reduceshuffle<u16>(
     std::span<const u16>, const Codebook&, const ReduceShuffleConfig&,
     simt::MemTally*, ReduceShuffleStats*, const CancelToken*);
 

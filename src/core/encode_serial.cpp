@@ -1,5 +1,6 @@
 #include "core/encode_serial.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -9,22 +10,8 @@ namespace parhuff {
 
 namespace {
 
-/// Encode chunk symbols [begin, end) into `words`, returning the bit count.
-template <typename Sym>
-u64 encode_chunk(std::span<const Sym> data, std::size_t begin,
-                 std::size_t end, const Codebook& cb,
-                 std::vector<word_t>& words) {
-  BitWriter bw(words);
-  for (std::size_t i = begin; i < end; ++i) {
-    const Codeword c = cb.cw[static_cast<std::size_t>(data[i])];
-    if (c.len == 0) throw std::runtime_error("symbol absent from codebook");
-    bw.put(c.bits, c.len);
-  }
-  const u64 bits = bw.bits();
-  bw.finish_into_sink();
-  return bits;
-}
-
+/// Two passes over each chunk: its bit count (which places it), then its
+/// codewords, written in place through a CellWriter.
 template <typename Sym>
 EncodedStream encode_chunked(std::span<const Sym> data, const Codebook& cb,
                              u32 chunk_symbols, int threads) {
@@ -35,27 +22,38 @@ EncodedStream encode_chunked(std::span<const Sym> data, const Codebook& cb,
   const std::size_t chunks =
       (data.size() + chunk_symbols - 1) / chunk_symbols;
   out.chunk_bits.assign(chunks, 0);
+  const Codeword* table = cb.cw.data();
+  const auto chunk_of = [&](std::size_t c) {
+    const std::size_t begin = c * chunk_symbols;
+    return data.subspan(begin, std::min<std::size_t>(chunk_symbols,
+                                                     data.size() - begin));
+  };
 
-  std::vector<std::vector<word_t>> chunk_words(chunks);
   parallel_for(
       chunks,
       [&](std::size_t c) {
-        const std::size_t begin = c * chunk_symbols;
-        const std::size_t end =
-            std::min<std::size_t>(begin + chunk_symbols, data.size());
-        out.chunk_bits[c] = encode_chunk(data, begin, end, cb, chunk_words[c]);
+        u64 bits = 0;
+        for (const Sym sym : chunk_of(c)) {
+          const u8 len = table[static_cast<std::size_t>(sym)].len;
+          if (len == 0) {
+            throw std::runtime_error("symbol absent from codebook");
+          }
+          bits += len;
+        }
+        out.chunk_bits[c] = bits;
       },
       threads);
 
-  const std::size_t total_words = layout_chunks(out);
-  out.payload.assign(total_words, 0);
+  out.payload.assign(layout_chunks(out), 0);
   parallel_for(
       chunks,
       [&](std::size_t c) {
-        const auto& w = chunk_words[c];
-        std::copy(w.begin(), w.end(),
-                  out.payload.begin() +
-                      static_cast<std::ptrdiff_t>(out.chunk_word_offset[c]));
+        CellWriter w(out.payload.data() + out.chunk_word_offset[c]);
+        for (const Sym sym : chunk_of(c)) {
+          const Codeword cw = table[static_cast<std::size_t>(sym)];
+          w.put(cw.bits, cw.len);
+        }
+        w.finish();
       },
       threads);
   return out;

@@ -1,5 +1,5 @@
 #pragma once
-// Baseline encoders that walk chunks with a BitWriter:
+// Baseline encoders that walk chunks with a CellWriter:
 //  * encode_serial — the SZ-style single-thread encoder.
 //  * encode_openmp — the paper's multithreaded CPU encoder (Table VI):
 //    chunks are distributed over OpenMP threads, each thread encodes its

@@ -129,16 +129,17 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
               ? *cfg.reduce_factor
               : decide_reduce_factor(rep.avg_bits, cfg.magnitude);
       rep.reduce_factor = rs.reduce_factor;
-      stream = encode_reduceshuffle_simt(data, cb, rs, &rep.encode_tally,
-                                         &rep.rs, cancel);
+      // The host emitter writes the kernel's bytes and charges the
+      // kernel's modeled tally; encode_reduceshuffle_simt is the model.
+      stream = emit_reduceshuffle(data, cb, rs, &rep.encode_tally, &rep.rs,
+                                  cancel);
       break;
     }
     case EncoderKind::kAdaptiveSimt: {
       AdaptiveConfig ac;
       ac.magnitude = cfg.magnitude;
       AdaptiveStats st;
-      stream = encode_adaptive_simt<Sym, 32>(data, cb, ac, &rep.encode_tally,
-                                             &st);
+      stream = emit_adaptive<Sym, 32>(data, cb, ac, &rep.encode_tally, &st);
       rep.rs.breaking_groups = st.breaking_groups;
       rep.rs.breaking_symbols = st.breaking_symbols;
       break;

@@ -35,6 +35,9 @@
 // stack: a `launch` started from inside a block on the same host thread
 // gets the next arena down, never its parent's live buffer. Allocations
 // past the 96 KiB budget throw `std::length_error` (in every build type).
+// Under AddressSanitizer the part of an arena no block has leased is
+// poisoned: an access past a block's last `shared_array` faults even
+// though it stays inside the 96 KiB buffer.
 
 #include <algorithm>
 #include <cassert>
@@ -48,6 +51,15 @@
 #include "obs/trace.hpp"
 #include "simt/mem_model.hpp"
 #include "util/parallel.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define PARHUFF_ASAN_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define PARHUFF_ASAN_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define PARHUFF_ASAN_POISON(p, n) ((void)(p), (void)(n))
+#define PARHUFF_ASAN_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace parhuff::simt {
 
@@ -73,6 +85,7 @@ class SharedMem {
           "simulated shared memory exhausted (96 KiB/block)");
     }
     used_ = aligned + n * sizeof(T);
+    PARHUFF_ASAN_UNPOISON(storage_.data() + aligned, n * sizeof(T));
     return {reinterpret_cast<T*>(storage_.data() + aligned), n};
   }
 
@@ -88,13 +101,24 @@ namespace detail {
 
 /// The calling host thread's arenas, one per nesting depth. Arenas are
 /// allocated on first use at a depth and kept for the thread's lifetime.
+/// An arena is poisoned whenever no block holds it.
 struct ArenaStack {
   std::vector<std::unique_ptr<std::byte[]>> arenas;
   std::size_t depth = 0;
 
+  ArenaStack() = default;
+  ArenaStack(const ArenaStack&) = delete;
+  ArenaStack& operator=(const ArenaStack&) = delete;
+  ~ArenaStack() {
+    for (auto& arena : arenas) {
+      PARHUFF_ASAN_UNPOISON(arena.get(), kSharedMemBytes);
+    }
+  }
+
   void grow() {
     arenas.push_back(
         std::make_unique_for_overwrite<std::byte[]>(kSharedMemBytes));
+    PARHUFF_ASAN_POISON(arenas.back().get(), kSharedMemBytes);
   }
 };
 
@@ -110,7 +134,11 @@ class ArenaLease {
     if (stack_.depth == stack_.arenas.size()) stack_.grow();
     storage_ = {stack_.arenas[stack_.depth++].get(), kSharedMemBytes};
   }
-  ~ArenaLease() { --stack_.depth; }
+  ~ArenaLease() {
+    // The block retires: everything it leased is off limits again.
+    PARHUFF_ASAN_POISON(storage_.data(), storage_.size());
+    --stack_.depth;
+  }
   ArenaLease(const ArenaLease&) = delete;
   ArenaLease& operator=(const ArenaLease&) = delete;
 
@@ -123,15 +151,18 @@ class ArenaLease {
 
 }  // namespace detail
 
-/// Fill every shared-memory arena the calling host thread holds with
-/// `value`, creating its first arena if it has none yet. A test hook: run
-/// it on every pool thread to show a kernel's output does not depend on
-/// what shared memory held before the block started.
+/// Fill every shared-memory arena the calling host thread holds and no
+/// block has leased with `value`, creating its first arena if it has none
+/// yet. A test hook: run it on every pool thread to show a kernel's output
+/// does not depend on what shared memory held before the block started.
 inline void fill_thread_arenas(std::byte value) {
   auto& stack = detail::thread_arenas();
   if (stack.arenas.empty()) stack.grow();
-  for (auto& arena : stack.arenas) {
-    std::fill_n(arena.get(), kSharedMemBytes, value);
+  for (std::size_t d = stack.depth; d < stack.arenas.size(); ++d) {
+    std::byte* arena = stack.arenas[d].get();
+    PARHUFF_ASAN_UNPOISON(arena, kSharedMemBytes);
+    std::fill_n(arena, kSharedMemBytes, value);
+    PARHUFF_ASAN_POISON(arena, kSharedMemBytes);
   }
 }
 
@@ -215,3 +246,6 @@ void launch(int grid_dim, int block_dim, MemTally* tally, Kernel&& kernel) {
 }
 
 }  // namespace parhuff::simt
+
+#undef PARHUFF_ASAN_POISON
+#undef PARHUFF_ASAN_UNPOISON

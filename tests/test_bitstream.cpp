@@ -70,6 +70,31 @@ TEST(BitRoundTrip, RandomPieces) {
   }
 }
 
+TEST(CellWriter, MatchesBitWriterAndStaysInItsExtent) {
+  Xoshiro256 rng(43);
+  for (int trial = 0; trial < 50; ++trial) {
+    BitWriter bw;
+    std::vector<std::pair<u64, unsigned>> pieces;
+    u64 total = 0;
+    for (int i = 0, n = static_cast<int>(rng.below(120)); i < n; ++i) {
+      const unsigned len = 1 + static_cast<unsigned>(rng.below(58));
+      pieces.emplace_back(rng.next() & ((u64{1} << len) - 1), len);
+      bw.put(pieces.back().first, len);
+      total += len;
+    }
+    const std::vector<word_t> want = bw.finish();
+    // A sentinel cell after the extent: CellWriter's every-call store must
+    // never reach it.
+    std::vector<word_t> got(words_for_bits(total) + 1, 0xA5A5A5A5u);
+    CellWriter w(got.data());
+    for (const auto& [v, len] : pieces) w.put(v, len);
+    EXPECT_EQ(w.finish(), got.data() + want.size());
+    EXPECT_EQ(got.back(), 0xA5A5A5A5u);
+    got.pop_back();
+    EXPECT_EQ(got, want);
+  }
+}
+
 TEST(BitReader, SeekRepositions) {
   BitWriter bw;
   bw.put(0b1010, 4);

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <omp.h>
+
 #include "core/decode.hpp"
 #include "core/decode_gaparray.hpp"
 #include "core/decode_simt.hpp"
@@ -412,23 +414,48 @@ TEST(ServiceCancel, DeadlineExpiresMidEncodeAsDeadlineExceeded) {
   EXPECT_EQ(reg.counter("svc.requests_completed"), completed0);
 }
 
+/// A virtual clock whose time moves only for reads made inside an OpenMP
+/// parallel region — the SIMT grids' per-block polls (simt::launch runs its
+/// blocks in a parallel region even with a one-thread team). The service's
+/// scheduler and pool threads read the same clock from outside any region,
+/// so however often they run, they cannot move a deadline's expiry point.
+class GridPollClock final : public Clock {
+ public:
+  explicit GridPollClock(duration step) : step_(step) {}
+
+  [[nodiscard]] time_point now() const override {
+    if (omp_get_level() > 0) vc_.advance(step_);
+    return vc_.now();
+  }
+  void sleep_for(duration d) const override { vc_.sleep_for(d); }
+  std::cv_status wait_until(std::condition_variable& cv,
+                            std::unique_lock<std::mutex>& lk,
+                            time_point tp) const override {
+    return vc_.wait_until(cv, lk, tp);
+  }
+
+ private:
+  mutable VirtualClock vc_;
+  duration step_;
+};
+
 TEST(ServiceCancel, DeadlineExpiresMidHistogramAsDeadlineExceeded) {
   auto& reg = obs::MetricsRegistry::global();
   const u64 midstage0 = reg.counter("svc.cancelled_midstage");
 
-  VirtualClock vc;
-  vc.auto_advance_every(1, Clock::dur(1e-3));
+  GridPollClock clock(Clock::dur(1e-3));
   svc::ServiceConfig sc;
   sc.workers = 1;
   sc.batch_max_requests = 1;
-  sc.clock = &vc;
+  sc.clock = &clock;
   svc::CompressionService<u8> svc(sc);
 
   PipelineConfig cfg = serial_config();
   cfg.histogram = HistogramKind::kSimt;  // 160 block polls, serial rest
   const auto data = ramp_data(32 * 1024);
   svc::SubmitOptions opts;
-  opts.deadline = svc::Deadline::in(20e-3, vc);  // inside the SIMT grid
+  // Only the histogram grid's polls move the clock: expiry at poll 20.
+  opts.deadline = svc::Deadline::in(20e-3, clock);
   auto sub = svc.submit(std::span<const u8>(data), cfg, opts);
   EXPECT_THROW(sub.result.get(), svc::DeadlineExceeded);
   svc.drain();

@@ -2,7 +2,8 @@
 // on its host thread left in the reused arena. Every SIMT kernel must
 // therefore write what it reads. Each test runs one kernel twice, after
 // filling every pool thread's arenas with 0x00 and then with 0xFF, and
-// requires identical output and an identical MemTally both times.
+// requires identical output and an identical MemTally both times. Under
+// AddressSanitizer the arena's unleased tail is poisoned as well.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -22,6 +23,10 @@
 #include "simt/block.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace parhuff {
 namespace {
@@ -161,6 +166,30 @@ TEST(SharedMemDirty, Decoders) {
   });
   EXPECT_EQ(decode_gaparray<u8>(gapped, text_book()), text());
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(SharedMemPoison, UnleasedTailAndRetiredLeaseArePoisoned) {
+  const u32* lease = nullptr;
+  bool leased_addressable = false;
+  bool tail_poisoned = false;
+  bool arena_end_poisoned = false;
+  simt::launch(1, 32, nullptr, [&](simt::BlockCtx& blk) {
+    auto a = blk.shared_array<u32>(10);
+    lease = a.data();
+    leased_addressable = !__asan_address_is_poisoned(&a[0]) &&
+                         !__asan_address_is_poisoned(&a[9]);
+    tail_poisoned = __asan_address_is_poisoned(a.data() + 10) != 0;
+    const auto* base = reinterpret_cast<const std::byte*>(a.data());
+    arena_end_poisoned =
+        __asan_address_is_poisoned(base + simt::kSharedMemBytes - 1) != 0;
+  });
+  EXPECT_TRUE(leased_addressable);
+  EXPECT_TRUE(tail_poisoned);
+  EXPECT_TRUE(arena_end_poisoned);
+  // The block retired: its lease is poisoned again.
+  EXPECT_TRUE(__asan_address_is_poisoned(lease));
+}
+#endif
 
 }  // namespace
 }  // namespace parhuff
