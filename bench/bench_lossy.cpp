@@ -1,6 +1,7 @@
 // Lossy-path bench: fused single-pass compression (predict + quantize +
-// histogram + RLE extraction, lossy/fused.hpp) vs the glued two-pass
-// pipeline (lossy/lossy.hpp: full code buffer, then Huffman re-scans it).
+// histogram + RLE extraction, lossy/fused.hpp) vs a glued two-pass
+// baseline built from the library stages (data::lorenzo_quantize
+// materializes the full code buffer, then compress<u16> re-scans it).
 //
 // Three field families, each at an error bound wide enough that Lorenzo
 // prediction lands most elements in the center bin (the regime SZ/cuSZ
@@ -22,13 +23,15 @@
 // repeated config to measure the codebook-cache hit path and snapshot the
 // lossy.* counters (requests == completed + failed is re-checked in CI).
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common.hpp"
+#include "core/format.hpp"
+#include "core/pipeline.hpp"
 #include "data/quant.hpp"
 #include "lossy/fused.hpp"
-#include "lossy/lossy.hpp"
 #include "svc/service.hpp"
 
 namespace {
@@ -68,26 +71,36 @@ struct PathRun {
   std::size_t outliers = 0;
 };
 
+/// The glued baseline: resolve the bound, quantize the whole field into a
+/// code buffer, then run the Huffman pipeline over it. Its size is what a
+/// self-contained container of that output would take: a 48-byte header
+/// (magic, dims, bound, nbins, outlier count), 8 bytes per outlier, an
+/// 8-byte length, then the PHF2 bytes.
 PathRun run_glued(const std::vector<float>& field, data::Dims dims,
                   const lossy::FusedConfig& fc, int reps) {
-  lossy::Config cfg;
-  cfg.rel_error_bound = fc.rel_error_bound;
-  cfg.abs_error_bound = fc.abs_error_bound;
-  cfg.nbins = fc.nbins;
-  cfg.encoder = fc.pipeline.encoder;
-  cfg.magnitude = fc.pipeline.magnitude;
+  PipelineConfig pc;
+  pc.nbins = fc.nbins;
+  pc.encoder = fc.pipeline.encoder;
+  pc.magnitude = fc.pipeline.magnitude;
   PathRun r;
   r.seconds = 1e30;
   for (int i = 0; i < reps; ++i) {
-    lossy::Report rep;
     Timer t;
-    const auto bytes = lossy::compress_field(field, dims, cfg, &rep);
+    double eb = fc.abs_error_bound;
+    if (eb <= 0) {
+      const auto [lo, hi] = std::minmax_element(field.begin(), field.end());
+      eb = static_cast<double>(*hi - *lo) * fc.rel_error_bound;
+      if (eb <= 0) eb = 1e-30;
+    }
+    const data::Quantized q = data::lorenzo_quantize(field, dims, eb, fc.nbins);
+    const std::vector<u8> huff = serialize(compress<u16>(q.codes, pc));
     const double s = t.seconds();
     if (s < r.seconds) r.seconds = s;
-    r.ratio = rep.ratio();
-    r.bytes = bytes.size();
+    r.bytes = 48 + q.outliers.size() * 8 + 8 + huff.size();
+    r.ratio = static_cast<double>(field.size() * sizeof(float)) /
+              static_cast<double>(r.bytes);
     r.residual_symbols = dims.total();
-    r.outliers = rep.outliers;
+    r.outliers = q.outliers.size();
   }
   return r;
 }

@@ -57,9 +57,10 @@ class ByteReader {
   template <typename T>
   std::vector<T> get_array(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
-    need(n * sizeof(T));
+    need(n, sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -77,11 +78,12 @@ class ByteReader {
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
 
  private:
-  void need(std::size_t n) {
-    if (n > bytes_.size() - pos_) {
+  /// Throws unless `count` items of `width` bytes remain. Divides rather
+  /// than multiplies, so a forged count cannot wrap the check.
+  void need(std::size_t count, std::size_t width = 1) {
+    if (count > remaining() / width) {
       throw std::runtime_error("parhuff container: truncated input");
     }
-    // (pos_ <= size always; n > remaining covers overflow-safe check)
   }
   std::span<const u8> bytes_;
   std::size_t pos_ = 0;

@@ -15,6 +15,7 @@
 // 1024 bins).
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "util/types.hpp"
@@ -23,8 +24,19 @@ namespace parhuff::data {
 
 struct Dims {
   std::size_t nx = 0, ny = 0, nz = 0;
+  /// Wraps for huge extents: untrusted dims go through checked_total.
   [[nodiscard]] std::size_t total() const { return nx * ny * nz; }
 };
+
+/// nx*ny*nz when every extent is nonzero and the product is at most
+/// `limit`, else nullopt. The product is bounded stepwise, so forged dims
+/// never wrap into a plausible count.
+[[nodiscard]] inline std::optional<std::size_t> checked_total(
+    Dims d, std::size_t limit) {
+  if (d.nx == 0 || d.ny == 0 || d.nz == 0) return std::nullopt;
+  if (d.nx > limit / d.ny || d.nx * d.ny > limit / d.nz) return std::nullopt;
+  return d.total();
+}
 
 /// Synthetic baryon-density-like field.
 [[nodiscard]] std::vector<float> generate_cosmo_field(Dims dims, u64 seed);

@@ -21,6 +21,8 @@ constexpr char kMagicFused[4] = {'P', 'H', 'L', '2'};
 /// reconstruct walk (matches the decode-side contract of >= one poll per
 /// 64 Ki symbols).
 constexpr std::size_t kPollStride = 64 * 1024;
+/// Outlier indices are u32, so a field holds at most 2^32 - 1 elements.
+constexpr std::size_t kMaxElements = 0xFFFFFFFFull;
 
 /// Resolve the absolute error bound over the *finite* values only — a
 /// field polluted with NaN/Inf must not poison the relative-range mode
@@ -90,7 +92,7 @@ std::vector<u8> encode_residual(const std::vector<u16>& residual,
   return serialize(blob);
 }
 
-/// Reconstruction shared by decompress_field_fused: inverse Lorenzo walk
+/// Reconstruction for decompress_field: inverse Lorenzo walk
 /// with the fused path's outlier rule — outliers restore the stored value
 /// bit-exactly, but *predict* as 0.0f when that value is non-finite
 /// (mirroring the compressor, which cannot let a NaN poison every
@@ -150,10 +152,10 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
                                      FusedReport* report,
                                      const CodebookSource* books,
                                      const CancelToken* cancel) {
-  if (field.size() != dims.total() || dims.total() == 0) {
+  if (data::checked_total(dims, field.size()) != field.size()) {
     throw std::invalid_argument("lossy: field size does not match dims");
   }
-  if (dims.total() > 0xFFFFFFFFull) {
+  if (field.size() > kMaxElements) {
     throw std::invalid_argument(
         "lossy: field exceeds the u32 outlier index space");
   }
@@ -266,8 +268,7 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
   return bytes;
 }
 
-Field decompress_field_fused(std::span<const u8> bytes,
-                             const CancelToken* cancel) {
+Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   ByteReader r(bytes);
   const auto magic = r.get_array<char>(4);
@@ -281,11 +282,14 @@ Field decompress_field_fused(std::span<const u8> bytes,
   const double eb = r.get<double>();
   const u32 nbins = r.get<u32>();
   const u8 sym_bytes = r.get<u8>();
-  const std::size_t total = dims.total();
-  if (total == 0 || total > 0xFFFFFFFFull || !std::isfinite(eb) || eb <= 0 ||
-      nbins < 4 || nbins > 65536) {
+  // Stepwise: wrapped dims would pass a check on dims.total() while the
+  // reconstruct walk loops over the real nx*ny*nz.
+  const auto checked = data::checked_total(dims, kMaxElements);
+  if (!checked || !std::isfinite(eb) || eb <= 0 || nbins < 4 ||
+      nbins > 65536) {
     throw std::runtime_error("lossy container: implausible header");
   }
+  const std::size_t total = *checked;
   if (sym_bytes != (nbins <= 256 ? 1 : 2)) {
     throw std::runtime_error("lossy container: symbol width mismatch");
   }

@@ -1,9 +1,9 @@
 #pragma once
 // Fused error-bounded lossy compression (cuSZ+-style, PAPERS.md #5;
-// docs/lossy.md). The glued path (lossy.hpp) materializes the full
-// quantization-code buffer, then hands it to the Huffman pipeline, which
-// scans it again for the histogram. The fused path does prediction,
-// quantization, histogramming and run-length extraction in ONE pass:
+// docs/lossy.md). A glued pipeline materializes the full quantization-code
+// buffer, then hands it to the Huffman pipeline, which scans it again for
+// the histogram. The fused path does prediction, quantization,
+// histogramming and run-length extraction in ONE pass:
 //
 //   float field ──► Lorenzo predict ─► quantize ─► RleAccumulator
 //                                         │             │
@@ -18,20 +18,19 @@
 // core/format.hpp), and only the residual stream is Huffman-coded — over
 // the narrow u8 alphabet when nbins <= 256, u16 otherwise.
 //
-// Containers: "PHL2" = fused layout (header + outlier side channel + an
-// embedded PHF2/PHF3 container whose stream may carry the RLE1 field).
-// lossy::decompress_field() dispatches on the magic, so PHL1 and PHL2
-// containers decompress through one entry point. Decompression guarantees
-// |out - in| <= eb elementwise; outliers — including NaN/Inf inputs, which
-// quantizers must never feed to llround — are restored bit-exactly, with
-// 0.0f substituted as their *prediction* input on both sides so the two
-// reconstructions stay in lockstep.
+// Container: "PHL2" = header + outlier side channel + an embedded
+// PHF2/PHF3 container whose stream may carry the RLE1 field;
+// lossy::decompress_field() (lossy.hpp) reads it. Decompression
+// guarantees |out - in| <= eb elementwise; outliers — including NaN/Inf
+// inputs, which quantizers must never feed to llround — are restored
+// bit-exactly, with 0.0f substituted as their *prediction* input on both
+// sides so the two reconstructions stay in lockstep.
 //
 // The CodebookSource hook is how the service layer splices its sharded-LRU
 // codebook cache into the fused path: find() is consulted with the
 // residual histogram before a build (a covers()-guarded hit skips the
 // build), store() publishes fresh builds. Fault sites: lossy.quantize,
-// lossy.encode (shared with the glued path).
+// lossy.encode.
 
 #include <functional>
 #include <memory>
@@ -106,11 +105,5 @@ struct CodebookSource {
     std::span<const float> field, data::Dims dims, const FusedConfig& cfg = {},
     FusedReport* report = nullptr, const CodebookSource* books = nullptr,
     const CancelToken* cancel = nullptr);
-
-/// Inverse of compress_field_fused (PHL2 containers only — use
-/// lossy::decompress_field for magic dispatch). Throws std::runtime_error
-/// on malformed input.
-[[nodiscard]] Field decompress_field_fused(std::span<const u8> bytes,
-                                           const CancelToken* cancel = nullptr);
 
 }  // namespace parhuff::lossy

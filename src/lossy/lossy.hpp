@@ -6,53 +6,20 @@
 //
 // Pipeline: 3-D Lorenzo prediction over reconstructed values →
 // error-bounded linear quantization (2^k bins, code 0 = outlier) →
-// parhuff Huffman encoding of the code stream → a self-contained container
-// holding dims/eb/outliers/codebook/payload. Decompression inverts each
-// stage; |out - in| <= eb holds elementwise (outliers are exact).
+// parhuff Huffman encoding of the code stream → a self-contained "PHL2"
+// container holding dims/eb/outliers/codebook/payload. The compressor is
+// the fused one-pass form in lossy/fused.hpp; this header holds what a
+// reader needs. Decompression inverts each stage; |out - in| <= eb holds
+// elementwise (outliers are exact).
 
 #include <span>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/cancel.hpp"
 #include "data/quant.hpp"
 #include "util/types.hpp"
 
 namespace parhuff::lossy {
-
-struct Config {
-  /// Error bound relative to the field's value range (SZ's REL mode);
-  /// the absolute bound is rel_error_bound * (max - min).
-  double rel_error_bound = 1e-3;
-  /// Absolute bound; used instead of the relative one when positive.
-  double abs_error_bound = 0.0;
-  u32 nbins = 1024;
-  EncoderKind encoder = EncoderKind::kAdaptiveSimt;
-  u32 magnitude = 10;
-};
-
-struct Report {
-  double error_bound = 0;         ///< resolved absolute bound
-  std::size_t outliers = 0;
-  double quantize_seconds = 0;
-  PipelineReport huffman;
-  std::size_t raw_bytes = 0;
-  std::size_t compressed_bytes = 0;
-  std::size_t outlier_bytes = 0;
-
-  [[nodiscard]] double ratio() const {
-    return compressed_bytes == 0
-               ? 0.0
-               : static_cast<double>(raw_bytes) /
-                     static_cast<double>(compressed_bytes);
-  }
-};
-
-/// Compress a 3-D float field into a self-contained byte container.
-/// Throws std::invalid_argument on shape/parameter errors.
-[[nodiscard]] std::vector<u8> compress_field(std::span<const float> field,
-                                             data::Dims dims,
-                                             const Config& cfg = {},
-                                             Report* report = nullptr);
 
 struct Field {
   data::Dims dims;
@@ -60,11 +27,10 @@ struct Field {
   std::vector<float> values;
 };
 
-/// Inverse of compress_field / compress_field_fused: dispatches on the
-/// container magic ("PHL1" glued, "PHL2" fused — lossy/fused.hpp), so one
-/// entry point reads both generations. Throws std::runtime_error on
-/// malformed input. `cancel` is polled inside the decode and reconstruct
-/// walks.
+/// Inverse of compress_field_fused (lossy/fused.hpp): reads one PHL2
+/// container. Throws std::runtime_error on malformed input (any other
+/// magic fails with "bad magic"). `cancel` is polled inside the decode and
+/// reconstruct walks.
 [[nodiscard]] Field decompress_field(std::span<const u8> bytes,
                                      const CancelToken* cancel = nullptr);
 

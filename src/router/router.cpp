@@ -620,8 +620,9 @@ void ShardRouter::probe_shard(Shard& sh) {
     sh.health.note_probe(info, cfg_.health);
     reg.counter_add("router.probes");
   } catch (const rpc::RpcError&) {
-    // A typed answer proves liveness even when the peer doesn't speak the
-    // health verb (legacy v1 server): healthy, load unknown.
+    // A typed answer proves liveness even when the peer rejects the probe
+    // (e.g. kUnsupportedVersion from a mismatched build): healthy, load
+    // unknown.
     sh.health.note_success();
     reg.counter_add("router.probes");
   } catch (...) {

@@ -143,9 +143,7 @@ class RpcClient {
 
   /// v4 fused lossy compress (docs/lossy.md): ships the 48-byte quantizer
   /// config followed by the f32 field; resolves to a PHL2 container.
-  /// cfg.nx*ny*nz must equal field.size(). A pre-v4 server answers the
-  /// version gate with a typed RpcError (kUnsupportedVersion) — a
-  /// feature probe, never a hang.
+  /// cfg.nx*ny*nz must equal field.size().
   [[nodiscard]] RpcCall lossy_compress(std::span<const float> field,
                                        const LossyRequestHeader& cfg,
                                        const RpcOptions& opts = {});
@@ -157,7 +155,7 @@ class RpcClient {
                                            u8 sym_width,
                                            const RpcOptions& opts = {});
 
-  /// v4 fused lossy decompress: ships a PHL1/PHL2 container; resolves to
+  /// v4 fused lossy decompress: ships a PHL2 container; resolves to
   /// a LossyFieldHeader + f32 payload (split it with
   /// decode_lossy_field_payload).
   [[nodiscard]] RpcCall lossy_decompress(std::span<const u8> container,
@@ -195,10 +193,10 @@ class RpcClient {
   /// Server-side parhuff-metrics-v1 snapshot (JSON text).
   [[nodiscard]] std::future<std::string> stats();
 
-  /// In-band health probe (protocol v2). Resolves with the server's
-  /// HealthInfo; a v1 peer answers the unknown version with a typed
-  /// RpcError (kUnsupportedVersion) rather than hanging, so probers can
-  /// tell "legacy" from "dead" (TransportError).
+  /// In-band health probe. Resolves with the server's HealthInfo; a peer
+  /// that rejects the probe answers with a typed RpcError (e.g.
+  /// kUnsupportedVersion from a mismatched build) rather than hanging, so
+  /// probers can tell "live" from "dead" (TransportError).
   [[nodiscard]] std::future<HealthInfo> health();
 
  private:

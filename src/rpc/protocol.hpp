@@ -7,7 +7,7 @@
 //
 //   offset  size  field
 //        0     4  magic            0x43524850 ("PHRC")
-//        4     1  version          kMinVersion..kVersion accepted
+//        4     1  version          kVersion only (kMinVersion == kVersion)
 //        5     1  kind             0 request / 1 response
 //        6     1  op               Op (compress/decompress/cancel/stats/
 //                                  health/stream begin-chunk-end)
@@ -34,11 +34,9 @@
 //   cancel      request: u64 target request id — response: empty
 //   stats       request: empty — response: parhuff-metrics-v1 JSON text
 //   health      request: empty — response: HealthInfo (fixed LE layout);
-//               protocol v2. A v1 server never sees the op (the version
-//               gate answers kUnsupportedVersion first); a v2 server that
-//               somehow receives an op it does not know answers
-//               kBadRequest — both typed, so a health prober can always
-//               distinguish "legacy peer" from "dead peer".
+//               protocol v2. A server that receives an op it does not
+//               know answers kBadRequest — typed, so a health prober can
+//               always distinguish "live peer" from "dead peer".
 //
 // Protocol v3 adds the streaming verbs (kCompressStreamBegin/Chunk/End
 // and the decompress mirror) so payloads larger than one frame's bound
@@ -70,14 +68,13 @@
 //   lossy_compress    request: LossyRequestHeader (48-byte LE quantizer
 //                     config) followed by nx*ny*nz little-endian f32
 //                     samples — response: PHL2 container.
-//   lossy_decompress  request: PHL1/PHL2 container — response:
+//   lossy_decompress  request: PHL2 container — response:
 //                     LossyFieldHeader (32-byte LE dims + resolved bound)
 //                     followed by the reconstructed f32 samples.
 //
-// Version negotiation is unchanged: a v3 server that receives a v4 frame
-// answers kUnsupportedVersion at the version gate, and a v3 frame that
-// somehow carries a lossy op fails the op range check with kBadRequest —
-// typed either way, never a hang.
+// Version negotiation: every peer is built from this tree, so only the
+// current version is accepted; a frame of any other version answers
+// kUnsupportedVersion at the version gate — typed, never a hang.
 //
 // A non-kOk response carries a human-readable message as payload. Frame
 // parsing distinguishes two failure classes: ProtocolError (a structurally
@@ -102,10 +99,10 @@ inline constexpr u32 kMagic = 0x43524850u;  // "PHRC" when read little-endian
 /// Current protocol version. v2 added the health op (kHealth) for in-band
 /// shard probing; v3 added the streaming verbs (Begin/Chunk/End pairs);
 /// v4 adds the fused lossy verbs (kLossyCompress/kLossyDecompress).
-/// The header layout and every earlier op are unchanged, so the whole
-/// [kMinVersion, kVersion] range is still accepted.
+/// Older versions are rejected: the decoder accepts [kMinVersion,
+/// kVersion], which is v4 alone.
 inline constexpr u8 kVersion = 4;
-inline constexpr u8 kMinVersion = 1;
+inline constexpr u8 kMinVersion = kVersion;
 inline constexpr std::size_t kHeaderBytes = 32;
 /// Default bound on a single frame's payload; both ends reject bigger
 /// frames (kBadRequest) before allocating.

@@ -11,6 +11,7 @@
 #include "core/decode.hpp"
 #include "core/format.hpp"
 #include "core/streaming.hpp"
+#include "data/quant.hpp"
 #include "lossy/lossy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -485,8 +486,8 @@ void RpcServer::handle_lossy_compress(ConnState& cs, const Header& h,
                                       std::vector<u8> payload) {
   // Validate the shape before any allocation is committed to it: header
   // present, sample stream a whole number of f32s, dims matching the
-  // stream exactly (overflow-safe stepwise product — nx*ny*nz of forged
-  // u64 dims must never wrap into a plausible count).
+  // stream exactly (data::checked_total — nx*ny*nz of forged u64 dims
+  // must never wrap into a plausible count).
   LossyRequestHeader lh;
   try {
     lh = decode_lossy_request_header(payload);
@@ -500,12 +501,11 @@ void RpcServer::handle_lossy_compress(ConnState& cs, const Header& h,
                                  "payload is not a whole number of f32s"));
     return;
   }
-  const u64 n_floats = body_bytes / sizeof(float);
-  bool dims_ok = lh.nx != 0 && lh.ny != 0 && lh.nz != 0 && n_floats != 0;
-  dims_ok = dims_ok && lh.nx <= n_floats / lh.ny;
-  dims_ok = dims_ok && lh.nx * lh.ny <= n_floats / lh.nz;
-  dims_ok = dims_ok && lh.nx * lh.ny * lh.nz == n_floats;
-  if (!dims_ok) {
+  const std::size_t n_floats = body_bytes / sizeof(float);
+  const data::Dims dims{static_cast<std::size_t>(lh.nx),
+                        static_cast<std::size_t>(lh.ny),
+                        static_cast<std::size_t>(lh.nz)};
+  if (data::checked_total(dims, n_floats) != n_floats) {
     cs.enqueue_ready(error_frame(h, Status::kBadRequest,
                                  "dims do not match the f32 sample count"));
     return;
@@ -516,12 +516,9 @@ void RpcServer::handle_lossy_compress(ConnState& cs, const Header& h,
     return;
   }
 
-  std::vector<float> field(static_cast<std::size_t>(n_floats));
+  std::vector<float> field(n_floats);
   std::memcpy(field.data(), payload.data() + kLossyRequestHeaderBytes,
               body_bytes);
-  data::Dims dims{static_cast<std::size_t>(lh.nx),
-                  static_cast<std::size_t>(lh.ny),
-                  static_cast<std::size_t>(lh.nz)};
   lossy::FusedConfig fc;
   fc.rel_error_bound = lh.rel_error_bound;
   fc.abs_error_bound = lh.abs_error_bound;
@@ -548,8 +545,8 @@ void RpcServer::handle_lossy_decompress(ConnState& cs, const Header& h,
                                         std::vector<u8> payload) {
   auto token = request_token(h);
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  // Runs on the writer task like plain decompress; the container magic
-  // (PHL1/PHL2) picks the path and the decode/reconstruct walks poll the
+  // Runs on the writer task like plain decompress; anything but a PHL2
+  // container fails typed, and the decode/reconstruct walks poll the
   // token.
   respond(cs, h, [token] { token->request(); }, Blame::kRequest,
           [body, token] {

@@ -304,7 +304,7 @@ bool CodebookManager::take_rebuild_token() {
 
 void CodebookManager::retire_excess_buckets() {
   auto& reg = obs::MetricsRegistry::global();
-  while (buckets_.size() > policy_.max_buckets) {
+  while (buckets_.size() > kMaxTrackedBuckets) {
     auto victim = buckets_.end();
     for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
       if (it->second.rebuild_inflight) continue;  // never orphan a rebuild

@@ -77,6 +77,10 @@
 
 namespace parhuff::svc {
 
+/// Bound on tracked fingerprint buckets; least-recently-observed buckets
+/// (never one with a rebuild in flight) are retired beyond it.
+inline constexpr std::size_t kMaxTrackedBuckets = 256;
+
 /// Tuning knobs for the adaptive codebook lifecycle
 /// (ServiceConfig::adaptive). Defaults are conservative: enabled=false
 /// leaves every existing deployment byte-for-byte unchanged.
@@ -99,9 +103,6 @@ struct AdaptivePolicy {
   /// budget_period_seconds across all buckets (thrash bound).
   int max_rebuilds_per_period = 8;
   double budget_period_seconds = 1.0;
-  /// Bound on tracked fingerprint buckets; least-recently-observed
-  /// buckets (never one with a rebuild in flight) are retired beyond it.
-  std::size_t max_buckets = 256;
 };
 
 class CodebookManager {
@@ -180,7 +181,7 @@ class CodebookManager {
     bool rebuild_inflight = false;
     bool armed = true;  ///< hysteresis state
     double last_divergence = 0;
-    u64 last_used = 0;  ///< LRU tick for max_buckets retirement
+    u64 last_used = 0;  ///< LRU tick for kMaxTrackedBuckets retirement
   };
 
   /// One scheduled rebuild, snapshotted so the task touches no live
@@ -196,8 +197,8 @@ class CodebookManager {
   void run_rebuild(const RebuildJob& job);
   /// Token-bucket draw (caller holds mu_).
   bool take_rebuild_token();
-  /// Retire least-recently-observed buckets beyond max_buckets (caller
-  /// holds mu_; in-flight buckets are never retired).
+  /// Retire least-recently-observed buckets beyond kMaxTrackedBuckets
+  /// (caller holds mu_; in-flight buckets are never retired).
   void retire_excess_buckets();
 
   const AdaptivePolicy policy_;

@@ -334,7 +334,7 @@ void CompressionService<Sym>::sweep_batch(std::vector<Request>& batch,
        it != pending_.end() && batch.size() < cfg_.batch_max_requests;) {
     if (!(it->pipeline == want) ||
         it->data.size() > cfg_.batch_eligible_symbols ||
-        total_syms + it->data.size() > cfg_.batch_max_symbols) {
+        total_syms + it->data.size() > kBatchMaxSymbols) {
       ++it;
       continue;
     }

@@ -93,6 +93,10 @@
 
 namespace parhuff::svc {
 
+/// Cap on a batch's pooled symbol total (the batch also closes at
+/// ServiceConfig::batch_max_requests).
+inline constexpr std::size_t kBatchMaxSymbols = std::size_t{1} << 20;
+
 enum class Priority : u8 {
   kLow = 0,
   kNormal = 1,
@@ -134,8 +138,6 @@ struct ServiceConfig {
   /// a leader. 0 disables batching (every request dispatches solo).
   double batch_window_seconds = 500e-6;
   std::size_t batch_max_requests = 32;
-  /// Cap on the batch's pooled symbol total.
-  std::size_t batch_max_symbols = std::size_t{1} << 20;
   /// Requests larger than this never batch: they dispatch solo,
   /// immediately, because they amortize their own codebook build.
   std::size_t batch_eligible_symbols = 64 * 1024;

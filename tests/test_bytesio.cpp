@@ -29,9 +29,13 @@ TEST(ByteIo, ArrayRoundTrip) {
   ByteWriter w;
   const std::vector<u32> v = {1, 2, 3, 1000000};
   w.put_array(std::span<const u32>(v));
+  w.put_array(std::span<const u32>());  // empty sections write nothing
   const auto bytes = w.take();
+  EXPECT_EQ(bytes.size(), 16u);
   ByteReader r(bytes);
   EXPECT_EQ(r.get_array<u32>(4), v);
+  EXPECT_TRUE(r.get_array<u32>(0).empty());
+  EXPECT_TRUE(r.done());
 }
 
 TEST(ByteIo, TruncationThrows) {
@@ -49,6 +53,9 @@ TEST(ByteIo, OverflowSafeNeedCheck) {
   const std::vector<u8> bytes = {1, 2, 3};
   ByteReader r(bytes);
   EXPECT_THROW((void)r.get_array<u8>(static_cast<std::size_t>(-1)),
+               std::runtime_error);
+  // n * sizeof(T) wraps to 0 here: the check must not multiply.
+  EXPECT_THROW((void)r.get_array<u32>(std::size_t{1} << 62),
                std::runtime_error);
   EXPECT_THROW((void)r.get_view(static_cast<std::size_t>(-8)),
                std::runtime_error);

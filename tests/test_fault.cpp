@@ -18,7 +18,7 @@
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
 #include "data/quant.hpp"
-#include "lossy/lossy.hpp"
+#include "lossy/fused.hpp"
 #include "obs/metrics.hpp"
 #include "svc/deadline.hpp"
 #include "svc/service.hpp"
@@ -493,19 +493,21 @@ TEST(LossyFault, QuantizeAndEncodeSitesFireAndAreRecoverable) {
   ScopedFaults scope(FaultInjector::global());
   const data::Dims dims{16, 16, 16};
   const auto field = data::generate_cosmo_field(dims, 11);
-  lossy::Config cfg;
+  lossy::FusedConfig cfg;
   cfg.rel_error_bound = 1e-3;
 
   FaultInjector::global().arm("lossy.quantize", 1.0);
-  EXPECT_THROW((void)lossy::compress_field(field, dims, cfg), InjectedFault);
+  EXPECT_THROW((void)lossy::compress_field_fused(field, dims, cfg),
+               InjectedFault);
   FaultInjector::global().disarm("lossy.quantize");
   FaultInjector::global().arm("lossy.encode", 1.0);
-  EXPECT_THROW((void)lossy::compress_field(field, dims, cfg), InjectedFault);
+  EXPECT_THROW((void)lossy::compress_field_fused(field, dims, cfg),
+               InjectedFault);
   FaultInjector::global().disarm("lossy.encode");
 
   // Both sites cleared: the same inputs compress and honor the bound.
-  lossy::Report rep;
-  const auto bytes = lossy::compress_field(field, dims, cfg, &rep);
+  lossy::FusedReport rep;
+  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
   const auto back = lossy::decompress_field(bytes);
   ASSERT_EQ(back.values.size(), field.size());
   double worst = 0;

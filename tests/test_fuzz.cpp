@@ -584,6 +584,23 @@ TEST(FuzzLossy, HostileFloatsNeverCrashTheFusedQuantizer) {
   }
 }
 
+TEST(FuzzLossy, WrappingDimsFailTyped) {
+  // Forged PHL2 dims whose 64-bit product wraps back to the real element
+  // count: a check on the wrapped total passes, while the reconstruct walk
+  // loops over the real nx*ny*nz. The header must reject them typed.
+  const std::vector<float> field = {1.0f, 2.0f};
+  const auto bytes = lossy::compress_field_fused(field, data::Dims{2, 1, 1});
+  constexpr std::size_t kDimsAt = 4;  // after the magic: u64 nx, ny, nz
+  const u64 wrap = (u64{1} << 63) + 1;  // wrap * 2 == 2 (mod 2^64)
+  const u64 forgeries[][3] = {{wrap, 2, 1}, {1, wrap, 2}, {2, 1, wrap}};
+  for (const auto& dims : forgeries) {
+    auto forged = bytes;
+    std::memcpy(forged.data() + kDimsAt, dims, sizeof(dims));
+    EXPECT_THROW((void)lossy::decompress_field(forged), std::runtime_error)
+        << dims[0] << "x" << dims[1] << "x" << dims[2];
+  }
+}
+
 TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
   // A wide alphabet breaks 2^3-symbol groups constantly, so the stream
   // carries many overflow entries.

@@ -1,7 +1,7 @@
-// The cuSZ-style lossy compressor: error-bound guarantee through the full
-// stack (predict → quantize → Huffman → container → decode →
-// reconstruct), ratio behaviour, container robustness — for both the
-// glued PHL1 path (lossy.hpp) and the fused PHL2 path (fused.hpp).
+// The cuSZ-style lossy compressor (lossy/fused.hpp, PHL2 container):
+// error-bound guarantee through the full stack (predict → quantize →
+// Huffman → container → decode → reconstruct), ratio behaviour, container
+// robustness.
 //
 // The round-trip coverage is property-based (proptest.hpp): seeded field
 // families × error-bound modes × both Huffman alphabets, asserting
@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+
+#include <cstring>
 
 #include "core/format.hpp"
 #include "data/quant.hpp"
@@ -36,9 +38,8 @@ double max_error(std::span<const float> a, std::span<const float> b) {
 // ---------------------------------------------------------------------------
 // Property suites. FusedRoundTrip covers {relative, absolute} bound modes
 // × {256, 1024} bins (the u8 and u16 Huffman alphabets) × every field
-// family — 120 seeded cases. GluedRoundTrip covers the PHL1 path on the
-// finite families. Every case replays from the family/index/seed printed
-// on failure.
+// family — 120 seeded cases. Every case replays from the family/index/seed
+// printed on failure.
 
 struct BoundMode {
   const char* name;
@@ -93,45 +94,6 @@ INSTANTIATE_TEST_SUITE_P(
       return pi.param.name;
     });
 
-class GluedRoundTrip : public ::testing::TestWithParam<BoundMode> {};
-
-TEST_P(GluedRoundTrip, ErrorBoundHoldsEndToEnd) {
-  const BoundMode mode = GetParam();
-  for (const pt::FieldKind kind :
-       {pt::FieldKind::kSmooth, pt::FieldKind::kTurbulent,
-        pt::FieldKind::kConstant}) {
-    const auto failure = pt::find_field_failure(
-        kind, 4,
-        [&](const std::vector<float>& field, Dims dims,
-            const pt::CaseId&) -> std::optional<std::string> {
-          lossy::Config cfg;
-          cfg.rel_error_bound = mode.rel;
-          cfg.abs_error_bound = mode.abs;
-          cfg.nbins = mode.nbins;
-          lossy::Report rep;
-          const auto bytes = lossy::compress_field(field, dims, cfg, &rep);
-          const lossy::Field back = lossy::decompress_field(bytes);
-          const double worst = pt::max_abs_error(field, back.values);
-          if (worst > rep.error_bound) {
-            return "worst error " + std::to_string(worst) + " > bound " +
-                   std::to_string(rep.error_bound);
-          }
-          return std::nullopt;
-        });
-    EXPECT_FALSE(failure.has_value()) << *failure;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, GluedRoundTrip,
-    ::testing::Values(BoundMode{"rel_u8", 1e-2, 0, 256},
-                      BoundMode{"rel_u16", 1e-3, 0, 1024},
-                      BoundMode{"abs_u8", 0, 0.05, 256},
-                      BoundMode{"abs_u16", 0, 0.01, 1024}),
-    [](const ::testing::TestParamInfo<BoundMode>& pi) {
-      return pi.param.name;
-    });
-
 TEST(LossyProp, HarnessCatchesABrokenBound) {
   // Sanity-check the harness itself: a deliberately broken property (the
   // claimed bound is 1/100th of the real one) must produce a failure with
@@ -158,38 +120,11 @@ TEST(LossyProp, HarnessCatchesABrokenBound) {
   EXPECT_NE(failure->find("seed=0x"), std::string::npos) << *failure;
 }
 
-TEST(LossyProp, FusedAndGluedReconstructionsAgree) {
-  // Same field, same absolute bound: both paths must satisfy the bound
-  // independently (they need not produce identical floats — the fused
-  // path's RLE/outlier handling differs — but each must be within eb).
-  const auto failure = pt::find_field_failure(
-      pt::FieldKind::kSmooth, 8,
-      [&](const std::vector<float>& field, Dims dims,
-          const pt::CaseId&) -> std::optional<std::string> {
-        lossy::Config gc;
-        gc.abs_error_bound = 0.02;
-        lossy::FusedConfig fc;
-        fc.abs_error_bound = 0.02;
-        const auto glued = lossy::decompress_field(
-            lossy::compress_field(field, dims, gc));
-        const auto fused = lossy::decompress_field(
-            lossy::compress_field_fused(field, dims, fc));
-        if (pt::max_abs_error(field, glued.values) > 0.02) {
-          return "glued path out of bound";
-        }
-        if (pt::max_abs_error(field, fused.values) > 0.02) {
-          return "fused path out of bound";
-        }
-        return std::nullopt;
-      });
-  EXPECT_FALSE(failure.has_value()) << *failure;
-}
-
 TEST(Fused, SmoothSeed2FieldStaysWithinTheExactBound) {
   // Regression: the reconstruction is rounded to float, and on this field
   // (the benchmark's smooth field, seed 2, rel 1e-2) one value used to land
   // 0.12944603 from its input against eb 0.129445915 — under one ulp past
-  // the bound. Such a value must become an outlier, on both paths.
+  // the bound. Such a value must become an outlier.
   const Dims dims{128, 128, 64};
   const double phase = 0.002;
   std::vector<float> field(dims.total());
@@ -209,44 +144,23 @@ TEST(Fused, SmoothSeed2FieldStaysWithinTheExactBound) {
   const auto fused = lossy::decompress_field(
       lossy::compress_field_fused(field, dims, fc, &frep));
   EXPECT_LE(max_error(field, fused.values), frep.error_bound);
-
-  lossy::Config gc;
-  gc.rel_error_bound = 1e-2;
-  lossy::Report grep;
-  const auto glued =
-      lossy::decompress_field(lossy::compress_field(field, dims, gc, &grep));
-  EXPECT_LE(max_error(field, glued.values), grep.error_bound);
 }
 
 // ---------------------------------------------------------------------------
-// Named glued-path (PHL1) tests: ratio behaviour and container rules the
+// Named tests: ratio behaviour, outlier exactness and container rules the
 // properties don't pin.
 
 TEST(Lossy, LooserBoundCompressesBetter) {
   const Dims dims{40, 40, 40};
   const auto field = data::generate_cosmo_field(dims, 9);
-  lossy::Report loose, tight;
-  lossy::Config cl, ct;
+  lossy::FusedReport loose, tight;
+  lossy::FusedConfig cl, ct;
   cl.rel_error_bound = 1e-1;
   ct.rel_error_bound = 1e-4;
-  (void)lossy::compress_field(field, dims, cl, &loose);
-  (void)lossy::compress_field(field, dims, ct, &tight);
+  (void)lossy::compress_field_fused(field, dims, cl, &loose);
+  (void)lossy::compress_field_fused(field, dims, ct, &tight);
   EXPECT_GT(loose.ratio(), tight.ratio());
   EXPECT_GT(loose.ratio(), 4.0);  // smooth field at 10% relative: easy
-}
-
-TEST(Lossy, ConstantFieldHitsTheOneBitFloor) {
-  // Huffman cannot spend less than one bit per symbol, so a perfectly
-  // predictable f32 field tops out near 32x (minus container overhead) on
-  // the glued path — the reason the fused path stacks the RLE stage.
-  const Dims dims{32, 32, 32};
-  std::vector<float> field(dims.total(), 3.25f);
-  lossy::Report rep;
-  const auto bytes = lossy::compress_field(field, dims, {}, &rep);
-  EXPECT_GT(rep.ratio(), 20.0);
-  EXPECT_LT(rep.ratio(), 33.0);
-  const auto back = lossy::decompress_field(bytes);
-  EXPECT_LE(max_error(field, back.values), rep.error_bound);
 }
 
 TEST(Lossy, OutliersSurviveRoundTrip) {
@@ -255,10 +169,10 @@ TEST(Lossy, OutliersSurviveRoundTrip) {
   // Plant extreme spikes the quantizer must store verbatim.
   field[100] = 1e9f;
   field[5000] = -1e9f;
-  lossy::Config cfg;
+  lossy::FusedConfig cfg;
   cfg.abs_error_bound = 0.01;
-  lossy::Report rep;
-  const auto bytes = lossy::compress_field(field, dims, cfg, &rep);
+  lossy::FusedReport rep;
+  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
   EXPECT_GE(rep.outliers, 2u);
   const auto back = lossy::decompress_field(bytes);
   EXPECT_EQ(back.values[100], 1e9f);  // outliers are exact
@@ -266,29 +180,25 @@ TEST(Lossy, OutliersSurviveRoundTrip) {
   EXPECT_LE(max_error(field, back.values), 0.01);
 }
 
-TEST(Lossy, RejectsBadParameters) {
-  const Dims dims{8, 8, 8};
-  const auto field = data::generate_cosmo_field(dims, 1);
-  EXPECT_THROW((void)lossy::compress_field(field, Dims{9, 8, 8}, {}),
-               std::invalid_argument);
-  lossy::Config bad;
-  bad.rel_error_bound = 0;
-  EXPECT_THROW((void)lossy::compress_field(field, dims, bad),
-               std::invalid_argument);
-  bad = {};
-  bad.nbins = 2;
-  EXPECT_THROW((void)lossy::compress_field(field, dims, bad),
-               std::invalid_argument);
-}
-
 TEST(Lossy, RejectsCorruptContainer) {
   const Dims dims{16, 16, 16};
   const auto field = data::generate_cosmo_field(dims, 3);
-  auto bytes = lossy::compress_field(field, dims, {});
+  auto bytes = lossy::compress_field_fused(field, dims, {});
   {
     auto bad = bytes;
     bad[0] = 'X';
     EXPECT_THROW((void)lossy::decompress_field(bad), std::runtime_error);
+  }
+  {
+    // Any magic but PHL2 is rejected, the glued container's included.
+    auto bad = bytes;
+    bad[3] = '1';
+    try {
+      (void)lossy::decompress_field(bad);
+      FAIL() << "a PHL1 magic must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::strstr(e.what(), "bad magic"), nullptr) << e.what();
+    }
   }
   {
     auto bad = bytes;
@@ -305,30 +215,23 @@ TEST(Lossy, RejectsCorruptContainer) {
 TEST(Lossy, FileRoundTrip) {
   const Dims dims{32, 32, 16};
   const auto field = data::generate_cosmo_field(dims, 4);
-  const auto bytes = lossy::compress_field(field, dims, {});
+  lossy::FusedReport rep;
+  const auto bytes = lossy::compress_field_fused(field, dims, {}, &rep);
   const std::string path = "/tmp/parhuff_lossy_test.phl";
   write_file(path, bytes);
   const auto back = lossy::decompress_field(read_file(path));
-  EXPECT_EQ(back.values.size(), field.size());
-}
-
-TEST(Lossy, ReportSectionsAddUp) {
-  const Dims dims{32, 32, 32};
-  const auto field = data::generate_cosmo_field(dims, 6);
-  lossy::Report rep;
-  const auto bytes = lossy::compress_field(field, dims, {}, &rep);
-  EXPECT_EQ(rep.compressed_bytes, bytes.size());
-  EXPECT_GT(rep.huffman.compression_ratio(), 1.0);
-  EXPECT_LE(rep.outlier_bytes, rep.compressed_bytes);
+  ASSERT_EQ(back.values.size(), field.size());
+  EXPECT_LE(max_error(field, back.values), rep.error_bound);
 }
 
 // ---------------------------------------------------------------------------
 // Named fused-path (PHL2) tests.
 
 TEST(Fused, ConstantFieldBreaksTheOneBitFloor) {
-  // The same field that tops out near 32x on the glued path: with every
-  // perfect-prediction run extracted into RLE1, the fused container holds
-  // a handful of runs instead of 32768 one-bit symbols.
+  // Huffman alone cannot spend less than one bit per symbol, which caps a
+  // perfectly predictable f32 field near 32x: with every perfect-prediction
+  // run extracted into RLE1, the container holds a handful of runs instead
+  // of 32768 one-bit symbols.
   const Dims dims{32, 32, 32};
   std::vector<float> field(dims.total(), 3.25f);
   lossy::FusedReport rep;
@@ -409,6 +312,11 @@ TEST(Fused, RejectsBadParameters) {
   bad = {};
   bad.nbins = 1 << 17;
   EXPECT_THROW((void)lossy::compress_field_fused(field, dims, bad),
+               std::invalid_argument);
+  // Dims whose product wraps to exactly field.size() (512).
+  const Dims wrapping{(std::size_t{1} << 63) + 1, 2, 256};
+  ASSERT_EQ(wrapping.total(), field.size());
+  EXPECT_THROW((void)lossy::compress_field_fused(field, wrapping, {}),
                std::invalid_argument);
 }
 

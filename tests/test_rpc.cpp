@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "data/quant.hpp"
+#include "lossy/fused.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
@@ -130,17 +131,22 @@ TEST(RpcProtocol, DecodeRejectsBadMagicWithoutResponding) {
 }
 
 TEST(RpcProtocol, DecodeRejectsBadVersionButCanRespond) {
-  Header h;
-  h.request_id = 77;
-  auto bytes = rpc::encode_header(h);
-  bytes[4] = rpc::kVersion + 1;
-  try {
-    (void)rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(bytes));
-    FAIL() << "bad version must throw";
-  } catch (const ProtocolError& e) {
-    EXPECT_TRUE(e.can_respond());
-    EXPECT_EQ(e.status(), Status::kUnsupportedVersion);
-    EXPECT_EQ(e.request_id(), 77u);  // id parsed before the version gate
+  // Only the current version is accepted: every peer speaks v4, so both a
+  // future and an older (v3) version byte answer kUnsupportedVersion.
+  static_assert(rpc::kMinVersion == rpc::kVersion);
+  for (const u8 version : {u8{rpc::kVersion + 1}, u8{3}}) {
+    Header h;
+    h.request_id = 77;
+    auto bytes = rpc::encode_header(h);
+    bytes[4] = version;
+    try {
+      (void)rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(bytes));
+      FAIL() << "version " << int{version} << " must throw";
+    } catch (const ProtocolError& e) {
+      EXPECT_TRUE(e.can_respond());
+      EXPECT_EQ(e.status(), Status::kUnsupportedVersion);
+      EXPECT_EQ(e.request_id(), 77u);  // id parsed before the version gate
+    }
   }
 }
 
@@ -166,19 +172,6 @@ TEST(RpcProtocol, DecodeRejectsBadKindOpStatusAndOversizedLen) {
                ProtocolError);
   EXPECT_NO_THROW((void)rpc::decode_header(
       std::span<const u8, rpc::kHeaderBytes>(bytes), 100));
-}
-
-TEST(RpcProtocol, V1FramesAreStillAcceptedByV2Decoders) {
-  // The v2 bump widened the accepted range to [kMinVersion, kVersion]; a
-  // v1 peer's frames must keep decoding unchanged (compat matrix in
-  // docs/router.md).
-  Header h;
-  h.request_id = 11;
-  auto bytes = rpc::encode_header(h);
-  bytes[4] = rpc::kMinVersion;
-  const Header d =
-      rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(bytes));
-  EXPECT_EQ(d.request_id, 11u);
 }
 
 TEST(RpcProtocol, HealthInfoRoundTripsAndIgnoresTrailingBytes) {
@@ -943,6 +936,18 @@ TEST(RpcLossy, MalformedContainerFailsTypedOnDecompress) {
     FAIL() << "junk container must fail typed";
   } catch (const RpcError& e) {
     EXPECT_EQ(e.status(), Status::kBadRequest);
+  }
+  // A well-formed body under the glued container's PHL1 magic: bad magic.
+  const data::Dims dims{8, 8, 8};
+  auto phl1 = lossy::compress_field_fused(smooth_field(dims, 3), dims);
+  phl1[3] = '1';
+  try {
+    (void)cli.lossy_decompress(std::span<const u8>(phl1)).result.get();
+    FAIL() << "a PHL1 container must fail typed";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
   }
 }
 
