@@ -28,8 +28,15 @@ constexpr std::size_t kMaxElements = 0xFFFFFFFFull;
 /// field polluted with NaN/Inf must not poison the relative-range mode
 /// (the non-finite elements become exact outliers regardless).
 double resolve_bound(std::span<const float> field, const FusedConfig& cfg) {
-  if (cfg.abs_error_bound > 0) return cfg.abs_error_bound;
-  if (cfg.rel_error_bound <= 0) {
+  // A NaN or infinite bound would be written into a header that
+  // decompress_field rejects as implausible.
+  if (cfg.abs_error_bound > 0) {
+    if (!std::isfinite(cfg.abs_error_bound)) {
+      throw std::invalid_argument("lossy: error bound is not finite");
+    }
+    return cfg.abs_error_bound;
+  }
+  if (!(cfg.rel_error_bound > 0)) {
     throw std::invalid_argument("lossy: no positive error bound");
   }
   bool any = false;
@@ -45,6 +52,9 @@ double resolve_bound(std::span<const float> field, const FusedConfig& cfg) {
     }
   }
   double eb = any ? static_cast<double>(fmax - fmin) * cfg.rel_error_bound : 0;
+  if (!std::isfinite(eb)) {
+    throw std::invalid_argument("lossy: error bound is not finite");
+  }
   if (eb <= 0) eb = 1e-30;  // constant field: any positive bound works
   return eb;
 }

@@ -29,12 +29,31 @@ TEST(ByteIo, ArrayRoundTrip) {
   ByteWriter w;
   const std::vector<u32> v = {1, 2, 3, 1000000};
   w.put_array(std::span<const u32>(v));
-  w.put_array(std::span<const u32>());  // empty sections write nothing
   const auto bytes = w.take();
-  EXPECT_EQ(bytes.size(), 16u);
   ByteReader r(bytes);
   EXPECT_EQ(r.get_array<u32>(4), v);
-  EXPECT_TRUE(r.get_array<u32>(0).empty());
+}
+
+TEST(ByteIo, EmptyArrayRoundTrip) {
+  // Zero-length sections are legal (a container with no outliers, say):
+  // they write nothing and read back empty without handing memcpy the
+  // null data() of an empty vector or span.
+  ByteWriter w;
+  w.put_array(std::span<const u32>());
+  EXPECT_TRUE(w.take().empty());
+  ByteReader empty(std::span<const u8>{});
+  EXPECT_TRUE(empty.get_array<u32>(0).empty());
+  EXPECT_TRUE(empty.get_array<double>(0).empty());
+  EXPECT_TRUE(empty.done());
+
+  const std::vector<u8> v = {7, 8};
+  w.put_array(std::span<const u8>(v));
+  w.put_array(std::span<const u8>());
+  const auto bytes = w.take();
+  EXPECT_EQ(bytes.size(), 2u);
+  ByteReader r(bytes);
+  EXPECT_EQ(r.get_array<u8>(2), v);
+  EXPECT_TRUE(r.get_array<u8>(0).empty());  // at the end of the buffer
   EXPECT_TRUE(r.done());
 }
 

@@ -601,6 +601,25 @@ TEST(FuzzLossy, WrappingDimsFailTyped) {
   }
 }
 
+TEST(FuzzLossy, DimsOverTheElementCapFailTyped) {
+  // Dims that do not wrap but exceed the u32 outlier index space must
+  // fail typed at the header, before any allocation sized from them; dims
+  // under the cap that merely disagree with the stream fail at the code
+  // count.
+  const std::vector<float> field = {1.0f, 2.0f};
+  const auto bytes = lossy::compress_field_fused(field, data::Dims{2, 1, 1});
+  constexpr std::size_t kDimsAt = 4;  // after the magic: u64 nx, ny, nz
+  const u64 forgeries[][3] = {
+      {u64{1} << 32, 1, 1}, {1 << 20, 1 << 20, 1}, {1 << 16, 1 << 16, 1 << 16},
+      {3, 1, 1}};
+  for (const auto& dims : forgeries) {
+    auto forged = bytes;
+    std::memcpy(forged.data() + kDimsAt, dims, sizeof(dims));
+    EXPECT_THROW((void)lossy::decompress_field(forged), std::runtime_error)
+        << dims[0] << "x" << dims[1] << "x" << dims[2];
+  }
+}
+
 TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
   // A wide alphabet breaks 2^3-symbol groups constantly, so the stream
   // carries many overflow entries.

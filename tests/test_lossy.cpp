@@ -1,7 +1,8 @@
 // The cuSZ-style lossy compressor (lossy/fused.hpp, PHL2 container):
 // error-bound guarantee through the full stack (predict → quantize →
 // Huffman → container → decode → reconstruct), ratio behaviour, container
-// robustness.
+// robustness — plus the glued two-stage baseline bench_lossy measures it
+// against (data::lorenzo_quantize, then compress<u16>).
 //
 // The round-trip coverage is property-based (proptest.hpp): seeded field
 // families × error-bound modes × both Huffman alphabets, asserting
@@ -10,11 +11,13 @@
 // exactness, container rejection) the properties don't express.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
 #include <cstring>
+#include <limits>
 
 #include "core/format.hpp"
+#include "core/pipeline.hpp"
 #include "data/quant.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
@@ -38,7 +41,8 @@ double max_error(std::span<const float> a, std::span<const float> b) {
 // ---------------------------------------------------------------------------
 // Property suites. FusedRoundTrip covers {relative, absolute} bound modes
 // × {256, 1024} bins (the u8 and u16 Huffman alphabets) × every field
-// family — 120 seeded cases. Every case replays from the family/index/seed
+// family — 120 seeded cases. GluedRoundTrip covers the glued baseline on
+// the finite families. Every case replays from the family/index/seed
 // printed on failure.
 
 struct BoundMode {
@@ -94,6 +98,66 @@ INSTANTIATE_TEST_SUITE_P(
       return pi.param.name;
     });
 
+// The glued baseline, round-tripped: resolve the bound the way
+// bench_lossy's run_glued does, quantize the whole field into a code
+// buffer, Huffman-code it through a PHF2 container, then invert both
+// stages. It must hold the bound too, or the fused-vs-glued comparison in
+// BENCH_lossy.json measures against a broken compressor.
+struct GluedField {
+  double error_bound = 0;
+  std::vector<float> values;
+};
+
+GluedField glued_round_trip(const std::vector<float>& field, Dims dims,
+                            const BoundMode& mode) {
+  double eb = mode.abs;
+  if (eb <= 0) {
+    const auto [lo, hi] = std::minmax_element(field.begin(), field.end());
+    eb = static_cast<double>(*hi - *lo) * mode.rel;
+    if (eb <= 0) eb = 1e-30;
+  }
+  data::Quantized q = data::lorenzo_quantize(field, dims, eb, mode.nbins);
+  PipelineConfig pc;
+  pc.nbins = mode.nbins;
+  const std::vector<u8> bytes =
+      serialize(compress<u16>(std::span<const u16>(q.codes), pc));
+  q.codes = decompress(deserialize<u16>(bytes));
+  return {eb, data::lorenzo_reconstruct(q)};
+}
+
+class GluedRoundTrip : public ::testing::TestWithParam<BoundMode> {};
+
+TEST_P(GluedRoundTrip, ErrorBoundHoldsEndToEnd) {
+  const BoundMode mode = GetParam();
+  for (const pt::FieldKind kind :
+       {pt::FieldKind::kSmooth, pt::FieldKind::kTurbulent,
+        pt::FieldKind::kConstant}) {
+    const auto failure = pt::find_field_failure(
+        kind, 4,
+        [&](const std::vector<float>& field, Dims dims,
+            const pt::CaseId&) -> std::optional<std::string> {
+          const GluedField back = glued_round_trip(field, dims, mode);
+          const double worst = pt::max_abs_error(field, back.values);
+          if (worst > back.error_bound) {
+            return "worst error " + std::to_string(worst) + " > bound " +
+                   std::to_string(back.error_bound);
+          }
+          return std::nullopt;
+        });
+    EXPECT_FALSE(failure.has_value()) << *failure;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, GluedRoundTrip,
+    ::testing::Values(BoundMode{"rel_u8", 1e-2, 0, 256},
+                      BoundMode{"rel_u16", 1e-3, 0, 1024},
+                      BoundMode{"abs_u8", 0, 0.05, 256},
+                      BoundMode{"abs_u16", 0, 0.01, 1024}),
+    [](const ::testing::TestParamInfo<BoundMode>& pi) {
+      return pi.param.name;
+    });
+
 TEST(LossyProp, HarnessCatchesABrokenBound) {
   // Sanity-check the harness itself: a deliberately broken property (the
   // claimed bound is 1/100th of the real one) must produce a failure with
@@ -118,6 +182,32 @@ TEST(LossyProp, HarnessCatchesABrokenBound) {
   // The report names the family, the seed, and the shrunk dims.
   EXPECT_NE(failure->find("family=turbulent"), std::string::npos) << *failure;
   EXPECT_NE(failure->find("seed=0x"), std::string::npos) << *failure;
+}
+
+TEST(LossyProp, FusedAndGluedReconstructionsAgree) {
+  // Same field, same absolute bound: the fused compressor and the glued
+  // baseline must satisfy the bound independently (they need not produce
+  // identical floats — the fused path's RLE/outlier handling differs — but
+  // each must be within eb).
+  const auto failure = pt::find_field_failure(
+      pt::FieldKind::kSmooth, 8,
+      [&](const std::vector<float>& field, Dims dims,
+          const pt::CaseId&) -> std::optional<std::string> {
+        lossy::FusedConfig fc;
+        fc.abs_error_bound = 0.02;
+        const auto glued =
+            glued_round_trip(field, dims, BoundMode{"abs", 0, 0.02, 1024});
+        const auto fused = lossy::decompress_field(
+            lossy::compress_field_fused(field, dims, fc));
+        if (pt::max_abs_error(field, glued.values) > 0.02) {
+          return "glued path out of bound";
+        }
+        if (pt::max_abs_error(field, fused.values) > 0.02) {
+          return "fused path out of bound";
+        }
+        return std::nullopt;
+      });
+  EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
 TEST(Fused, SmoothSeed2FieldStaysWithinTheExactBound) {
@@ -222,6 +312,72 @@ TEST(Lossy, FileRoundTrip) {
   const auto back = lossy::decompress_field(read_file(path));
   ASSERT_EQ(back.values.size(), field.size());
   EXPECT_LE(max_error(field, back.values), rep.error_bound);
+}
+
+TEST(Lossy, ConstantFieldHitsTheOneBitFloor) {
+  // Huffman cannot spend less than one bit per symbol, so with RLE
+  // extraction off a perfectly predictable f32 field tops out near 32x
+  // (minus container overhead) — the reason the fused path stacks the RLE
+  // stage (Fused.ConstantFieldBreaksTheOneBitFloor).
+  const Dims dims{32, 32, 32};
+  std::vector<float> field(dims.total(), 3.25f);
+  lossy::FusedConfig cfg;
+  cfg.rle_min_run = 0;
+  lossy::FusedReport rep;
+  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
+  EXPECT_EQ(rep.rle_runs, 0u);
+  EXPECT_GT(rep.ratio(), 20.0);
+  EXPECT_LT(rep.ratio(), 33.0);
+  const auto back = lossy::decompress_field(bytes);
+  EXPECT_LE(max_error(field, back.values), rep.error_bound);
+}
+
+TEST(Lossy, RejectsBadParameters) {
+  // Error-bound parameters; Fused.RejectsBadParameters covers shape and
+  // bins. A bound that resolves to NaN or infinity would write a header
+  // the reader rejects as implausible, so compression must refuse it.
+  const Dims dims{8, 8, 8};
+  const auto field = data::generate_cosmo_field(dims, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double rel : {0.0, -1e-3, nan, inf, 1e308}) {
+    lossy::FusedConfig bad;
+    bad.rel_error_bound = rel;
+    EXPECT_THROW((void)lossy::compress_field_fused(field, dims, bad),
+                 std::invalid_argument)
+        << "rel " << rel;
+  }
+  lossy::FusedConfig bad;
+  bad.abs_error_bound = inf;
+  EXPECT_THROW((void)lossy::compress_field_fused(field, dims, bad),
+               std::invalid_argument);
+}
+
+TEST(Lossy, ReportSectionsAddUp) {
+  // PHL2 = 49-byte header (magic, dims, bound, nbins, symbol width,
+  // outlier count) + 8 bytes per outlier + an 8-byte length + the
+  // embedded Huffman container; the report must match that layout.
+  const Dims dims{32, 32, 32};
+  auto field = data::generate_cosmo_field(dims, 6);
+  field[10] = 1e9f;  // guaranteed outliers
+  field[20000] = -1e9f;
+  lossy::FusedConfig cfg;
+  cfg.abs_error_bound = 0.01;
+  lossy::FusedReport rep;
+  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
+  constexpr std::size_t kHeader = 4 + 3 * 8 + 8 + 4 + 1 + 8;
+  EXPECT_EQ(rep.compressed_bytes, bytes.size());
+  EXPECT_EQ(rep.raw_bytes, field.size() * sizeof(float));
+  EXPECT_GE(rep.outliers, 2u);
+  EXPECT_EQ(rep.outlier_bytes, rep.outliers * (sizeof(u32) + sizeof(float)));
+  ASSERT_LE(kHeader + rep.outlier_bytes + 8, bytes.size());
+  u64 huff_len = 0;
+  std::memcpy(&huff_len, bytes.data() + kHeader + rep.outlier_bytes, 8);
+  EXPECT_EQ(kHeader + rep.outlier_bytes + 8 + huff_len, bytes.size());
+  // The residual stream's codewords fit inside the embedded container.
+  EXPECT_GT(rep.huffman.avg_bits, 0.0);
+  EXPECT_LE(rep.huffman.avg_bits * static_cast<double>(rep.residual_symbols),
+            8.0 * static_cast<double>(huff_len));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "data/quant.hpp"
 #include "core/entropy.hpp"
@@ -72,6 +74,37 @@ TEST(QuantProp, OutliersReconstructExactly) {
         return std::nullopt;
       });
   EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+TEST(CheckedTotal, MatchesTotalWithinTheLimit) {
+  EXPECT_EQ(data::checked_total(Dims{4, 5, 6}, 1000), 120u);
+  EXPECT_EQ(data::checked_total(Dims{4, 5, 6}, 120), 120u);  // limit inclusive
+  EXPECT_EQ(data::checked_total(Dims{1, 1, 1}, 1), 1u);
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(data::checked_total(Dims{max, 1, 1}, max), max);
+}
+
+TEST(CheckedTotal, RejectsZeroExtentsAndProductsOverTheLimit) {
+  EXPECT_FALSE(data::checked_total(Dims{0, 5, 6}, 1000));
+  EXPECT_FALSE(data::checked_total(Dims{4, 0, 6}, 1000));
+  EXPECT_FALSE(data::checked_total(Dims{4, 5, 0}, 1000));
+  EXPECT_FALSE(data::checked_total(Dims{4, 5, 6}, 119));
+  EXPECT_FALSE(data::checked_total(Dims{121, 1, 1}, 120));
+  EXPECT_FALSE(data::checked_total(Dims{1, 1, 121}, 120));
+}
+
+TEST(CheckedTotal, RejectsProductsThatWrap) {
+  // Each forgery wraps nx*ny*nz back to 2, so Dims::total() alone would
+  // pass a check against a 2-element stream.
+  const std::size_t wrap = (std::size_t{1} << 63) + 1;
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  for (const Dims d : {Dims{wrap, 2, 1}, Dims{1, wrap, 2}, Dims{2, 1, wrap}}) {
+    ASSERT_EQ(d.total(), 2u);
+    const std::string name = std::to_string(d.nx) + "x" +
+                             std::to_string(d.ny) + "x" + std::to_string(d.nz);
+    EXPECT_FALSE(data::checked_total(d, 2)) << name;
+    EXPECT_FALSE(data::checked_total(d, max)) << name;
+  }
 }
 
 TEST(Quantizer, TighterBoundMoreOutliersOrCodes) {
