@@ -4,8 +4,6 @@
 
 #include "core/decode.hpp"
 #include "core/decode_gaparray.hpp"
-#include "core/decode_selfsync.hpp"
-#include "core/decode_simt.hpp"
 #include "core/encode_adaptive.hpp"
 #include "core/encode_serial.hpp"
 #include "core/encode_simt.hpp"
@@ -235,22 +233,6 @@ std::vector<Sym> decompress(const Compressed<Sym>& blob, int threads) {
   return decode_auto<Sym>(blob.stream, blob.codebook, threads);
 }
 
-template <typename Sym>
-std::vector<Sym> decompress_with(const Compressed<Sym>& blob,
-                                 DecoderKind decoder, simt::MemTally* tally) {
-  switch (decoder) {
-    case DecoderKind::kSimt:
-      return decode_simt<Sym>(blob.stream, blob.codebook, tally);
-    case DecoderKind::kSelfSync:
-      return decode_selfsync<Sym>(blob.stream, blob.codebook, {}, tally);
-    case DecoderKind::kGapArray:
-      return decode_gaparray<Sym>(blob.stream, blob.codebook, tally);
-    case DecoderKind::kHost:
-      break;
-  }
-  return decode_stream<Sym>(blob.stream, blob.codebook, 0);
-}
-
 template EncodedStream encode_with_codebook<u8>(std::span<const u8>,
                                                 const Codebook&,
                                                 const PipelineConfig&,
@@ -296,9 +278,5 @@ template std::vector<u8> decode_auto<u8>(const EncodedStream&, const Codebook&,
 template std::vector<u16> decode_auto<u16>(const EncodedStream&,
                                            const Codebook&, int,
                                            const CancelToken*);
-template std::vector<u8> decompress_with<u8>(const Compressed<u8>&,
-                                             DecoderKind, simt::MemTally*);
-template std::vector<u16> decompress_with<u16>(const Compressed<u16>&,
-                                               DecoderKind, simt::MemTally*);
 
 }  // namespace parhuff

@@ -174,13 +174,6 @@ template <typename Sym>
 [[nodiscard]] std::vector<Sym> decompress(const Compressed<Sym>& blob,
                                           int threads = 0);
 
-enum class DecoderKind {
-  kHost,      ///< chunk-parallel host decoding (default)
-  kSimt,      ///< thread-per-chunk simulated kernel (tallied)
-  kSelfSync,  ///< CUHD-style self-synchronizing kernel (tallied)
-  kGapArray,  ///< gap-array kernel; requires annotated metadata (tallied)
-};
-
 /// Tier selection for the read path (docs/decode.md): gap-array when the
 /// stream carries metadata (per-chunk overflow fallback included), the
 /// chunk-parallel host decoder otherwise. Emits `decode.*` counters and
@@ -192,13 +185,6 @@ template <typename Sym>
                                            const Codebook& cb,
                                            int threads = 0,
                                            const CancelToken* cancel = nullptr);
-
-/// Decoder-selectable variant; `tally` collects transaction counts for the
-/// SIMT decoders (ignored for kHost).
-template <typename Sym>
-[[nodiscard]] std::vector<Sym> decompress_with(const Compressed<Sym>& blob,
-                                               DecoderKind decoder,
-                                               simt::MemTally* tally = nullptr);
 
 extern template EncodedStream encode_with_codebook<u8>(std::span<const u8>,
                                                        const Codebook&,
@@ -228,11 +214,5 @@ extern template std::vector<u8> decode_auto<u8>(const EncodedStream&,
 extern template std::vector<u16> decode_auto<u16>(const EncodedStream&,
                                                   const Codebook&, int,
                                                   const CancelToken*);
-extern template std::vector<u8> decompress_with<u8>(const Compressed<u8>&,
-                                                    DecoderKind,
-                                                    simt::MemTally*);
-extern template std::vector<u16> decompress_with<u16>(const Compressed<u16>&,
-                                                      DecoderKind,
-                                                      simt::MemTally*);
 
 }  // namespace parhuff

@@ -117,7 +117,6 @@ ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
                               .faults = {},
                               .max_connections = cfg.max_connections,
                               .max_payload_bytes = cfg.max_payload_bytes,
-                              .io_threads = cfg.io_threads,
                               .clock = clock_},
             *this) {
   if (shards.empty()) {

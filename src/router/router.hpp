@@ -82,12 +82,10 @@ struct RouterConfig {
   /// identically, which is what keeps shard caches warm across router
   /// restarts. Change it to reshuffle the key space deliberately.
   u64 hash_seed = 0x7073686172647221ull;
+  /// Also sizes the io pool: 1 + 2 * max_connections threads.
   std::size_t max_connections = 8;
   /// Bound on a single client request frame's payload.
   u32 max_payload_bytes = rpc::kMaxPayloadBytes;
-  /// io pool size; 0 → 1 + 2 * max_connections (accept + a reader and a
-  /// writer per client connection).
-  int io_threads = 0;
   /// Distinct shards tried per request before shedding; 0 = every shard
   /// once (hash order).
   std::size_t max_route_attempts = 0;

@@ -123,11 +123,11 @@ FramedCore::FramedCore(std::unique_ptr<Listener> listener, FramedConfig cfg,
     read_fault_ = cfg_.faults + ".read";
     write_fault_ = cfg_.faults + ".write";
   }
-  const int io = cfg_.io_threads > 0
-                     ? cfg_.io_threads
-                     : static_cast<int>(1 + 2 * cfg_.max_connections);
+  // Accept plus a reader and a writer per connection: every task is
+  // long-running, so the pool must hold them all at once.
   io_ = std::make_unique<WorkStealExecutor>(
-      io, cfg_.clock ? cfg_.clock : &util::Clock::real());
+      static_cast<int>(1 + 2 * cfg_.max_connections),
+      cfg_.clock ? cfg_.clock : &util::Clock::real());
 }
 
 void FramedCore::start() {

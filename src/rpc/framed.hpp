@@ -119,8 +119,6 @@ struct FramedConfig {
   std::string faults;
   std::size_t max_connections = 8;
   u32 max_payload_bytes = kMaxPayloadBytes;
-  /// 0 → 1 + 2 * max_connections.
-  int io_threads = 0;
   const util::Clock* clock = nullptr;
 };
 

@@ -267,7 +267,6 @@ RpcServer::RpcServer(std::unique_ptr<Listener> listener, ServerConfig cfg)
                          .faults = "rpc.server",
                          .max_connections = cfg.max_connections,
                          .max_payload_bytes = cfg.max_payload_bytes,
-                         .io_threads = cfg.io_threads,
                          .clock = clock_},
             *this) {
   core_.start();

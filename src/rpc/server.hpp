@@ -51,10 +51,7 @@
 namespace parhuff::rpc {
 
 struct ServerConfig {
-  /// io pool size; 0 → 1 + 2 * max_connections (accept + a reader and a
-  /// writer per connection; every task is long-running, so the pool must
-  /// hold them all simultaneously).
-  int io_threads = 0;
+  /// Also sizes the io pool: 1 + 2 * max_connections threads.
   std::size_t max_connections = 8;
   /// Bound on a single request frame's payload.
   u32 max_payload_bytes = kMaxPayloadBytes;

@@ -27,7 +27,9 @@ class LoopbackConnection final : public Connection {
       in_->cv.wait(lock,
                    [&] { return in_->unread() != 0 || in_->closed; });
       const std::size_t take = std::min(n - got, in_->unread());
-      std::memcpy(dst + got, in_->buf.data() + in_->head, take);
+      if (take != 0) {  // a closed, drained pipe may hold no buffer at all
+        std::memcpy(dst + got, in_->buf.data() + in_->head, take);
+      }
       in_->head += take;
       in_->compact();
       got += take;

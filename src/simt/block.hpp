@@ -22,9 +22,6 @@
 // correct CUDA kernels must follow anyway). `sync()` exists to make the
 // barrier explicit at call sites and to tally its modeled cost.
 //
-// Warp-level execution (shuffles, ballots) is provided by warp.hpp on top of
-// `BlockCtx::warps()`.
-//
 // Shared memory
 // -------------
 // Each host thread leases one 96 KiB arena and reuses it for every block it

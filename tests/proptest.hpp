@@ -166,6 +166,100 @@ enum class FieldKind {
   return b;
 }
 
+/// `n` symbols over a `nbins`-symbol alphabet; the distribution shape
+/// (uniform, skewed toward small symbols, or runs of one symbol) is drawn
+/// from `rng`.
+[[nodiscard]] inline std::vector<std::uint16_t> random_symbols(
+    Xoshiro256& rng, std::size_t n, std::size_t nbins) {
+  const std::uint64_t shape = rng.below(3);
+  std::vector<std::uint16_t> v(n);
+  if (shape == 0) {
+    for (auto& s : v) s = static_cast<std::uint16_t>(rng.below(nbins));
+  } else if (shape == 1) {
+    for (auto& s : v) {
+      // Squared draw skews toward small symbols.
+      const std::uint64_t a = rng.below(nbins);
+      const std::uint64_t b = rng.below(nbins);
+      s = static_cast<std::uint16_t>(a * b / nbins);
+    }
+  } else {
+    std::size_t i = 0;
+    while (i < n) {
+      const auto sym = static_cast<std::uint16_t>(rng.below(nbins));
+      const std::size_t run = 1 + rng.geometric(0.02);
+      for (std::size_t k = 0; k < run && i < n; ++k) v[i++] = sym;
+    }
+  }
+  return v;
+}
+
+// ---------------------------------------------------------------------------
+// Seeded u16 stream families over a 1024-bin alphabet, covering the
+// adaptive encoder's regimes: locally-varying density (its reason to
+// exist), stationary data (where it must match fixed-r), degenerate shapes.
+
+enum class StreamKind {
+  kBimodal,   ///< calm stretches + dense bursts: fixed-r's worst case
+  kNyx,       ///< stationary quantization codes: every chunk picks one r
+  kUniform,   ///< high-entropy noise
+  kSubChunk,  ///< shorter than one 1024-symbol chunk
+  kSingle,    ///< one symbol
+};
+
+[[nodiscard]] inline const char* stream_kind_name(StreamKind k) {
+  switch (k) {
+    case StreamKind::kBimodal: return "bimodal";
+    case StreamKind::kNyx: return "nyx";
+    case StreamKind::kUniform: return "uniform";
+    case StreamKind::kSubChunk: return "subchunk";
+    case StreamKind::kSingle: return "single";
+  }
+  return "?";
+}
+
+/// Long stretches of near-constant symbols (1-2 bit codes) interleaved
+/// with dense high-entropy bursts — the worst case for a single global
+/// reduce factor.
+[[nodiscard]] inline std::vector<std::uint16_t> bimodal_stream(
+    std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::uint16_t> v;
+  v.reserve(n);
+  while (v.size() < n) {
+    const std::size_t calm = 2000 + rng.below(4000);
+    for (std::size_t i = 0; i < calm && v.size() < n; ++i) {
+      v.push_back(static_cast<std::uint16_t>(rng.below(3)));
+    }
+    const std::size_t burst = 500 + rng.below(2000);
+    for (std::size_t i = 0; i < burst && v.size() < n; ++i) {
+      v.push_back(static_cast<std::uint16_t>(3 + rng.below(1021)));
+    }
+  }
+  return v;
+}
+
+/// Up to `n` symbols of family `kind` (kSubChunk caps at 1023, kSingle
+/// at 1).
+[[nodiscard]] inline std::vector<std::uint16_t> make_stream(
+    StreamKind kind, std::size_t n, std::uint64_t seed) {
+  switch (kind) {
+    case StreamKind::kBimodal: return bimodal_stream(n, seed);
+    case StreamKind::kNyx: return data::generate_nyx_quant(n, seed);
+    case StreamKind::kUniform: {
+      Xoshiro256 rng(seed);
+      std::vector<std::uint16_t> v(n);
+      for (auto& s : v) s = static_cast<std::uint16_t>(rng.below(1024));
+      return v;
+    }
+    case StreamKind::kSubChunk:
+      return bimodal_stream(std::min<std::size_t>(n, 1023), seed);
+    case StreamKind::kSingle:
+      if (n == 0) return {};
+      return {static_cast<std::uint16_t>(seed % 1024)};
+  }
+  return {};
+}
+
 // ---------------------------------------------------------------------------
 // Drifting-source families (the adaptive codebook lifecycle's harness,
 // tests/test_adaptive_drift.cpp). A DriftSource emits a deterministic

@@ -1,15 +1,13 @@
-// Adaptive per-chunk reduce factors (§VII future-work extension) and the
-// 64-bit cell variant, driven through the proptest harness: every input is
-// a seeded case from a named family, failures report
-// family/case/seed for exact replay, and failing streams shrink by halving
-// before being reported. Also pins the lookup-phase bit accounting
-// (AdaptiveStats::total_code_bits) the service's adaptive codebook
-// lifecycle prices stale books with.
+// Adaptive per-chunk reduce factors (§VII future-work extension): drifting
+// traffic, breaking on bimodal data, per-chunk factors tracking local
+// density, config bounds, the per-chunk factor container field, and
+// matching fixed-r on uniform data. Also pins the lookup-phase bit
+// accounting (AdaptiveStats::total_code_bits) the service's adaptive
+// codebook lifecycle prices stale books with. Both cell widths against
+// every decoder, on every stream family, live in test_equivalence.cpp.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "core/decode.hpp"
@@ -28,109 +26,7 @@
 namespace parhuff {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Seeded u16 stream families. Each produces `n` symbols over a 1024-bin
-// alphabet from a seed; together they cover the adaptive encoder's
-// regimes: locally-varying density (its reason to exist), stationary
-// data (where it must match fixed-r), degenerate shapes.
-
-enum class StreamKind {
-  kBimodal,   ///< calm stretches + dense bursts: fixed-r's worst case
-  kNyx,       ///< stationary quantization codes: every chunk picks one r
-  kUniform,   ///< high-entropy noise
-  kSubChunk,  ///< shorter than one chunk
-  kSingle,    ///< one symbol
-};
-
-const char* stream_kind_name(StreamKind k) {
-  switch (k) {
-    case StreamKind::kBimodal: return "bimodal";
-    case StreamKind::kNyx: return "nyx";
-    case StreamKind::kUniform: return "uniform";
-    case StreamKind::kSubChunk: return "subchunk";
-    case StreamKind::kSingle: return "single";
-  }
-  return "?";
-}
-
-/// Bimodal stream: long stretches of near-constant symbols (1-2 bit codes)
-/// interleaved with dense high-entropy bursts — the worst case for a
-/// single global reduce factor.
-std::vector<u16> bimodal_stream(std::size_t n, u64 seed) {
-  Xoshiro256 rng(seed);
-  std::vector<u16> v;
-  v.reserve(n);
-  while (v.size() < n) {
-    const std::size_t calm = 2000 + rng.below(4000);
-    for (std::size_t i = 0; i < calm && v.size() < n; ++i) {
-      v.push_back(static_cast<u16>(rng.below(3)));
-    }
-    const std::size_t burst = 500 + rng.below(2000);
-    for (std::size_t i = 0; i < burst && v.size() < n; ++i) {
-      v.push_back(static_cast<u16>(3 + rng.below(1021)));
-    }
-  }
-  return v;
-}
-
-std::vector<u16> make_stream(StreamKind kind, std::size_t n, u64 seed) {
-  switch (kind) {
-    case StreamKind::kBimodal: return bimodal_stream(n, seed);
-    case StreamKind::kNyx: return data::generate_nyx_quant(n, seed);
-    case StreamKind::kUniform: {
-      Xoshiro256 rng(seed);
-      std::vector<u16> v(n);
-      for (auto& s : v) s = static_cast<u16>(rng.below(1024));
-      return v;
-    }
-    case StreamKind::kSubChunk: return bimodal_stream(std::min<std::size_t>(n, 1023), seed);
-    case StreamKind::kSingle: return {static_cast<u16>(seed % 1024)};
-  }
-  return {};
-}
-
-std::size_t stream_default_n(StreamKind kind) {
-  switch (kind) {
-    case StreamKind::kBimodal: return 120000;
-    case StreamKind::kNyx: return 120000;
-    case StreamKind::kUniform: return 50000;
-    case StreamKind::kSubChunk: return 1023;
-    case StreamKind::kSingle: return 1;
-  }
-  return 0;
-}
-
-using StreamProperty = std::function<std::optional<std::string>(
-    const std::vector<u16>&, u64 seed)>;
-
-/// find_field_failure's idiom for symbol streams: seeded cases, shrink by
-/// halving the length while the property still fails, replayable report.
-std::optional<std::string> find_stream_failure(StreamKind kind,
-                                               std::size_t cases,
-                                               const StreamProperty& prop) {
-  for (u64 idx = 0; idx < cases; ++idx) {
-    const u64 seed =
-        proptest::case_seed(0xada97000ull + static_cast<u64>(kind), idx);
-    std::size_t n = stream_default_n(kind);
-    auto run = [&](std::size_t len) {
-      return prop(make_stream(kind, len, seed), seed);
-    };
-    std::optional<std::string> failure = run(n);
-    if (!failure) continue;
-    while (n >= 8) {
-      const std::optional<std::string> again = run(n / 2);
-      if (!again) break;
-      n /= 2;
-      failure = again;
-    }
-    std::ostringstream out;
-    out << "property failed: family=" << stream_kind_name(kind)
-        << " case=" << idx << " seed=0x" << std::hex << seed << std::dec
-        << " n=" << n << ": " << *failure;
-    return out.str();
-  }
-  return std::nullopt;
-}
+using proptest::bimodal_stream;
 
 /// Exact total codeword bits of `input` under `cb` — what
 /// AdaptiveStats::total_code_bits must equal.
@@ -141,49 +37,6 @@ u64 exact_code_bits(const std::vector<u16>& input, const Codebook& cb) {
 }
 
 // ---------------------------------------------------------------------------
-
-TEST(Adaptive, RoundTripsAcrossSeededStreamFamilies) {
-  for (const StreamKind kind :
-       {StreamKind::kBimodal, StreamKind::kNyx, StreamKind::kUniform,
-        StreamKind::kSubChunk, StreamKind::kSingle}) {
-    const auto failure = find_stream_failure(
-        kind, 3,
-        [](const std::vector<u16>& input,
-           u64) -> std::optional<std::string> {
-          const auto freq = histogram_serial<u16>(input, 1024);
-          const Codebook cb = build_codebook_serial(freq);
-          AdaptiveStats st32, st64;
-          const EncodedStream e32 =
-              encode_adaptive_simt<u16, 32>(input, cb, {}, nullptr, &st32);
-          const EncodedStream e64 =
-              encode_adaptive_simt<u16, 64>(input, cb, {}, nullptr, &st64);
-          if (decode_stream<u16>(e32, cb, 2) != input)
-            return "width-32 round trip mismatch";
-          if (decode_stream<u16>(e64, cb, 2) != input)
-            return "width-64 round trip mismatch";
-          const u64 want = exact_code_bits(input, cb);
-          if (st32.total_code_bits != want || st64.total_code_bits != want) {
-            std::ostringstream o;
-            o << "total_code_bits drifted from the exact lookup total: want "
-              << want << " got32 " << st32.total_code_bits << " got64 "
-              << st64.total_code_bits;
-            return o.str();
-          }
-          // At equal reduce factors, wider cells can only reduce breaking.
-          AdaptiveConfig pinned;
-          pinned.min_reduce = pinned.max_reduce = 3;
-          AdaptiveStats p32, p64;
-          (void)encode_adaptive_simt<u16, 32>(input, cb, pinned, nullptr,
-                                              &p32);
-          (void)encode_adaptive_simt<u16, 64>(input, cb, pinned, nullptr,
-                                              &p64);
-          if (p64.breaking_symbols > p32.breaking_symbols)
-            return "64-bit cells broke more groups than 32-bit at equal r";
-          return std::nullopt;
-        });
-    EXPECT_FALSE(failure.has_value()) << *failure;
-  }
-}
 
 TEST(Adaptive, RoundTripsOnDriftingTraffic) {
   // The drifting-source families feed the service-layer lifecycle tests;

@@ -1,9 +1,9 @@
 // Gap-array decoder (Rivera et al.) and the container-format evolution it
-// rides on: bit-exactness against the sequential decoder across encoders,
-// overflow fallback, PHF3 optional-field round-trips, backward/forward
-// compatibility (golden PHF2 containers, unknown-tag skip), forged
-// metadata rejection, tier selection in decode_auto, and mid-decode
-// cancellation. Suite names carry "Decode" so the CI sanitizer and
+// rides on: overflow fallback, PHF3 optional-field round-trips,
+// backward/forward compatibility (golden PHF2 containers, unknown-tag
+// skip), forged metadata rejection, tier selection in decode_auto, and
+// mid-decode cancellation. Its equivalence with every other decoder lives in
+// test_equivalence.cpp. Suite names carry "Decode" so the CI sanitizer and
 // repeat-until-fail jobs pick them up.
 #include <gtest/gtest.h>
 
@@ -52,38 +52,6 @@ std::span<const u8> bytes_of(const unsigned char* p, std::size_t n) {
 }
 
 // --- Kernel round-trips. -----------------------------------------------------
-
-TEST(GapDecode, MatchesSequentialOnText) {
-  const auto input = data::generate_text(400000, 1);
-  const Codebook cb = build_codebook_serial(hist_of(input, 256));
-  auto enc = encode_serial<u8>(input, cb, 4096);
-  annotate_gaps(enc, cb);
-  GapArrayStats st;
-  EXPECT_EQ(decode_gaparray<u8>(enc, cb, nullptr, &st), input);
-  EXPECT_GT(st.subsequences, 0u);
-  EXPECT_EQ(st.fallback_chunks, 0u);
-}
-
-TEST(GapDecode, LowEntropyQuantCodes) {
-  const auto input = data::generate_nyx_quant(500000, 3);
-  const Codebook cb = build_codebook_serial(hist_of(input, 1024));
-  auto enc = encode_serial<u16>(input, cb, 4096);
-  annotate_gaps(enc, cb);
-  EXPECT_EQ(decode_gaparray<u16>(enc, cb), input);
-}
-
-TEST(GapDecode, ReduceShuffleStreamWithoutBreaking) {
-  const auto input = data::generate_nyx_quant(300000, 5);
-  const Codebook cb = build_codebook_serial(hist_of(input, 1024));
-  auto enc = encode_reduceshuffle_simt<u16>(input, cb,
-                                            ReduceShuffleConfig{10, 3},
-                                            nullptr, nullptr);
-  ASSERT_TRUE(enc.overflow.empty());
-  annotate_gaps(enc, cb);
-  GapArrayStats st;
-  EXPECT_EQ(decode_gaparray<u16>(enc, cb, nullptr, &st), input);
-  EXPECT_EQ(st.fallback_chunks, 0u);
-}
 
 TEST(GapDecode, FallsBackOnOverflowChunks) {
   const auto input = data::generate_nyx_quant(200000, 7);
@@ -497,22 +465,6 @@ TEST(GapDecodeAuto, RpcDecompressPicksGapArray) {
   const u64 gap0 = reg.counter("decode.gaparray");
   EXPECT_EQ(cli.decompress(bytes).result.get(), input);
   EXPECT_EQ(reg.counter("decode.gaparray"), gap0 + 1);
-}
-
-TEST(GapDecodeAuto, DecompressWithExplicitKind) {
-  const auto input = data::generate_nyx_quant(80000, 35);
-  const auto blob = compress<u16>(input, gap_config(1024));
-  simt::MemTally tally;
-  EXPECT_EQ(decompress_with(blob, DecoderKind::kGapArray, &tally), input);
-  EXPECT_GT(tally.global_read_bytes, 0u);
-  EXPECT_GT(tally.scalar_ops, 0u);
-  const auto plain = compress<u16>(input, [] {
-    PipelineConfig c;
-    c.nbins = 1024;
-    return c;
-  }());
-  EXPECT_THROW((void)decompress_with(plain, DecoderKind::kGapArray),
-               std::invalid_argument);
 }
 
 TEST(GapDecodeCancel, PreCancelledTokenAbortsImmediately) {

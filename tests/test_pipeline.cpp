@@ -1,6 +1,7 @@
-// End-to-end pipeline: every histogram x codebook x encoder combination
-// round-trips, reports sane stage metrics, and agrees on compressed size
-// where bit-identity is guaranteed.
+// End-to-end pipeline: quant-code profiles, the reduce-factor override,
+// stage tallies, tiny inputs, magnitude bounds and the entropy-ratio
+// relation. Every histogram, codebook and encoder kind through compress()
+// lives in test_equivalence.cpp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -13,43 +14,6 @@
 
 namespace parhuff {
 namespace {
-
-class PipelineMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<HistogramKind, CodebookKind, EncoderKind>> {};
-
-TEST_P(PipelineMatrix, RoundTripsByteData) {
-  const auto [h, c, e] = GetParam();
-  const auto input = data::generate_text(150000, 99);
-  PipelineConfig cfg;
-  cfg.nbins = 256;
-  cfg.histogram = h;
-  cfg.codebook = c;
-  cfg.encoder = e;
-  PipelineReport rep;
-  const auto blob = compress<u8>(input, cfg, &rep);
-  EXPECT_EQ(blob.codebook.validate(), "");
-  EXPECT_EQ(decompress(blob, 2), input);
-  EXPECT_GT(rep.avg_bits, 1.0);
-  EXPECT_LT(rep.avg_bits, 8.0);
-  EXPECT_GE(rep.avg_bits, rep.entropy_bits - 0.01);
-  EXPECT_GT(rep.compression_ratio(), 1.0);
-  EXPECT_GT(rep.total_seconds(), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, PipelineMatrix,
-    ::testing::Combine(
-        ::testing::Values(HistogramKind::kSerial, HistogramKind::kOpenMP,
-                          HistogramKind::kSimt),
-        ::testing::Values(CodebookKind::kSerialTree,
-                          CodebookKind::kParallelSimt,
-                          CodebookKind::kParallelOmp),
-        ::testing::Values(EncoderKind::kSerial, EncoderKind::kOpenMP,
-                          EncoderKind::kCoarseSimt,
-                          EncoderKind::kPrefixSumSimt,
-                          EncoderKind::kReduceShuffleSimt,
-                          EncoderKind::kAdaptiveSimt)));
 
 TEST(Pipeline, MultiByteQuantCodes) {
   const auto input = data::generate_nyx_quant(200000, 5);
@@ -84,19 +48,6 @@ TEST(Pipeline, SimtStagesProduceTallies) {
   EXPECT_GT(rep.codebook_tally.grid_syncs, 0u);
   EXPECT_GT(rep.encode_tally.global_read_bytes, 0u);
   EXPECT_GT(rep.encode_tally.shared_bytes, 0u);
-}
-
-TEST(Pipeline, DecoderKindsAgree) {
-  const auto input = data::generate_nyx_quant(120000, 77);
-  PipelineConfig cfg;
-  cfg.nbins = 1024;
-  const auto blob = compress<u16>(input, cfg);
-  simt::MemTally t1, t2;
-  EXPECT_EQ(decompress_with(blob, DecoderKind::kHost), input);
-  EXPECT_EQ(decompress_with(blob, DecoderKind::kSimt, &t1), input);
-  EXPECT_EQ(decompress_with(blob, DecoderKind::kSelfSync, &t2), input);
-  EXPECT_GT(t1.global_read_sectors, 0u);
-  EXPECT_GT(t2.scalar_ops, 0u);
 }
 
 TEST(Pipeline, TinyInputs) {

@@ -1,10 +1,12 @@
 // Sharded router front-end: rendezvous-hash properties (determinism, seed
 // sensitivity, minimal disruption), the ShardHealth state machine, the
-// scale-invariant routing key, proxy round-trips through an unmodified
-// RpcClient, cache-affinity vs round-robin, the kill-one-of-three failover
-// drill with exact terminal accounting (routed == forwarded + failed_over
-// + shed), all-shards-down load shedding, deadline passthrough, the
-// router fault-storm soak, and lifecycle/probing behavior.
+// scale-invariant routing key, the stats, health, cancel, stream-error and
+// lossy verbs through an unmodified RpcClient, cache-affinity vs
+// round-robin, the kill-one-of-three failover drill with exact terminal accounting (routed == forwarded +
+// failed_over + shed), all-shards-down load shedding, deadline passthrough,
+// the router fault-storm soak, and lifecycle/probing behavior. Plain
+// compress/decompress through a 3-shard router lives in
+// test_equivalence.cpp.
 
 #include <gtest/gtest.h>
 
@@ -275,32 +277,6 @@ TEST(RouterKey, DecompressKeyIsDeterministicPerContainer) {
 }
 
 // --- Proxy round-trips. ------------------------------------------------------
-
-TEST(RouterProxy, CompressAndDecompressRoundTripThroughRouter) {
-  ShardHarness shards(3, shard_config());
-  LoopbackHub front;
-  ShardRouter rt(front.listener(), shards.endpoints(), router_config());
-  RpcClient cli([&] { return front.connect(); });
-
-  const auto data = ramp_data(20000);
-  const std::vector<u8> container =
-      cli.compress(std::span<const u8>(data)).result.get();
-  ASSERT_FALSE(container.empty());
-  EXPECT_EQ(cli.decompress(std::span<const u8>(container)).result.get(),
-            data);
-
-  // u16 traffic takes the 65536-bin key path.
-  Xoshiro256 rng(3);
-  std::vector<u16> wide(6000);
-  for (auto& s : wide) s = static_cast<u16>(rng.below(40000));
-  const std::vector<u8> c16 =
-      cli.compress_data<u16>(std::span<const u16>(wide)).result.get();
-  ASSERT_FALSE(c16.empty());
-  const std::vector<u8> raw16 =
-      cli.decompress(std::span<const u8>(c16), 2).result.get();
-  ASSERT_EQ(raw16.size(), wide.size() * 2);
-  EXPECT_EQ(0, std::memcmp(raw16.data(), wide.data(), raw16.size()));
-}
 
 TEST(RouterProxy, StatsVerbAnswersFromTheRouter) {
   ShardHarness shards(2, shard_config());

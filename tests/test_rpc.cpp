@@ -4,7 +4,9 @@
 // propagation through a frozen VirtualClock, the unix-socket end-to-end
 // mixed workload (64+ concurrent requests from 4 client threads), and the
 // loopback fault-storm that arms every rpc.* site and proves the
-// resolve-always invariant plus the response-counter balance.
+// resolve-always invariant plus the response-counter balance. Plain
+// compress/decompress round trips over loopback, unix sockets and the
+// streamed verbs live in test_equivalence.cpp.
 
 #include <gtest/gtest.h>
 
@@ -261,40 +263,6 @@ TEST(RpcLoopback, ClosedHubRefusesConnectAndAcceptReturnsNull) {
 }
 
 // --- Client: typed results, reconnect, cancel, deadline. ---------------------
-
-TEST(RpcClientTest, CompressDecompressRoundTripOnLoopback) {
-  LoopbackHub hub;
-  RpcServer server(hub.listener());
-  RpcClient cli([&] { return hub.connect(); });
-
-  const auto data = ramp_data(20000);
-  RpcCall comp = cli.compress(std::span<const u8>(data));
-  const std::vector<u8> container = comp.result.get();
-  EXPECT_FALSE(container.empty());
-  EXPECT_GT(comp.id, 0u);
-
-  RpcCall decomp = cli.decompress(std::span<const u8>(container));
-  EXPECT_EQ(decomp.result.get(), data);
-}
-
-TEST(RpcClientTest, SixteenBitSymbolsRoundTrip) {
-  LoopbackHub hub;
-  RpcServer server(hub.listener());
-  RpcClient cli([&] { return hub.connect(); });
-
-  Xoshiro256 rng(11);
-  std::vector<u16> data(8192);
-  for (auto& s : data) s = static_cast<u16>(rng.below(40000));
-  RpcCall comp = cli.compress_data<u16>(std::span<const u16>(data));
-  const std::vector<u8> container = comp.result.get();
-
-  RpcCall decomp = cli.decompress(std::span<const u8>(container), 2);
-  const std::vector<u8> raw = decomp.result.get();
-  ASSERT_EQ(raw.size(), data.size() * 2);
-  std::vector<u16> out(data.size());
-  std::memcpy(out.data(), raw.data(), raw.size());
-  EXPECT_EQ(out, data);
-}
 
 TEST(RpcClientTest, GapSubseqBitsReachTheDecodeTier) {
   // Regression: the service's encode skipped the gap-array annotation, so

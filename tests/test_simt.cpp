@@ -1,6 +1,6 @@
-// SIMT simulator substrate: block/shared-memory/barrier semantics, warp
-// primitives, atomics, cooperative grid, and the sector-expansion math of
-// the memory model.
+// SIMT simulator substrate: block/shared-memory/barrier semantics,
+// atomics, cooperative grid, and the sector-expansion math of the memory
+// model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "simt/coop.hpp"
 #include "simt/mem_model.hpp"
 #include "simt/spec.hpp"
-#include "simt/warp.hpp"
 
 namespace parhuff::simt {
 namespace {
@@ -82,48 +81,6 @@ TEST(Atomics, MinMaxCas) {
   EXPECT_EQ(slot, 9u);
   EXPECT_EQ(atomic_cas(slot, 5u, 1u), 9u);  // no swap on mismatch
   EXPECT_EQ(slot, 9u);
-}
-
-TEST(Warp, LaneIterationAndBallot) {
-  launch(1, 70, nullptr, [&](BlockCtx& blk) {
-    int warps = 0;
-    int lanes = 0;
-    for_each_warp(blk, [&](WarpCtx& w) {
-      ++warps;
-      lanes += w.active_lanes();
-      const std::uint32_t even = w.ballot([](int l) { return l % 2 == 0; });
-      // Even lanes of the active set.
-      std::uint32_t expect = 0;
-      for (int l = 0; l < w.active_lanes(); l += 2) expect |= 1u << l;
-      EXPECT_EQ(even, expect);
-    });
-    EXPECT_EQ(warps, 3);       // 70 threads = 32 + 32 + 6
-    EXPECT_EQ(lanes, 70);
-  });
-}
-
-TEST(Warp, ReduceAndScan) {
-  launch(1, 32, nullptr, [&](BlockCtx& blk) {
-    for_each_warp(blk, [&](WarpCtx& w) {
-      std::array<int, kWarpSize> v{};
-      w.lanes([&](int l) { v[l] = l + 1; });
-      EXPECT_EQ(w.reduce_add(v), 32 * 33 / 2);
-      w.lanes([&](int l) { v[l] = 1; (void)l; });
-      w.scan_inclusive(v);
-      for (int l = 0; l < 32; ++l) EXPECT_EQ(v[l], l + 1);
-    });
-  });
-}
-
-TEST(Warp, DivergenceCounted) {
-  MemTally tally;
-  launch(1, 64, &tally, [&](BlockCtx& blk) {
-    for_each_warp(blk, [&](WarpCtx& w) {
-      (void)w.ballot([](int l) { return l < 7; });   // divergent
-      (void)w.ballot([](int) { return true; });      // convergent
-    });
-  });
-  EXPECT_EQ(tally.divergent_branches, 2u);  // one per warp
 }
 
 TEST(Coop, RegionsAreBarrierOrdered) {
