@@ -31,9 +31,11 @@
 //     streamed verbs. Every non-streamed container is byte-identical to
 //     serialize(compress()).
 //
-// A failing cell prints one replayable line (family, case, seed, n,
-// chunk, then the encoder/decoder/path cell) after shrinking the
-// input by halving n while the failure reproduces.
+// Each seeded case of a row is a test of its own,
+// `<Group>/EquivalenceCase.AllCellsAgree/<family>_<case>`. A failing cell
+// prints one replayable line (family, case, seed, n, chunk, then the
+// encoder/decoder/path cell) after shrinking the input by halving n while
+// the failure reproduces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +43,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -316,8 +319,8 @@ std::string layout_diff(const EncodedStream& s, std::span<const Sym> in,
   return {};
 }
 
-/// What the merge columns exercised across a test: a matrix that never
-/// breaks a group checks no overflow splice.
+/// What the merge columns of one case exercised: a case that never breaks
+/// a group checks no overflow splice.
 struct Coverage {
   std::size_t overflow_entries = 0;
   std::size_t wide_cell_overflow_entries = 0;
@@ -585,6 +588,9 @@ struct Family {
   std::function<std::vector<Sym>(u64 seed, std::size_t n)> make;
   /// The book a case encodes with; unset = built from the input.
   std::function<Codebook()> book;
+  /// Every case of 8 or more symbols breaks a 64-bit cell: eight codes of
+  /// more than 8 bits at the pinned r = 3 of AdaptiveConfig{10, 3, 3}.
+  bool breaks_wide_cells = false;
 };
 
 template <typename Sym>
@@ -595,52 +601,111 @@ Codebook book_from_input(std::span<const Sym> in) {
   return build_codebook_serial(histogram_serial<Sym>(in, nbins));
 }
 
-/// Runs `cases` seeded cases of one row. On failure, halves n while the
-/// failure reproduces and returns the replay line.
+/// A merge group holds up to 2^12 symbols of at least one bit each, so a
+/// case of 33 or more symbols breaks a 32-bit cell at r = M = 10 and 12. A
+/// case that breaks no group checks no overflow splice; returns the
+/// coverage a case of `n` symbols missed.
 template <typename Sym>
-std::optional<std::string> find_failure(const Family<Sym>& f, u64 tag,
-                                        std::size_t cases, Coverage& cov) {
-  for (u64 idx = 0; idx < cases; ++idx) {
-    const u64 seed = pt::case_seed(tag, idx);
-    const Draw draw = draw_case(seed, idx);
-    std::size_t n = draw.n;
-    std::size_t used = 0;
-    const auto run = [&](std::size_t len) {
-      const std::vector<Sym> in = f.make(seed, len);
-      used = in.size();
-      const Codebook cb = f.book ? f.book() : book_from_input<Sym>(in);
-      return check_case<Sym>(in, cb, draw.chunk, seed, cov);
-    };
-    std::optional<std::string> failure = run(n);
-    if (!failure) continue;
-    std::size_t failing_n = used;
-    while (n >= 2) {
-      const std::optional<std::string> again = run(n / 2);
-      if (!again) break;
-      n /= 2;
-      failing_n = used;
-      failure = again;
-    }
-    std::ostringstream out;
-    out << "equivalence failed: family=" << f.name << " case=" << idx
-        << " seed=0x" << std::hex << seed << std::dec << " n=" << failing_n
-        << " chunk=" << draw.chunk << " " << *failure;
-    return out.str();
+std::optional<std::string> coverage_gap(const Family<Sym>& f, std::size_t n,
+                                        const Coverage& cov) {
+  if (n >= 33 && cov.overflow_entries == 0) {
+    return "encoder=reduceshuffle/adaptive decoder=- path=-: no group broke";
+  }
+  if (f.breaks_wide_cells && n >= 8 && cov.wide_cell_overflow_entries == 0) {
+    return "encoder=adaptive(W=64) decoder=- path=-: no 64-bit cell broke";
   }
   return std::nullopt;
 }
 
-/// Runs every row; returns what the merge columns exercised.
+/// Runs case `idx` of a row. On failure, halves n while the failure
+/// reproduces and returns the replay line.
 template <typename Sym>
-Coverage expect_rows(const std::vector<Family<Sym>>& rows, u64 tag,
-                     std::size_t cases) {
-  Coverage cov;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto failure = find_failure<Sym>(rows[i], tag + i, cases, cov);
-    EXPECT_FALSE(failure.has_value()) << *failure;
+std::optional<std::string> run_case(const Family<Sym>& f, u64 tag, u64 idx) {
+  const u64 seed = pt::case_seed(tag, idx);
+  const Draw draw = draw_case(seed, idx);
+  std::size_t n = draw.n;
+  std::size_t used = 0;
+  const auto run = [&](std::size_t len) {
+    const std::vector<Sym> in = f.make(seed, len);
+    used = in.size();
+    const Codebook cb = f.book ? f.book() : book_from_input<Sym>(in);
+    Coverage cov;
+    std::optional<std::string> failure =
+        check_case<Sym>(in, cb, draw.chunk, seed, cov);
+    if (!failure) failure = coverage_gap<Sym>(f, in.size(), cov);
+    return failure;
+  };
+  std::optional<std::string> failure = run(n);
+  if (!failure) return std::nullopt;
+  std::size_t failing_n = used;
+  while (n >= 2) {
+    const std::optional<std::string> again = run(n / 2);
+    if (!again) break;
+    n /= 2;
+    failing_n = used;
+    failure = again;
   }
-  EXPECT_GT(cov.overflow_entries, 0u);
-  return cov;
+  std::ostringstream out;
+  out << "equivalence failed: family=" << f.name << " case=" << idx
+      << " seed=0x" << std::hex << seed << std::dec << " n=" << failing_n
+      << " chunk=" << draw.chunk << " " << *failure;
+  return out.str();
+}
+
+/// One row with its element type erased, so that each of its cases is a
+/// test of its own.
+struct Row {
+  std::string name;
+  std::size_t cases = 0;
+  std::function<std::optional<std::string>(u64 idx)> run;
+};
+
+/// Rows of `families`; row i draws its case seeds from `tag + i`.
+template <typename Sym>
+std::vector<Row> rows_of(std::vector<Family<Sym>> families, u64 tag,
+                         std::size_t cases) {
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < families.size(); ++i) {
+    rows.push_back({families[i].name, cases,
+                    [f = families[i], t = tag + i](u64 idx) {
+                      return run_case<Sym>(f, t, idx);
+                    }});
+  }
+  return rows;
+}
+
+struct RowCase {
+  const Row* row = nullptr;
+  u64 index = 0;
+};
+
+std::ostream& operator<<(std::ostream& os, const RowCase& c) {
+  return os << c.row->name << " case " << c.index;
+}
+
+std::vector<RowCase> cases_of(const std::vector<Row>& rows) {
+  std::vector<RowCase> out;
+  for (const Row& r : rows) {
+    for (u64 idx = 0; idx < r.cases; ++idx) out.push_back({&r, idx});
+  }
+  return out;
+}
+
+/// `<family>_<case>`, e.g. `drift_gradual_7`.
+std::string case_name(const ::testing::TestParamInfo<RowCase>& info) {
+  std::string name =
+      info.param.row->name + "_" + std::to_string(info.param.index);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+/// One seeded case of one row against every encoder and decoder column.
+class EquivalenceCase : public ::testing::TestWithParam<RowCase> {};
+
+TEST_P(EquivalenceCase, AllCellsAgree) {
+  const std::optional<std::string> failure =
+      GetParam().row->run(GetParam().index);
+  EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
 /// A float field as u16 symbols: the top 12 bits of each value (sign,
@@ -688,8 +753,14 @@ std::vector<Sym> deep_symbols(u64 seed, std::size_t n) {
   return v;
 }
 
-TEST(Equivalence, ByteBuffers) {
-  expect_rows<u8>({{"bytes",
+const Codebook& flat_book() {
+  static const Codebook cb = build_codebook_serial(std::vector<u64>(1024, 1));
+  return cb;
+}
+
+const std::vector<Row>& byte_buffer_rows() {
+  static const std::vector<Row> rows =
+      rows_of<u8>({{"bytes",
                     [](u64 seed, std::size_t n) {
                       Xoshiro256 rng(seed);
                       std::vector<u8> v;
@@ -702,51 +773,60 @@ TEST(Equivalence, ByteBuffers) {
                     },
                     {}}},
                   0xe0b17e00ull, 45);
+  return rows;
 }
 
-TEST(Equivalence, DriftSchedules) {
-  std::vector<Family<u16>> rows;
-  for (const pt::DriftKind kind :
-       {pt::DriftKind::kGradual, pt::DriftKind::kAbrupt,
-        pt::DriftKind::kPeriodic}) {
-    rows.push_back({std::string("drift-") + pt::drift_kind_name(kind),
-                    [kind](u64 seed, std::size_t n) {
-                      Xoshiro256 rng(seed);
-                      pt::DriftSpec spec;
-                      spec.kind = kind;
-                      spec.nbins = 8 + rng.below(2000);
-                      spec.log2_batch_symbols = 13;
-                      const pt::DriftSource src(spec, seed);
-                      std::vector<u16> v;
-                      for (std::size_t t = 0; v.size() < n; ++t) {
-                        const auto batch = src.batch<u16>(t);
-                        v.insert(v.end(), batch.begin(), batch.end());
-                      }
-                      v.resize(n);
-                      return v;
-                    },
-                    {}});
-  }
-  expect_rows<u16>(rows, 0xe0d21f00ull, 15);
+const std::vector<Row>& drift_schedule_rows() {
+  static const std::vector<Row> rows = [] {
+    std::vector<Family<u16>> families;
+    for (const pt::DriftKind kind :
+         {pt::DriftKind::kGradual, pt::DriftKind::kAbrupt,
+          pt::DriftKind::kPeriodic}) {
+      families.push_back(
+          {std::string("drift-") + pt::drift_kind_name(kind),
+           [kind](u64 seed, std::size_t n) {
+             Xoshiro256 rng(seed);
+             pt::DriftSpec spec;
+             spec.kind = kind;
+             spec.nbins = 8 + rng.below(2000);
+             spec.log2_batch_symbols = 13;
+             const pt::DriftSource src(spec, seed);
+             std::vector<u16> v;
+             for (std::size_t t = 0; v.size() < n; ++t) {
+               const auto batch = src.batch<u16>(t);
+               v.insert(v.end(), batch.begin(), batch.end());
+             }
+             v.resize(n);
+             return v;
+           },
+           {}});
+    }
+    return rows_of<u16>(families, 0xe0d21f00ull, 15);
+  }();
+  return rows;
 }
 
-TEST(Equivalence, FieldFamilies) {
-  std::vector<Family<u16>> rows;
-  for (const pt::FieldKind kind :
-       {pt::FieldKind::kSmooth, pt::FieldKind::kTurbulent,
-        pt::FieldKind::kConstant, pt::FieldKind::kDenormal,
-        pt::FieldKind::kSpiky}) {
-    rows.push_back({std::string("field-") + pt::field_kind_name(kind),
-                    [kind](u64 seed, std::size_t n) {
-                      return field_symbols(kind, seed, n);
-                    },
-                    {}});
-  }
-  expect_rows<u16>(rows, 0xe0f1e1d0ull, 9);
+const std::vector<Row>& field_family_rows() {
+  static const std::vector<Row> rows = [] {
+    std::vector<Family<u16>> families;
+    for (const pt::FieldKind kind :
+         {pt::FieldKind::kSmooth, pt::FieldKind::kTurbulent,
+          pt::FieldKind::kConstant, pt::FieldKind::kDenormal,
+          pt::FieldKind::kSpiky}) {
+      families.push_back({std::string("field-") + pt::field_kind_name(kind),
+                          [kind](u64 seed, std::size_t n) {
+                            return field_symbols(kind, seed, n);
+                          },
+                          {}});
+    }
+    return rows_of<u16>(families, 0xe0f1e1d0ull, 9);
+  }();
+  return rows;
 }
 
-TEST(Equivalence, RandomStreams) {
-  expect_rows<u16>({{"random",
+const std::vector<Row>& random_stream_rows() {
+  static const std::vector<Row> rows =
+      rows_of<u16>({{"random",
                      [](u64 seed, std::size_t n) {
                        Xoshiro256 rng(seed);
                        const std::size_t nbins = 2 + rng.below(2000);
@@ -754,50 +834,80 @@ TEST(Equivalence, RandomStreams) {
                      },
                      {}}},
                    0xe0a4d000ull, 30);
+  return rows;
 }
 
-TEST(Equivalence, AdaptiveStreamKinds) {
-  std::vector<Family<u16>> rows;
-  for (const pt::StreamKind kind :
-       {pt::StreamKind::kBimodal, pt::StreamKind::kNyx,
-        pt::StreamKind::kUniform, pt::StreamKind::kSubChunk,
-        pt::StreamKind::kSingle}) {
-    rows.push_back({std::string("stream-") + pt::stream_kind_name(kind),
-                    [kind](u64 seed, std::size_t n) {
-                      return pt::make_stream(kind, n, seed);
-                    },
-                    {}});
-  }
-  expect_rows<u16>(rows, 0xe0ada000ull, 9);
+const std::vector<Row>& adaptive_stream_rows() {
+  static const std::vector<Row> rows = [] {
+    std::vector<Family<u16>> families;
+    for (const pt::StreamKind kind :
+         {pt::StreamKind::kBimodal, pt::StreamKind::kNyx,
+          pt::StreamKind::kUniform, pt::StreamKind::kSubChunk,
+          pt::StreamKind::kSingle}) {
+      families.push_back({std::string("stream-") + pt::stream_kind_name(kind),
+                          [kind](u64 seed, std::size_t n) {
+                            return pt::make_stream(kind, n, seed);
+                          },
+                          {}});
+    }
+    return rows_of<u16>(families, 0xe0ada000ull, 9);
+  }();
+  return rows;
 }
 
-TEST(Equivalence, PinnedBooks) {
-  ASSERT_GT(deep_book().max_len, 32u);
-  ASSERT_GT(deep_book().max_len, kDecodeTableBits);
-  const Codebook flat = build_codebook_serial(std::vector<u64>(1024, 1));
-  ASSERT_EQ(flat.max_len, 10u);
-  expect_rows<u8>({{"deep-book-u8", deep_symbols<u8>, deep_book},
-                   {"single-symbol",
-                    [](u64 seed, std::size_t n) {
-                      return std::vector<u8>(n, static_cast<u8>(seed));
-                    },
-                    {}}},
-                  0xe0b00c00ull, 12);
-  const Coverage wide =
-      expect_rows<u16>({{"deep-book-u16", deep_symbols<u16>, deep_book},
-                        {"flat-1024",
-                         [](u64 seed, std::size_t n) {
-                           Xoshiro256 rng(seed);
-                           std::vector<u16> v(n);
-                           for (auto& s : v) {
-                             s = static_cast<u16>(rng.below(1024));
-                           }
-                           return v;
-                         },
-                         [&flat] { return flat; }}},
-                       0xe0b01600ull, 12);
-  // The deep and flat books break 64-bit cells too.
-  EXPECT_GT(wide.wide_cell_overflow_entries, 0u);
+const std::vector<Row>& pinned_book_rows() {
+  static const std::vector<Row> rows = [] {
+    std::vector<Row> out =
+        rows_of<u8>({{"deep-book-u8", deep_symbols<u8>, deep_book},
+                     {"single-symbol",
+                      [](u64 seed, std::size_t n) {
+                        return std::vector<u8>(n, static_cast<u8>(seed));
+                      },
+                      {}}},
+                    0xe0b00c00ull, 12);
+    for (Row& r :
+         rows_of<u16>({{"deep-book-u16", deep_symbols<u16>, deep_book},
+                       {"flat-1024",
+                        [](u64 seed, std::size_t n) {
+                          Xoshiro256 rng(seed);
+                          std::vector<u16> v(n);
+                          for (auto& s : v) {
+                            s = static_cast<u16>(rng.below(1024));
+                          }
+                          return v;
+                        },
+                        flat_book, true}},
+                      0xe0b01600ull, 12)) {
+      out.push_back(std::move(r));
+    }
+    return out;
+  }();
+  return rows;
+}
+
+INSTANTIATE_TEST_SUITE_P(ByteBuffers, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(byte_buffer_rows())),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(DriftSchedules, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(drift_schedule_rows())),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(FieldFamilies, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(field_family_rows())),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(RandomStreams, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(random_stream_rows())),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(AdaptiveStreamKinds, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(adaptive_stream_rows())),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(PinnedBooks, EquivalenceCase,
+                         ::testing::ValuesIn(cases_of(pinned_book_rows())),
+                         case_name);
+
+TEST(Equivalence, PinnedBookShapes) {
+  EXPECT_GT(deep_book().max_len, 32u);
+  EXPECT_GT(deep_book().max_len, kDecodeTableBits);
+  EXPECT_EQ(flat_book().max_len, 10u);
 }
 
 // --- Pipeline kinds. ---------------------------------------------------------
