@@ -9,9 +9,9 @@
 // "RLE1" optional field (core/format.hpp).
 //
 // RleAccumulator is the streaming half: the fused quantize loop push()es
-// each code as it is produced and the accumulator maintains the residual
-// stream, the run table and the residual histogram in one pass — the full
-// code buffer is never materialized. rle_expand() is the decode half,
+// each row of codes as it is produced and the accumulator maintains the
+// residual stream, the run table and the residual histogram in one pass —
+// the full code buffer is never materialized. rle_expand() is the decode half,
 // re-validating the run table against the residual before allocating the
 // output (deserialization already checked it once; defense in depth for
 // callers that assemble streams in memory).
@@ -30,35 +30,68 @@ class RleAccumulator {
   /// `run_symbol` is the code whose runs are extracted; `min_run` the
   /// threshold below which a run stays inline (0 disables extraction —
   /// every code lands in the residual). `freq` (histogram over the
-  /// residual stream, sized nbins) is updated in place as codes arrive.
+  /// residual stream, sized nbins) holds the residual's counts after
+  /// finish().
   RleAccumulator(u16 run_symbol, u32 min_run, std::vector<u64>& freq)
-      : run_symbol_(run_symbol), min_run_(min_run), freq_(freq) {}
+      : run_symbol_(run_symbol),
+        min_run_(min_run),
+        freq_(freq),
+        lanes_(kLanes * freq.size(), 0) {}
 
-  void push(u16 code) {
-    if (min_run_ != 0 && code == run_symbol_) {
-      ++pending_;
-      ++n_;
+  /// Append a block of codes (one row of the fused pass). The block's
+  /// leading run symbols extend the open run and its trailing ones open
+  /// the next. Between them the block starts and ends with an inline code,
+  /// so when it is at most min_run + 1 codes long no run fits inside and
+  /// it goes to the residual whole, without a branch per code.
+  void push(std::span<const u16> codes) {
+    const u16* p = codes.data();
+    const u16* const end = p + codes.size();
+    if (min_run_ == 0) {
+      append_inline(p, end);
       return;
     }
+    const u16* s = p;
+    while (p < end && *p == run_symbol_) ++p;
+    extend_run(p - s);
+    if (p == end) return;
     flush_pending(n_ - pending_);
-    residual_.push_back(code);
-    ++freq_[code];
-    ++n_;
+    const u16* t = end;
+    while (t[-1] == run_symbol_) --t;  // stops at p at the latest
+    if (static_cast<u64>(t - p) <= u64{min_run_} + 1) {
+      append_inline(p, t);
+    } else {
+      while (p < t) {
+        s = p;
+        while (p < t && *p != run_symbol_) ++p;
+        append_inline(s, p);
+        s = p;
+        while (p < t && *p == run_symbol_) ++p;
+        extend_run(p - s);
+        flush_pending(n_ - pending_);
+      }
+    }
+    extend_run(end - t);
   }
 
-  /// Flush the trailing run. Guarantees a non-empty residual: a stream
-  /// that was one giant run keeps its final symbol inline, so the Huffman
-  /// stage always has at least one symbol (and the run-table invariant
-  /// n_runs < orig_symbols holds).
+  /// Flush the trailing run and total the residual histogram. Guarantees
+  /// a non-empty residual: a stream that was one giant run keeps its final
+  /// symbol inline, so the Huffman stage always has at least one symbol
+  /// (and the run-table invariant n_runs < orig_symbols holds).
   void finish() {
     if (pending_ > 0 && residual_.empty() && pending_ >= min_run_) {
       --pending_;
       flush_pending(n_ - 1 - pending_);
       residual_.push_back(run_symbol_);
       ++freq_[run_symbol_];
-      return;
+    } else {
+      flush_pending(n_ - pending_);
     }
-    flush_pending(n_ - pending_);
+    const std::size_t w = freq_.size();
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      for (std::size_t sym = 0; sym < w; ++sym) {
+        freq_[sym] += lanes_[lane * w + sym];
+      }
+    }
   }
 
   [[nodiscard]] const std::vector<u16>& residual() const { return residual_; }
@@ -93,15 +126,42 @@ class RleAccumulator {
       }
       removed_ += pending_;
     } else {
-      for (u64 i = 0; i < pending_; ++i) residual_.push_back(run_symbol_);
+      residual_.insert(residual_.end(), static_cast<std::size_t>(pending_),
+                       run_symbol_);
       freq_[run_symbol_] += pending_;
     }
     pending_ = 0;
   }
 
+  void extend_run(std::ptrdiff_t len) {
+    pending_ += static_cast<u64>(len);
+    n_ += static_cast<u64>(len);
+  }
+
+  /// Codes [a, b) go to the residual. The histogram counts into kLanes
+  /// interleaved copies, so equal neighbouring codes do not wait on each
+  /// other's increment; a u32 lane holds any field's count (the fused
+  /// path caps a field below 2^32 codes).
+  void append_inline(const u16* a, const u16* b) {
+    residual_.insert(residual_.end(), a, b);
+    n_ += static_cast<u64>(b - a);
+    const std::size_t w = freq_.size();
+    u32* const lane = lanes_.data();
+    for (; b - a >= static_cast<std::ptrdiff_t>(kLanes); a += kLanes) {
+      ++lane[a[0]];
+      ++lane[w + a[1]];
+      ++lane[2 * w + a[2]];
+      ++lane[3 * w + a[3]];
+    }
+    for (; a < b; ++a) ++lane[*a];
+  }
+
+  static constexpr std::size_t kLanes = 4;
+
   u16 run_symbol_;
   u32 min_run_;
   std::vector<u64>& freq_;
+  std::vector<u32> lanes_;  ///< kLanes residual histograms, summed by finish()
   std::vector<u16> residual_;
   std::vector<u64> run_pos_;
   std::vector<u32> run_len_;

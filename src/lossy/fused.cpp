@@ -16,13 +16,97 @@
 namespace parhuff::lossy {
 
 namespace {
-constexpr char kMagicFused[4] = {'P', 'H', 'L', '2'};
+/// The dual-quantization container this compressor writes.
+constexpr char kMagicDual[4] = {'P', 'H', 'L', '3'};
+/// The float-walk container the compressor wrote before; read-only.
+constexpr char kMagicFloatWalk[4] = {'P', 'H', 'L', '2'};
 /// Cancel poll granularity inside the fused quantize pass and the
 /// reconstruct walk (matches the decode-side contract of >= one poll per
 /// 64 Ki symbols).
 constexpr std::size_t kPollStride = 64 * 1024;
 /// Outlier indices are u32, so a field holds at most 2^32 - 1 elements.
 constexpr std::size_t kMaxElements = 0xFFFFFFFFull;
+/// Quanta stay below 2^52 in magnitude: every one is an exact double, and
+/// the seven-term Lorenzo sum stays far inside i64.
+constexpr i64 kQuantaLimit = i64{1} << 52;
+
+/// Dual quantization's first stage (cuSZ+, PAPERS.md #5): a value's quanta
+/// are its distance from the anchor in units of 2·eb, rounded. The
+/// compressor and the PHL3 reader derive an outlier's quanta from its
+/// stored float through this one function, so both sides predict its
+/// neighbours from the same integer.
+struct Prequantizer {
+  Prequantizer(float anchor_value, double eb)
+      : anchor(anchor_value), width(2.0 * eb), inv_width(1.0 / width) {}
+
+  /// round((v - anchor) / 2eb) when it is finite and below kQuantaLimit,
+  /// else 0 (the value is an outlier either way).
+  [[nodiscard]] i64 quanta(float v, bool& in_range) const {
+    const double q =
+        std::rint((static_cast<double>(v) - anchor) * inv_width);
+    in_range = std::abs(q) < static_cast<double>(kQuantaLimit);
+    return in_range ? static_cast<i64>(q) : 0;
+  }
+  [[nodiscard]] i64 quanta(float v) const {
+    bool in_range = false;
+    return quanta(v, in_range);
+  }
+  /// The value quanta `q` stand for, rounded to float.
+  [[nodiscard]] float value(i64 q) const {
+    return static_cast<float>(anchor + static_cast<double>(q) * width);
+  }
+
+  double anchor;
+  double width;
+  double inv_width;
+};
+
+/// The integer Lorenzo stencil's working set: rows of quanta in a ring of
+/// ny + 2 rows (2 when nz == 1), the rows of planes z and z - 1 the
+/// stencil still reads. Each row carries a leading zero and a missing
+/// neighbour row (y == 0 or z == 0) reads a zero row, so the stencil has
+/// no boundary test per element: a zero neighbour is the omitted term of
+/// the boundary predictor.
+class QuantaRing {
+ public:
+  /// Row y of plane z (c) and its stencil neighbours: row y - 1 (cu), row
+  /// y of plane z - 1 (p) and row y - 1 of plane z - 1 (pu). Element x
+  /// sits at index x; index -1 is the zero pad.
+  struct Row {
+    i64* c;
+    const i64* cu;
+    const i64* p;
+    const i64* pu;
+
+    /// Lorenzo prediction of element x from its seven neighbours, with
+    /// c[x - 1] passed in as `left` (the caller holds it in a register).
+    [[nodiscard]] i64 predict(std::size_t x, i64 left) const {
+      return left + cu[x] + p[x] - cu[x - 1] - p[x - 1] - pu[x] + pu[x - 1];
+    }
+  };
+
+  explicit QuantaRing(data::Dims dims)
+      : stride_(dims.nx + 1),
+        ny_(dims.ny),
+        rows_(dims.nz > 1 ? dims.ny + 2 : 2),
+        zero_(stride_, 0),
+        ring_(rows_ * stride_, 0) {}
+
+  [[nodiscard]] Row row(std::size_t y, std::size_t z) {
+    const std::size_t r = z * ny_ + y;
+    const auto at = [&](std::size_t k) {
+      return ring_.data() + (k % rows_) * stride_ + 1;
+    };
+    const i64* zero = zero_.data() + 1;
+    return Row{at(r), y > 0 ? at(r - 1) : zero, z > 0 ? at(r - ny_) : zero,
+               y > 0 && z > 0 ? at(r - ny_ - 1) : zero};
+  }
+
+ private:
+  std::size_t stride_, ny_, rows_;
+  std::vector<i64> zero_;
+  std::vector<i64> ring_;
+};
 
 /// Resolve the absolute error bound over the *finite* values only — a
 /// field polluted with NaN/Inf must not poison the relative-range mode
@@ -155,6 +239,60 @@ std::vector<float> fused_reconstruct(const std::vector<u16>& codes,
   return out;
 }
 
+/// Reconstruction for PHL3: the integer recurrence q = Lorenzo(q) + delta
+/// over the quanta ring, each value rebuilt from its q. An outlier
+/// restores its stored value bit-exactly and takes q = quanta(value), the
+/// compressor's rule. Forged codes or outliers can drive q anywhere, so
+/// every q is checked against kQuantaLimit before it feeds a prediction.
+std::vector<float> dual_reconstruct(
+    const std::vector<u16>& codes,
+    const std::vector<std::pair<u32, float>>& outliers, data::Dims dims,
+    const Prequantizer& pq, u32 nbins, const CancelToken* cancel) {
+  std::vector<float> out(codes.size());
+  QuantaRing ring(dims);
+  const i64 center = nbins / 2;
+  const std::size_t nx = dims.nx;
+
+  std::size_t next_outlier = 0;
+  std::size_t idx = 0;
+  std::size_t next_poll = kPollStride;
+  for (std::size_t z = 0; z < dims.nz; ++z) {
+    for (std::size_t y = 0; y < dims.ny; ++y, idx += nx) {
+      if (cancel && idx >= next_poll) {
+        cancel->check();
+        next_poll += kPollStride;
+      }
+      const QuantaRing::Row row = ring.row(y, z);
+      const u16* k = codes.data() + idx;
+      float* o = out.data() + idx;
+      i64 left = 0;
+      for (std::size_t x = 0; x < nx; ++x) {
+        if (k[x] == 0) {
+          if (next_outlier >= outliers.size() ||
+              outliers[next_outlier].first != idx + x) {
+            throw std::runtime_error(
+                "lossy container: outlier list does not match code stream");
+          }
+          o[x] = outliers[next_outlier++].second;
+          left = row.c[x] = pq.quanta(o[x]);
+          continue;
+        }
+        const i64 q =
+            row.predict(x, left) + (static_cast<i64>(k[x]) - center);
+        if (q <= -kQuantaLimit || q >= kQuantaLimit) {
+          throw std::runtime_error("lossy container: quanta out of range");
+        }
+        left = row.c[x] = q;
+        o[x] = pq.value(q);
+      }
+    }
+  }
+  if (next_outlier != outliers.size()) {
+    throw std::runtime_error("lossy container: unreferenced outliers");
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<u8> compress_field_fused(std::span<const float> field,
@@ -181,59 +319,59 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
   const double eb = resolve_bound(field, cfg);
   rep.error_bound = eb;
 
-  // The fused pass: Lorenzo predict → quantize → histogram + RLE, one
-  // sweep, no full code buffer.
+  // The fused pass, dual quantization: prequantize each row against the
+  // anchor, integer Lorenzo over the quanta, then histogram + RLE. No
+  // element waits on its neighbour's rebuilt float, and no full code
+  // buffer exists.
   util::FaultInjector::global().maybe_throw("lossy.quantize");
   Timer t;
   const u32 nbins = cfg.nbins;
   const i64 center = nbins / 2;
-  const double bin_width = 2.0 * eb;
-  const std::size_t sy = dims.nx, sz = dims.nx * dims.ny;
+  const auto first_finite =
+      std::find_if(field.begin(), field.end(),
+                   [](float v) { return std::isfinite(v); });
+  const float anchor = first_finite == field.end() ? 0.0f : *first_finite;
+  const Prequantizer pq(anchor, eb);
+  const std::size_t nx = dims.nx;
 
   std::vector<u64> freq(nbins, 0);
   RleAccumulator acc(static_cast<u16>(center), cfg.rle_min_run, freq);
   std::vector<std::pair<u32, float>> outliers;
-  std::vector<float> recon(field.size(), 0.0f);
+  QuantaRing ring(dims);
+  std::vector<u16> codes(nx);
 
   std::size_t idx = 0;
   std::size_t next_poll = kPollStride;
   for (std::size_t z = 0; z < dims.nz; ++z) {
-    for (std::size_t y = 0; y < dims.ny; ++y) {
-      for (std::size_t x = 0; x < dims.nx; ++x, ++idx) {
-        if (cancel && idx >= next_poll) {
-          cancel->check();
-          next_poll += kPollStride;
-        }
-        const double pred =
-            data::lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
-
-        const float v = field[idx];
-        i64 code = 0;
-        float r = 0.0f;
-        if (std::isfinite(v)) {
-          const double err = static_cast<double>(v) - pred;
-          // Magnitude pre-check before llround: a quantum count past the
-          // bin range is an outlier anyway, and err/bin_width can exceed
-          // the i64 range for denormal bounds (llround UB).
-          if (std::abs(err) < bin_width * static_cast<double>(nbins)) {
-            code = center + static_cast<i64>(std::llround(err / bin_width));
-            if (code <= 0 || code >= static_cast<i64>(nbins)) code = 0;
-            r = static_cast<float>(
-                pred + static_cast<double>(code - center) * bin_width);
-            // Rounding the reconstruction to float can push it past the
-            // bound by an ulp; such a value is an outlier like any other.
-            if (std::abs(static_cast<double>(r) - v) > eb) code = 0;
-          }
-        }
-        if (code == 0) {
-          outliers.emplace_back(static_cast<u32>(idx), v);
-          recon[idx] = std::isfinite(v) ? v : 0.0f;
-          acc.push(0);
+    for (std::size_t y = 0; y < dims.ny; ++y, idx += nx) {
+      if (cancel && idx >= next_poll) {
+        cancel->check();
+        next_poll += kPollStride;
+      }
+      const QuantaRing::Row row = ring.row(y, z);
+      const float* v = field.data() + idx;
+      // A value is an outlier when its quanta leave the range, when its
+      // float rebuild misses it by more than eb (an ulp of rounding can do
+      // it) or when its delta from the integer Lorenzo prediction falls
+      // outside the bins. The prediction reads only quanta, so no element
+      // waits on another's rebuild.
+      i64 left = 0;
+      for (std::size_t x = 0; x < nx; ++x) {
+        bool in_range = false;
+        const i64 q = pq.quanta(v[x], in_range);
+        row.c[x] = q;
+        const double err = std::abs(static_cast<double>(pq.value(q)) -
+                                    static_cast<double>(v[x]));
+        const u64 code = static_cast<u64>(center + q - row.predict(x, left));
+        left = q;
+        if (in_range & (err <= eb) & (code - 1 < nbins - 1)) {
+          codes[x] = static_cast<u16>(code);
         } else {
-          recon[idx] = r;
-          acc.push(static_cast<u16>(code));
+          codes[x] = 0;
+          outliers.emplace_back(static_cast<u32>(idx + x), v[x]);
         }
       }
+      acc.push(codes);
     }
   }
   acc.finish();
@@ -259,13 +397,14 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
           : encode_residual<u16>(residual, freq, acc, pc, rep, books, cancel);
 
   ByteWriter w;
-  w.put_array(std::span<const char>(kMagicFused, 4));
+  w.put_array(std::span<const char>(kMagicDual, 4));
   w.put<u64>(static_cast<u64>(dims.nx));
   w.put<u64>(static_cast<u64>(dims.ny));
   w.put<u64>(static_cast<u64>(dims.nz));
   w.put<double>(eb);
   w.put<u32>(nbins);
   w.put<u8>(nbins <= 256 ? 1 : 2);
+  w.put<float>(anchor);
   w.put<u64>(static_cast<u64>(outliers.size()));
   for (const auto& [oi, value] : outliers) {
     w.put<u32>(oi);
@@ -282,7 +421,8 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   ByteReader r(bytes);
   const auto magic = r.get_array<char>(4);
-  if (std::memcmp(magic.data(), kMagicFused, 4) != 0) {
+  const bool dual = std::memcmp(magic.data(), kMagicDual, 4) == 0;
+  if (!dual && std::memcmp(magic.data(), kMagicFloatWalk, 4) != 0) {
     throw std::runtime_error("lossy container: bad magic");
   }
   data::Dims dims;
@@ -292,11 +432,12 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
   const double eb = r.get<double>();
   const u32 nbins = r.get<u32>();
   const u8 sym_bytes = r.get<u8>();
+  const float anchor = dual ? r.get<float>() : 0.0f;
   // Stepwise: wrapped dims would pass a check on dims.total() while the
   // reconstruct walk loops over the real nx*ny*nz.
   const auto checked = data::checked_total(dims, kMaxElements);
   if (!checked || !std::isfinite(eb) || eb <= 0 || nbins < 4 ||
-      nbins > 65536) {
+      nbins > 65536 || !std::isfinite(anchor)) {
     throw std::runtime_error("lossy container: implausible header");
   }
   const std::size_t total = *checked;
@@ -332,16 +473,29 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
     const EncodedStream* stream = nullptr;
     Compressed<u8> blob8;
     Compressed<u16> blob16;
+    const Codebook* book = nullptr;
     if (sym_bytes == 1) {
       blob8 = deserialize<u8>(huff_bytes);
-      const std::vector<u8> narrow = decode_auto<u8>(blob8.stream, blob8.codebook,
-                                                     0, cancel);
-      residual.assign(narrow.begin(), narrow.end());
       stream = &blob8.stream;
+      book = &blob8.codebook;
     } else {
       blob16 = deserialize<u16>(huff_bytes);
-      residual = decode_auto<u16>(blob16.stream, blob16.codebook, 0, cancel);
       stream = &blob16.stream;
+      book = &blob16.codebook;
+    }
+    // The writer codes the residual over an alphabet of at least nbins
+    // symbols; a header nbins past it is forged.
+    if (book->nbins < nbins) {
+      throw std::runtime_error(
+          "lossy container: implausible header (nbins exceeds the "
+          "codebook)");
+    }
+    if (sym_bytes == 1) {
+      const std::vector<u8> narrow =
+          decode_auto<u8>(blob8.stream, blob8.codebook, 0, cancel);
+      residual.assign(narrow.begin(), narrow.end());
+    } else {
+      residual = decode_auto<u16>(blob16.stream, blob16.codebook, 0, cancel);
     }
     if (stream->has_rle()) {
       // The run symbol must be a real quantizer code: in range and not the
@@ -367,7 +521,10 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
   out.error_bound = eb;
   {
     const obs::ScopedStageTimer st(reg, "lossy.reconstruct");
-    out.values = fused_reconstruct(codes, outliers, dims, eb, nbins, cancel);
+    out.values =
+        dual ? dual_reconstruct(codes, outliers, dims,
+                                Prequantizer(anchor, eb), nbins, cancel)
+             : fused_reconstruct(codes, outliers, dims, eb, nbins, cancel);
   }
   return out;
 }

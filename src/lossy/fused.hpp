@@ -5,12 +5,18 @@
 // the histogram. The fused path does prediction, quantization,
 // histogramming and run-length extraction in ONE pass:
 //
-//   float field ──► Lorenzo predict ─► quantize ─► RleAccumulator
-//                                         │             │
-//                                    outlier side    residual codes +
-//                                      channel       residual histogram
-//                                                        │
+//   float field ─► prequantize ─► integer Lorenzo ─► RleAccumulator
+//                   (quanta)            │                  │
+//                                  outlier side      residual codes +
+//                                    channel         residual histogram
+//                                                          │
 //                                         codebook (or cache hit) ─► encode
+//
+// Dual quantization: each value is first rounded to its quanta, an integer
+// count of 2·eb steps from the anchor (the field's first finite value),
+// and Lorenzo predicts quanta from quanta. No element waits on its
+// neighbour's reconstructed float, and the reader rebuilds quanta by an
+// integer recurrence.
 //
 // The full N-symbol code buffer never exists: long runs of the
 // perfect-prediction code (overwhelming on smooth fields) go straight to
@@ -18,13 +24,14 @@
 // core/format.hpp), and only the residual stream is Huffman-coded — over
 // the narrow u8 alphabet when nbins <= 256, u16 otherwise.
 //
-// Container: "PHL2" = header + outlier side channel + an embedded
-// PHF2/PHF3 container whose stream may carry the RLE1 field;
-// lossy::decompress_field() (lossy.hpp) reads it. Decompression
+// Container: "PHL3" = header (with the f32 anchor) + outlier side channel
+// + an embedded PHF2/PHF3 container whose stream may carry the RLE1
+// field; lossy::decompress_field() (lossy.hpp) reads it, and still reads
+// the float-walk "PHL2" the compressor wrote before. Decompression
 // guarantees |out - in| <= eb elementwise; outliers — including NaN/Inf
-// inputs, which quantizers must never feed to llround — are restored
-// bit-exactly, with 0.0f substituted as their *prediction* input on both
-// sides so the two reconstructions stay in lockstep.
+// inputs and values whose float rebuild would miss by more than eb — are
+// restored bit-exactly, and both sides predict their neighbours from the
+// same quanta of the stored value.
 //
 // The CodebookSource hook is how the service layer splices its sharded-LRU
 // codebook cache into the fused path: find() is consulted with the

@@ -4,13 +4,14 @@
 // "prediction + error-bounded quantization + Huffman", and the encoder
 // evaluated here is the cuSZ stage-4 replacement).
 //
-// Pipeline: 3-D Lorenzo prediction over reconstructed values →
-// error-bounded linear quantization (2^k bins, code 0 = outlier) →
-// parhuff Huffman encoding of the code stream → a self-contained "PHL2"
-// container holding dims/eb/outliers/codebook/payload. The compressor is
-// the fused one-pass form in lossy/fused.hpp; this header holds what a
-// reader needs. Decompression inverts each stage; |out - in| <= eb holds
-// elementwise (outliers are exact).
+// Pipeline: dual quantization (each value rounded to integer quanta of
+// 2·eb, then 3-D Lorenzo prediction over the quanta; 2^k bins, code 0 =
+// outlier) → parhuff Huffman encoding of the code stream → a
+// self-contained "PHL3" container holding dims/eb/anchor/outliers/
+// codebook/payload. The compressor is the fused one-pass form in
+// lossy/fused.hpp; this header holds what a reader needs. Decompression
+// inverts each stage; |out - in| <= eb holds elementwise (outliers are
+// exact).
 
 #include <span>
 #include <vector>
@@ -27,8 +28,9 @@ struct Field {
   std::vector<float> values;
 };
 
-/// Inverse of compress_field_fused (lossy/fused.hpp): reads one PHL2
-/// container. Throws std::runtime_error on malformed input (any other
+/// Inverse of compress_field_fused (lossy/fused.hpp): reads one PHL3
+/// container, or one PHL2 container of the float-walk compressor that
+/// preceded it. Throws std::runtime_error on malformed input (any other
 /// magic fails with "bad magic"). `cancel` is polled inside the decode and
 /// reconstruct walks.
 [[nodiscard]] Field decompress_field(std::span<const u8> bytes,

@@ -142,7 +142,7 @@ class RpcClient {
                                    const RpcOptions& opts = {});
 
   /// v4 fused lossy compress (docs/lossy.md): ships the 48-byte quantizer
-  /// config followed by the f32 field; resolves to a PHL2 container.
+  /// config followed by the f32 field; resolves to a PHL3 container.
   /// cfg.nx*ny*nz must equal field.size().
   [[nodiscard]] RpcCall lossy_compress(std::span<const float> field,
                                        const LossyRequestHeader& cfg,
@@ -155,8 +155,8 @@ class RpcClient {
                                            u8 sym_width,
                                            const RpcOptions& opts = {});
 
-  /// v4 fused lossy decompress: ships a PHL2 container; resolves to
-  /// a LossyFieldHeader + f32 payload (split it with
+  /// v4 fused lossy decompress: ships a PHL3 (or PHL2) container;
+  /// resolves to a LossyFieldHeader + f32 payload (split it with
   /// decode_lossy_field_payload).
   [[nodiscard]] RpcCall lossy_decompress(std::span<const u8> container,
                                          const RpcOptions& opts = {});

@@ -67,8 +67,8 @@
 //
 //   lossy_compress    request: LossyRequestHeader (48-byte LE quantizer
 //                     config) followed by nx*ny*nz little-endian f32
-//                     samples — response: PHL2 container.
-//   lossy_decompress  request: PHL2 container — response:
+//                     samples — response: PHL3 container.
+//   lossy_decompress  request: PHL3 or PHL2 container — response:
 //                     LossyFieldHeader (32-byte LE dims + resolved bound)
 //                     followed by the reconstructed f32 samples.
 //

@@ -544,8 +544,8 @@ void RpcServer::handle_lossy_decompress(ConnState& cs, const Header& h,
                                         std::vector<u8> payload) {
   auto token = request_token(h);
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  // Runs on the writer task like plain decompress; anything but a PHL2
-  // container fails typed, and the decode/reconstruct walks poll the
+  // Runs on the writer task like plain decompress; anything but a PHL3 or
+  // PHL2 container fails typed, and the decode/reconstruct walks poll the
   // token.
   respond(cs, h, [token] { token->request(); }, Blame::kRequest,
           [body, token] {

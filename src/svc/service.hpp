@@ -191,7 +191,7 @@ struct Submission {
 };
 
 /// Result of a fused lossy request (submit_lossy): the self-contained
-/// PHL2 container plus the fused-path report. Lossy requests dispatch
+/// PHL3 container plus the fused-path report. Lossy requests dispatch
 /// solo (a float field amortizes its own codebook build) but share the
 /// service's admission bound, worker pool, deadline/cancel machinery and
 /// — through the residual-histogram fingerprint — its codebook cache.

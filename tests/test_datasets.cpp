@@ -2,6 +2,8 @@
 // the band of the paper's measured average bitwidths (Table V).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/entropy.hpp"
 #include "core/histogram.hpp"
 #include "data/datasets.hpp"
@@ -20,6 +22,12 @@ struct ProfileCase {
   const char* name;
   double lo, hi;  // acceptable entropy band around the paper's avg bits
 };
+
+// Printed by name and band, not as raw bytes: the bytes hold a pointer,
+// and gtest puts the printed parameter into each test's name.
+std::ostream& operator<<(std::ostream& os, const ProfileCase& pc) {
+  return os << pc.name << " (" << pc.lo << ", " << pc.hi << ")";
+}
 
 class DatasetProfile : public ::testing::TestWithParam<ProfileCase> {};
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/decode.hpp"
@@ -20,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "core/tree.hpp"
 #include "data/synth_hist.hpp"
+#include "golden_phl2.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
 #include "proptest.hpp"
@@ -298,9 +301,11 @@ TEST(FuzzCodebook, ParallelBuilderOnAdversarialHistograms) {
 }
 
 // ---------------------------------------------------------------------------
-// Lossy (PHL2) container fuzzing: random damage, checksum-fixing forgeries
-// of the RLE1 optional field, forged outlier tables, and hostile float
-// inputs. Contract everywhere: throw a typed std::exception or decode
+// Lossy container fuzzing: random damage, checksum-fixing forgeries of the
+// RLE1 optional field, forged outlier tables and headers, and hostile float
+// inputs. Each damage and forgery test runs over a fresh PHL3 container and
+// the frozen PHL2 bytes (golden_phl2.hpp), the two formats the reader
+// accepts. Contract everywhere: throw a typed std::exception or decode
 // defensively — never read out of bounds.
 
 /// A field whose fused container carries both RLE runs and residual
@@ -324,6 +329,21 @@ std::size_t find_rle_tag(std::span<const u8> bytes) {
              : static_cast<std::size_t>(it - bytes.begin());
 }
 
+/// `phl3` and the frozen PHL2 container (RLE runs and 76 outliers).
+std::vector<std::vector<u8>> with_golden_phl2(std::vector<u8> phl3) {
+  std::vector<std::vector<u8>> inputs;
+  inputs.push_back(std::move(phl3));
+  inputs.emplace_back(std::begin(testdata::kGoldenPhl2),
+                      std::end(testdata::kGoldenPhl2));
+  return inputs;
+}
+
+/// Offset of the u64 outlier count: the header is magic(4) dims(24) eb(8)
+/// nbins(4) sym_bytes(1), and PHL3 adds an f32 anchor after it.
+std::size_t outlier_count_at(std::span<const u8> bytes) {
+  return std::memcmp(bytes.data(), "PHL3", 4) == 0 ? 45 : 41;
+}
+
 class FuzzLossy : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzLossy, MutatedLossyContainersNeverCrash) {
@@ -334,27 +354,30 @@ TEST_P(FuzzLossy, MutatedLossyContainersNeverCrash) {
   cfg.rel_error_bound = 1e-3;
   cfg.rle_min_run = 64;
   lossy::FusedReport rep;
-  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
+  auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
   ASSERT_GE(rep.rle_runs, 1u);  // the damage must reach RLE metadata
 
-  for (int trial = 0; trial < 60; ++trial) {
-    auto mutated = bytes;
-    const u64 kind = rng.below(4);
-    if (kind == 0) {
-      mutated[rng.below(mutated.size())] ^= static_cast<u8>(1 + rng.below(255));
-    } else if (kind == 1) {
-      mutated.resize(rng.below(mutated.size()));
-    } else if (kind == 2) {
-      for (int k = 0; k < 16; ++k) {
-        mutated[rng.below(mutated.size())] = static_cast<u8>(rng.below(256));
+  for (const auto& input : with_golden_phl2(std::move(bytes))) {
+    for (int trial = 0; trial < 60; ++trial) {
+      auto mutated = input;
+      const u64 kind = rng.below(4);
+      if (kind == 0) {
+        mutated[rng.below(mutated.size())] ^=
+            static_cast<u8>(1 + rng.below(255));
+      } else if (kind == 1) {
+        mutated.resize(rng.below(mutated.size()));
+      } else if (kind == 2) {
+        for (int k = 0; k < 16; ++k) {
+          mutated[rng.below(mutated.size())] = static_cast<u8>(rng.below(256));
+        }
+      } else {
+        mutated.insert(mutated.end(), rng.below(64), static_cast<u8>(0x55));
       }
-    } else {
-      mutated.insert(mutated.end(), rng.below(64), static_cast<u8>(0x55));
-    }
-    try {
-      (void)lossy::decompress_field(mutated);
-    } catch (const std::exception&) {
-      // expected for most mutations
+      try {
+        (void)lossy::decompress_field(mutated);
+      } catch (const std::exception&) {
+        // expected for most mutations
+      }
     }
   }
 }
@@ -372,66 +395,69 @@ TEST_P(FuzzLossy, ForgedRleFieldWithValidChecksumNeverCrashes) {
   lossy::FusedConfig cfg;
   cfg.rel_error_bound = 1e-3;
   cfg.rle_min_run = 64;
-  const auto bytes = lossy::compress_field_fused(field, dims, cfg);
+  for (const auto& bytes :
+       with_golden_phl2(lossy::compress_field_fused(field, dims, cfg))) {
+    const std::size_t tag_at = find_rle_tag(bytes);
+    ASSERT_NE(tag_at, std::string::npos);
+    // tag(4) | len(8) | payload(len) | digest(8)
+    u64 payload_len = 0;
+    std::memcpy(&payload_len, bytes.data() + tag_at + 4, 8);
+    const std::size_t payload_at = tag_at + 12;
+    ASSERT_LE(payload_at + payload_len + 8, bytes.size());
+    const auto fix_field = [&](std::vector<u8>& buf) {
+      const u64 d = fnv1a(
+          std::span<const u8>(buf.data() + payload_at, payload_len));
+      std::memcpy(buf.data() + payload_at + payload_len, &d, sizeof(d));
+    };
 
-  const std::size_t tag_at = find_rle_tag(bytes);
-  ASSERT_NE(tag_at, std::string::npos);
-  // tag(4) | len(8) | payload(len) | digest(8)
-  u64 payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + tag_at + 4, 8);
-  const std::size_t payload_at = tag_at + 12;
-  ASSERT_LE(payload_at + payload_len + 8, bytes.size());
-  const auto fix_field = [&](std::vector<u8>& buf) {
-    const u64 d = fnv1a(
-        std::span<const u8>(buf.data() + payload_at, payload_len));
-    std::memcpy(buf.data() + payload_at + payload_len, &d, sizeof(d));
-  };
+    // Payload: run_symbol u32 | orig_symbols u64 | n_runs u64 | pos[] |
+    // len[]
+    const u64 u64_forgeries[] = {0,       1,            u64{1} << 32,
+                                 ~u64{0}, ~u64{0} - 30, ~u64{0} / 2};
+    const u32 u32_forgeries[] = {0, 1, 512, 0x7FFFFFFFu, 0xFFFFFFFFu};
+    for (int trial = 0; trial < 60; ++trial) {
+      auto mutated = bytes;
+      const u64 which = rng.below(5);
+      if (which == 0) {  // run_symbol (0 = forged outlier-marker run)
+        std::memcpy(mutated.data() + payload_at,
+                    &u32_forgeries[rng.below(5)], 4);
+      } else if (which == 1) {  // orig_symbols
+        std::memcpy(mutated.data() + payload_at + 4,
+                    &u64_forgeries[rng.below(6)], 8);
+      } else if (which == 2) {  // n_runs
+        std::memcpy(mutated.data() + payload_at + 12,
+                    &u64_forgeries[rng.below(6)], 8);
+      } else if (which == 3 && payload_len >= 28) {  // pos[0]
+        std::memcpy(mutated.data() + payload_at + 20,
+                    &u64_forgeries[rng.below(6)], 8);
+      } else if (payload_len >= 32) {  // len[last] (tail of the payload)
+        std::memcpy(mutated.data() + payload_at + payload_len - 4,
+                    &u32_forgeries[rng.below(5)], 4);
+      }
+      fix_field(mutated);
+      try {
+        (void)lossy::decompress_field(mutated);
+      } catch (const std::exception&) {
+        // expected for most forgeries
+      }
+    }
 
-  // Payload: run_symbol u32 | orig_symbols u64 | n_runs u64 | pos[] | len[]
-  const u64 u64_forgeries[] = {0,       1,            u64{1} << 32,
-                               ~u64{0}, ~u64{0} - 30, ~u64{0} / 2};
-  const u32 u32_forgeries[] = {0, 1, 512, 0x7FFFFFFFu, 0xFFFFFFFFu};
-  for (int trial = 0; trial < 60; ++trial) {
-    auto mutated = bytes;
-    const u64 which = rng.below(5);
-    if (which == 0) {  // run_symbol (0 = forged outlier-marker run)
-      std::memcpy(mutated.data() + payload_at, &u32_forgeries[rng.below(5)],
-                  4);
-    } else if (which == 1) {  // orig_symbols
-      std::memcpy(mutated.data() + payload_at + 4,
-                  &u64_forgeries[rng.below(6)], 8);
-    } else if (which == 2) {  // n_runs
-      std::memcpy(mutated.data() + payload_at + 12,
-                  &u64_forgeries[rng.below(6)], 8);
-    } else if (which == 3 && payload_len >= 28) {  // pos[0]
-      std::memcpy(mutated.data() + payload_at + 20,
-                  &u64_forgeries[rng.below(6)], 8);
-    } else if (payload_len >= 32) {  // len[last] (tail of the payload)
-      std::memcpy(mutated.data() + payload_at + payload_len - 4,
-                  &u32_forgeries[rng.below(5)], 4);
-    }
-    fix_field(mutated);
-    try {
-      (void)lossy::decompress_field(mutated);
-    } catch (const std::exception&) {
-      // expected for most forgeries
-    }
+    // The specific forgery the decoder must always reject: a run of the
+    // outlier marker (symbol 0) would desynchronize the outlier side
+    // channel, so it fails typed even with a valid digest.
+    auto forged = bytes;
+    const u32 zero = 0;
+    std::memcpy(forged.data() + payload_at, &zero, 4);
+    fix_field(forged);
+    EXPECT_THROW((void)lossy::decompress_field(forged), std::exception);
   }
-
-  // The specific forgery the decoder must always reject: a run of the
-  // outlier marker (symbol 0) would desynchronize the outlier side
-  // channel, so it fails typed even with a valid digest.
-  auto forged = bytes;
-  const u32 zero = 0;
-  std::memcpy(forged.data() + payload_at, &zero, 4);
-  fix_field(forged);
-  EXPECT_THROW((void)lossy::decompress_field(forged), std::exception);
 }
 
 TEST_P(FuzzLossy, ForgedOutlierTablesNeverCrash) {
-  // The PHL2 outlier table sits at a fixed offset (no digest guards it —
-  // the embedded Huffman container's digests cover only the code stream),
-  // so forged counts, indices and orderings hit the parse checks directly.
+  // The outlier table sits at a fixed offset (no digest guards it — the
+  // embedded Huffman container's digests cover only the code stream), so
+  // forged counts, indices, orderings and values hit the parse checks and
+  // the reconstruct walk directly.
   Xoshiro256 rng(static_cast<u64>(GetParam()) * 811 + 3);
   const data::Dims dims{16, 16, 16};
   auto field = data::generate_cosmo_field(dims, 21);
@@ -440,39 +466,133 @@ TEST_P(FuzzLossy, ForgedOutlierTablesNeverCrash) {
   lossy::FusedConfig cfg;
   cfg.abs_error_bound = 0.01;
   lossy::FusedReport rep;
-  const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
+  auto phl3 = lossy::compress_field_fused(field, dims, cfg, &rep);
   ASSERT_GE(rep.outliers, 2u);
 
-  // PHL2 header: magic(4) dims(24) eb(8) nbins(4) sym_bytes(1) = 41, then
-  // n_outliers u64 at 41 and {u32 idx, f32 val} pairs from 49.
-  constexpr std::size_t kCountAt = 41;
-  constexpr std::size_t kTableAt = 49;
-  const u64 u64_forgeries[] = {0, 1, dims.nx * dims.ny * dims.nz + 1,
-                               u64{1} << 32, ~u64{0}};
-  const u32 u32_forgeries[] = {0, 9, 4095, 4096, 0xFFFFFFFFu};
-  for (int trial = 0; trial < 60; ++trial) {
-    auto mutated = bytes;
-    const u64 which = rng.below(3);
-    if (which == 0) {  // outlier count
-      std::memcpy(mutated.data() + kCountAt, &u64_forgeries[rng.below(5)], 8);
-    } else if (which == 1) {  // first outlier index (ordering/range checks)
-      std::memcpy(mutated.data() + kTableAt, &u32_forgeries[rng.below(5)], 4);
-    } else {  // random damage inside the table
-      mutated[kTableAt + rng.below(rep.outliers * 8)] ^=
-          static_cast<u8>(1 + rng.below(255));
+  for (const auto& bytes : with_golden_phl2(std::move(phl3))) {
+    // n_outliers u64, then {u32 idx, f32 val} pairs.
+    const std::size_t count_at = outlier_count_at(bytes);
+    const std::size_t table_at = count_at + 8;
+    u64 n_outliers = 0;
+    u64 dim[3] = {};
+    std::memcpy(&n_outliers, bytes.data() + count_at, 8);
+    std::memcpy(dim, bytes.data() + 4, sizeof(dim));
+    ASSERT_GE(n_outliers, 2u);
+    const u64 u64_forgeries[] = {0, 1, dim[0] * dim[1] * dim[2] + 1,
+                                 u64{1} << 32, ~u64{0}};
+    const u32 u32_forgeries[] = {0, 9, 4095, 4096, 0xFFFFFFFFu};
+    const float f32_forgeries[] = {
+        0.0f, -1e30f, 4503599358935040.0f,
+        std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN()};
+    for (int trial = 0; trial < 60; ++trial) {
+      auto mutated = bytes;
+      const u64 which = rng.below(4);
+      if (which == 0) {  // outlier count
+        std::memcpy(mutated.data() + count_at, &u64_forgeries[rng.below(5)],
+                    8);
+      } else if (which == 1) {  // first outlier index (ordering/range checks)
+        std::memcpy(mutated.data() + table_at, &u32_forgeries[rng.below(5)],
+                    4);
+      } else if (which == 2) {  // an outlier value (feeds the predictions)
+        std::memcpy(mutated.data() + table_at + rng.below(n_outliers) * 8 + 4,
+                    &f32_forgeries[rng.below(6)], 4);
+      } else {  // random damage inside the table
+        mutated[table_at + rng.below(n_outliers * 8)] ^=
+            static_cast<u8>(1 + rng.below(255));
+      }
+      try {
+        (void)lossy::decompress_field(mutated);
+      } catch (const std::exception&) {
+        // expected for most forgeries
+      }
     }
-    try {
-      (void)lossy::decompress_field(mutated);
-    } catch (const std::exception&) {
-      // expected for most forgeries
+
+    // A count past the field size must fail typed, never allocate/scan.
+    auto forged = bytes;
+    const u64 huge = ~u64{0};
+    std::memcpy(forged.data() + count_at, &huge, 8);
+    EXPECT_THROW((void)lossy::decompress_field(forged), std::exception);
+  }
+}
+
+/// Expect `bytes` to fail typed with a message containing `what`.
+void expect_typed_failure(const std::vector<u8>& bytes, const char* what) {
+  try {
+    (void)lossy::decompress_field(bytes);
+    ADD_FAILURE() << "forged container decoded; expected \"" << what << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::strstr(e.what(), what), nullptr) << e.what();
+  }
+}
+
+TEST(FuzzLossy, RaisedHeaderNbinsFailsTyped) {
+  // A header nbins raised past the embedded codebook's alphabet moves the
+  // center bin, so every decoded delta would be off by the difference.
+  // The header is implausible against its own codebook.
+  constexpr std::size_t kNbinsAt = 36;
+  Xoshiro256 rng(17);
+  const data::Dims dims{16, 16, 8};
+  const auto field = rle_heavy_field(dims, rng);
+  const auto forge = [](std::vector<u8> bytes, u32 nbins) {
+    std::memcpy(bytes.data() + kNbinsAt, &nbins, 4);
+    return bytes;
+  };
+  for (const u32 nbins : {128u, 1024u}) {
+    lossy::FusedConfig cfg;
+    cfg.abs_error_bound = 0.01;
+    cfg.nbins = nbins;
+    const auto bytes = lossy::compress_field_fused(field, dims, cfg);
+    ASSERT_NO_THROW((void)lossy::decompress_field(bytes));
+    const u32 raised = nbins <= 256 ? 256 : 65536;
+    for (const u32 forged : {nbins + 2, 2 * nbins, raised}) {
+      SCOPED_TRACE(std::to_string(nbins) + " -> " + std::to_string(forged));
+      expect_typed_failure(forge(bytes, forged), "implausible header");
     }
   }
+  // The frozen PHL2 container (u8, 256 bins): any raise needs u16 symbols.
+  const std::vector<u8> phl2(std::begin(testdata::kGoldenPhl2),
+                             std::end(testdata::kGoldenPhl2));
+  expect_typed_failure(forge(phl2, 65536), "symbol width mismatch");
+}
 
-  // A count past the field size must fail typed, never allocate/scan.
-  auto forged = bytes;
-  const u64 huge = ~u64{0};
-  std::memcpy(forged.data() + kCountAt, &huge, 8);
-  EXPECT_THROW((void)lossy::decompress_field(forged), std::exception);
+TEST(FuzzLossy, NonFiniteAnchorFailsTyped) {
+  constexpr std::size_t kAnchorAt = 41;  // after sym_bytes
+  const data::Dims dims{8, 8, 8};
+  const auto bytes =
+      lossy::compress_field_fused(data::generate_cosmo_field(dims, 4), dims);
+  for (const float anchor : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()}) {
+    auto forged = bytes;
+    std::memcpy(forged.data() + kAnchorAt, &anchor, 4);
+    expect_typed_failure(forged, "implausible header");
+  }
+}
+
+TEST(FuzzLossy, ForgedOutliersThatRunTheQuantaPastTheirRangeFailTyped) {
+  // A 2x2 plane with anchor 0 and 2·eb = 1: v(1,0) and v(0,1) are outliers
+  // (quanta 1000 against a prediction of 0), and v(1,1) = 2000 is
+  // predicted exactly. Forging both outliers to 2^52 - 2^28, the largest
+  // float whose quanta are still in range, predicts v(1,1) at 2^53 - 2^29:
+  // the reader must stop there instead of feeding it to the next stencil.
+  const std::vector<float> field = {0.0f, 1000.0f, 1000.0f, 2000.0f};
+  lossy::FusedConfig cfg;
+  cfg.abs_error_bound = 0.5;
+  cfg.nbins = 256;
+  lossy::FusedReport rep;
+  auto bytes =
+      lossy::compress_field_fused(field, data::Dims{2, 2, 1}, cfg, &rep);
+  ASSERT_EQ(rep.outliers, 2u);
+  EXPECT_EQ(lossy::decompress_field(bytes).values, field);
+
+  const float far = 4503599358935040.0f;  // 2^52 - 2^28
+  const std::size_t table_at = outlier_count_at(bytes) + 8;
+  for (const std::size_t slot : {0, 1}) {
+    std::memcpy(bytes.data() + table_at + slot * 8 + 4, &far, 4);
+  }
+  expect_typed_failure(bytes, "quanta out of range");
 }
 
 TEST(FuzzLossy, HostileFloatsNeverCrashTheFusedQuantizer) {

@@ -13,6 +13,7 @@
 #include "core/format.hpp"
 #include "core/pipeline.hpp"
 #include "data/quant.hpp"
+#include "golden_phl2.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
 #include "proptest.hpp"
@@ -82,11 +83,13 @@ TEST(Golden, AdaptiveContainerBytesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
-// The v4 lossy additions. Two contracts frozen here:
-//  1. The PHL2 container (and the RLE1 optional field inside its embedded
-//     PHF3 stream) serializes to stable bytes — the fused format is now
-//     on disk.
-//  2. A PHF3 container *without* RLE stays byte-identical to the pre-RLE1
+// The lossy contracts frozen here:
+//  1. The PHL3 container (and the RLE1 optional field inside its embedded
+//     PHF3 stream) serializes to stable bytes — the fused format is on
+//     disk.
+//  2. The PHL2 reader decodes the frozen PHL2 bytes (golden_phl2.hpp) to
+//     exactly the floats it always did.
+//  3. A PHF3 container *without* RLE stays byte-identical to the pre-RLE1
 //     serializer: adding the optional field must not move a single byte
 //     of streams that don't carry it (the GAP1 evolution rule).
 
@@ -118,11 +121,13 @@ TEST(Golden, LossyFusedContainerBytesAreStable) {
   const auto back = lossy::decompress_field(bytes);
   ASSERT_EQ(back.values.size(), dims.total());
 
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHL3", 4), 0);
+
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0xfd830d0bff914f00ull;
+  constexpr u64 kGoldenDigest = 0xc9b2aa35e11911fcull;
   if (kGoldenDigest != 0) {
     EXPECT_EQ(digest, kGoldenDigest)
-        << "PHL2 container bytes changed; if intentional, bump the magic "
+        << "PHL3 container bytes changed; if intentional, bump the magic "
            "and refresh kGoldenDigest (new value: 0x" << std::hex << digest
         << ")";
   } else {
@@ -131,10 +136,33 @@ TEST(Golden, LossyFusedContainerBytesAreStable) {
   }
 }
 
+TEST(Golden, FrozenPhl2DecodesToTheSameFloats) {
+  const std::span<const u8> bytes(testdata::kGoldenPhl2,
+                                  sizeof(testdata::kGoldenPhl2));
+  ASSERT_EQ(fnv1a(bytes), testdata::kGoldenPhl2Digest);
+  const auto back = lossy::decompress_field(bytes);
+  EXPECT_EQ(back.dims.nx, testdata::kGoldenPhl2Nx);
+  EXPECT_EQ(back.dims.ny, testdata::kGoldenPhl2Ny);
+  EXPECT_EQ(back.dims.nz, testdata::kGoldenPhl2Nz);
+  EXPECT_DOUBLE_EQ(back.error_bound, 0.01);
+  const u64 values = fnv1a(std::span<const u8>(
+      reinterpret_cast<const u8*>(back.values.data()),
+      back.values.size() * sizeof(float)));
+  EXPECT_EQ(values, testdata::kGoldenPhl2ValuesDigest)
+      << "the PHL2 reader decodes the frozen bytes to different floats "
+         "(new digest: 0x" << std::hex << values << ")";
+  // And those floats still meet the bound on the field they came from.
+  EXPECT_LE(proptest::max_abs_error(golden_field(back.dims), back.values),
+            0.01);
+}
+
 TEST(Golden, RleFieldByteLayoutIsPinned) {
-  // Walk the serialized RLE1 field by hand, offset arithmetic and all —
-  // this is the byte-layout contract readers of every future version must
-  // honor: tag 'RLE1' | u64 len | { u32 run_symbol | u64 orig_symbols |
+  // Walk the PHL3 container and its serialized RLE1 field by hand, offset
+  // arithmetic and all — this is the byte-layout contract readers of
+  // every future version must honor. PHL3: "PHL3" | u64 nx, ny, nz |
+  // f64 eb | u32 nbins | u8 sym_bytes | f32 anchor | u64 n_outliers |
+  // {u32 index, f32 value}[n] | u64 huff_len | embedded container. RLE1:
+  // tag 'RLE1' | u64 len | { u32 run_symbol | u64 orig_symbols |
   // u64 n_runs | u64 pos[n] asc | u32 len[n] } | u64 fnv1a digest.
   const data::Dims dims{24, 24, 16};
   lossy::FusedConfig cfg;
@@ -145,9 +173,28 @@ TEST(Golden, RleFieldByteLayoutIsPinned) {
   const auto bytes =
       lossy::compress_field_fused(golden_field(dims), dims, cfg, &rep);
 
+  const auto get = [&](std::size_t at, auto value) {
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    return value;
+  };
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHL3", 4), 0);
+  EXPECT_EQ(get(4, u64{}), dims.nx);
+  EXPECT_EQ(get(12, u64{}), dims.ny);
+  EXPECT_EQ(get(20, u64{}), dims.nz);
+  EXPECT_EQ(get(28, double{}), rep.error_bound);
+  EXPECT_EQ(get(36, u32{}), cfg.nbins);
+  EXPECT_EQ(get(40, u8{}), 1);  // u8 residual alphabet
+  EXPECT_EQ(get(41, float{}), golden_field(dims)[0]);  // the first finite value
+  EXPECT_EQ(get(45, u64{}), rep.outliers);
+  const std::size_t huff_at = 53 + rep.outliers * 8;
+  ASSERT_LE(huff_at + 12, bytes.size());
+  EXPECT_EQ(huff_at + 8 + get(huff_at, u64{}), bytes.size());
+  ASSERT_EQ(std::memcmp(bytes.data() + huff_at + 8, "PHF3", 4), 0);
+
   static constexpr u8 kTag[4] = {'R', 'L', 'E', '1'};
   const auto it =
-      std::search(bytes.begin(), bytes.end(), std::begin(kTag), std::end(kTag));
+      std::search(bytes.begin() + static_cast<std::ptrdiff_t>(huff_at),
+                  bytes.end(), std::begin(kTag), std::end(kTag));
   ASSERT_NE(it, bytes.end());
   const std::size_t tag_at = static_cast<std::size_t>(it - bytes.begin());
 

@@ -1,4 +1,4 @@
-// The cuSZ-style lossy compressor (lossy/fused.hpp, PHL2 container):
+// The cuSZ-style lossy compressor (lossy/fused.hpp, PHL3 container):
 // error-bound guarantee through the full stack (predict → quantize →
 // Huffman → container → decode → reconstruct), ratio behaviour, container
 // robustness — plus the glued two-stage baseline bench_lossy measures it
@@ -15,9 +15,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
 
 #include "core/format.hpp"
 #include "core/pipeline.hpp"
+#include "core/rle.hpp"
 #include "data/quant.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
@@ -51,6 +53,12 @@ struct BoundMode {
   double abs = 0;
   u32 nbins = 0;
 };
+
+// gtest would otherwise print the raw bytes, pointer included, into each
+// test's name, and a different load address renames the test.
+std::ostream& operator<<(std::ostream& os, const BoundMode& m) {
+  return os << m.name;
+}
 
 class FusedRoundTrip : public ::testing::TestWithParam<BoundMode> {};
 
@@ -280,7 +288,8 @@ TEST(Lossy, RejectsCorruptContainer) {
     EXPECT_THROW((void)lossy::decompress_field(bad), std::runtime_error);
   }
   {
-    // Any magic but PHL2 is rejected, the glued container's included.
+    // Any magic but PHL3 and PHL2 is rejected, the glued container's
+    // included.
     auto bad = bytes;
     bad[3] = '1';
     try {
@@ -354,8 +363,8 @@ TEST(Lossy, RejectsBadParameters) {
 }
 
 TEST(Lossy, ReportSectionsAddUp) {
-  // PHL2 = 49-byte header (magic, dims, bound, nbins, symbol width,
-  // outlier count) + 8 bytes per outlier + an 8-byte length + the
+  // PHL3 = 53-byte header (magic, dims, bound, nbins, symbol width,
+  // anchor, outlier count) + 8 bytes per outlier + an 8-byte length + the
   // embedded Huffman container; the report must match that layout.
   const Dims dims{32, 32, 32};
   auto field = data::generate_cosmo_field(dims, 6);
@@ -365,7 +374,7 @@ TEST(Lossy, ReportSectionsAddUp) {
   cfg.abs_error_bound = 0.01;
   lossy::FusedReport rep;
   const auto bytes = lossy::compress_field_fused(field, dims, cfg, &rep);
-  constexpr std::size_t kHeader = 4 + 3 * 8 + 8 + 4 + 1 + 8;
+  constexpr std::size_t kHeader = 4 + 3 * 8 + 8 + 4 + 1 + 4 + 8;
   EXPECT_EQ(rep.compressed_bytes, bytes.size());
   EXPECT_EQ(rep.raw_bytes, field.size() * sizeof(float));
   EXPECT_GE(rep.outliers, 2u);
@@ -381,7 +390,7 @@ TEST(Lossy, ReportSectionsAddUp) {
 }
 
 // ---------------------------------------------------------------------------
-// Named fused-path (PHL2) tests.
+// Named fused-path (PHL3) tests.
 
 TEST(Fused, ConstantFieldBreaksTheOneBitFloor) {
   // Huffman alone cannot spend less than one bit per symbol, which caps a
@@ -474,6 +483,72 @@ TEST(Fused, RejectsBadParameters) {
   ASSERT_EQ(wrapping.total(), field.size());
   EXPECT_THROW((void)lossy::compress_field_fused(field, wrapping, {}),
                std::invalid_argument);
+}
+
+TEST(Fused, RleBlocksGiveTheSameRunsHoweverTheCodesAreSplit) {
+  // The fused pass pushes one row of codes at a time, and a row no longer
+  // than min_run + 1 skips the per-code run scan. Whatever the split, the
+  // residual, histogram and run table must equal a one-code-at-a-time
+  // push, and rle_expand must restore the codes.
+  constexpr u16 kRun = 8;
+  for (u64 seed = 0; seed < 40; ++seed) {
+    Xoshiro256 rng(pt::case_seed(/*family_tag=*/101, seed));
+    std::vector<u16> codes(1 + rng.below(3000));
+    const u64 stretch = 1 + rng.below(400);  // typical run-symbol stretch
+    for (std::size_t i = 0; i < codes.size();) {
+      const std::size_t len = 1 + rng.below(2 * stretch);
+      const bool run = rng.below(3) != 0;
+      for (std::size_t k = 0; k < len && i < codes.size(); ++k, ++i) {
+        codes[i] = run ? kRun : static_cast<u16>(rng.below(16));
+      }
+    }
+    const u32 min_run =
+        seed % 5 == 0 ? 0 : static_cast<u32>(1 + rng.below(300));
+    struct Out {
+      std::vector<u16> residual;
+      std::vector<u64> freq;
+      EncodedStream stream;
+    };
+    const auto run = [&](std::size_t max_block) {
+      Out out;
+      out.freq.assign(16, 0);
+      RleAccumulator acc(kRun, min_run, out.freq);
+      for (std::size_t i = 0; i < codes.size();) {
+        const std::size_t n =
+            std::min(codes.size() - i, 1 + rng.below(max_block));
+        acc.push(std::span<const u16>(codes.data() + i, n));
+        i += n;
+      }
+      acc.finish();
+      out.residual = acc.take_residual();
+      acc.annotate(out.stream);
+      return out;
+    };
+    const Out one = run(1);
+    EXPECT_EQ(rle_expand(one.residual, one.stream), codes) << "seed " << seed;
+    for (const std::size_t max_block : {std::size_t{64}, std::size_t{700},
+                                        codes.size()}) {
+      const Out blocks = run(max_block);
+      EXPECT_EQ(blocks.residual, one.residual) << "seed " << seed;
+      EXPECT_EQ(blocks.freq, one.freq) << "seed " << seed;
+      EXPECT_EQ(blocks.stream.rle_run_pos, one.stream.rle_run_pos);
+      EXPECT_EQ(blocks.stream.rle_run_len, one.stream.rle_run_len);
+      EXPECT_EQ(blocks.stream.rle_orig_symbols, one.stream.rle_orig_symbols);
+    }
+  }
+  // The shortest block that holds a run inside: min_run + 2 codes.
+  for (const u32 min_run : {1u, 2u, 7u, 256u}) {
+    std::vector<u16> codes = {1};
+    codes.insert(codes.end(), min_run, kRun);
+    codes.push_back(2);
+    std::vector<u64> freq(16, 0);
+    RleAccumulator acc(kRun, min_run, freq);
+    acc.push(codes);
+    acc.finish();
+    EXPECT_EQ(acc.runs(), 1u) << "min_run " << min_run;
+    EXPECT_EQ(acc.run_symbols(), min_run);
+    EXPECT_EQ(acc.residual(), (std::vector<u16>{1, 2}));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ TEST(RouterProxy, LossyVerbsRoundTripThroughRouter) {
   const std::vector<u8> container =
       cli.lossy_compress(std::span<const float>(field), cfg).result.get();
   ASSERT_FALSE(container.empty());
-  EXPECT_EQ(0, std::memcmp(container.data(), "PHL2", 4));
+  EXPECT_EQ(0, std::memcmp(container.data(), "PHL3", 4));
 
   const auto [fh, values] = rpc::decode_lossy_field_payload(
       cli.lossy_decompress(std::span<const u8>(container)).result.get());

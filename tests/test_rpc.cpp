@@ -26,6 +26,7 @@
 #include <unistd.h>
 
 #include "data/quant.hpp"
+#include "golden_phl2.hpp"
 #include "lossy/fused.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/client.hpp"
@@ -36,6 +37,7 @@
 #include "svc/deadline.hpp"
 #include "util/clock.hpp"
 #include "util/fault_inject.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace parhuff {
@@ -808,7 +810,7 @@ TEST(RpcLossy, CompressDecompressRoundTripOnLoopback) {
   RpcCall comp = cli.lossy_compress(std::span<const float>(field), cfg);
   const std::vector<u8> container = comp.result.get();
   ASSERT_FALSE(container.empty());
-  EXPECT_EQ(0, std::memcmp(container.data(), "PHL2", 4));
+  EXPECT_EQ(0, std::memcmp(container.data(), "PHL3", 4));
   EXPECT_LT(container.size(), field.size() * sizeof(float));
 
   RpcCall decomp = cli.lossy_decompress(std::span<const u8>(container));
@@ -823,6 +825,25 @@ TEST(RpcLossy, CompressDecompressRoundTripOnLoopback) {
                                      static_cast<double>(values[i])));
   }
   EXPECT_LE(worst, fh.error_bound);
+}
+
+TEST(RpcLossy, DecompressStillReadsPhl2) {
+  // The verb takes both container generations: the frozen PHL2 bytes come
+  // back as the floats the PHL2 reader has always produced.
+  LoopbackHub hub;
+  RpcServer server(hub.listener());
+  RpcClient cli([&] { return hub.connect(); });
+  const auto [fh, values] = rpc::decode_lossy_field_payload(
+      cli.lossy_decompress(std::span<const u8>(testdata::kGoldenPhl2,
+                                               sizeof(testdata::kGoldenPhl2)))
+          .result.get());
+  EXPECT_EQ(fh.nx, testdata::kGoldenPhl2Nx);
+  EXPECT_EQ(fh.ny, testdata::kGoldenPhl2Ny);
+  EXPECT_EQ(fh.nz, testdata::kGoldenPhl2Nz);
+  EXPECT_EQ(fnv1a(std::span<const u8>(
+                reinterpret_cast<const u8*>(values.data()),
+                values.size() * sizeof(float))),
+            testdata::kGoldenPhl2ValuesDigest);
 }
 
 TEST(RpcLossy, NarrowAlphabetRoutesToTheU8Service) {
