@@ -85,10 +85,10 @@ struct EncodedStream {
   /// payload); `rle_run_pos[k]` is the original-stream index where a run
   /// of `rle_run_len[k]` copies of `rle_symbol` was removed. Runs are
   /// ascending and non-overlapping, and sum(rle_run_len) + n_symbols ==
-  /// rle_orig_symbols — enforced when the metadata is deserialized
-  /// (format.cpp) and again by rle_expand (core/rle.hpp). Carried as the
-  /// checksummed optional container field "RLE1" under the same evolution
-  /// rules as the gap metadata above.
+  /// rle_orig_symbols — enforced by validate_rle (core/rle.hpp), which the
+  /// container parser and the decode-side RleReader both call. Carried as
+  /// the checksummed optional container field "RLE1" under the same
+  /// evolution rules as the gap metadata above.
   u32 rle_symbol = 0;
   u64 rle_orig_symbols = 0;
   std::vector<u64> rle_run_pos;

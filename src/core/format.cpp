@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "core/bytesio.hpp"
+#include "core/rle.hpp"
 #include "util/hash.hpp"
 
 namespace parhuff {
@@ -77,50 +78,20 @@ std::vector<u8> serialize_rle_field(const EncodedStream& s) {
   return w.take();
 }
 
-/// Parse + validate an RLE1 payload against the already-deserialized
-/// stream. Every structural invariant — ascending non-overlapping runs,
-/// in-range extents, the exact residual + runs == original symbol-count
-/// balance — is an enforced check here, not a decoder-side assert: a
-/// forged field must fail typed before rle_expand ever touches it.
+/// Parse an RLE1 payload and check it against the already-deserialized
+/// stream with validate_rle (core/rle.hpp): a forged field fails typed
+/// here, before the lossy reader ever pulls a code through it.
 void parse_rle_field(std::span<const u8> payload, EncodedStream& s) {
   ByteReader r(payload);
-  const u32 run_symbol = r.get<u32>();
-  const u64 orig = r.get<u64>();
-  if (orig == 0) {
-    throw std::runtime_error("parhuff container: rle with zero originals");
-  }
+  s.rle_symbol = r.get<u32>();
+  s.rle_orig_symbols = r.get<u64>();
   const u64 n_runs = r.get<u64>();
-  // Every run removes >= 1 symbol and the residual stream is never empty
-  // (the accumulator guarantees it), so n_runs is strictly below orig.
-  if (n_runs >= orig) {
-    throw std::runtime_error("parhuff container: rle run count range");
-  }
-  std::vector<u64> pos = r.get_array<u64>(static_cast<std::size_t>(n_runs));
-  std::vector<u32> len = r.get_array<u32>(static_cast<std::size_t>(n_runs));
+  s.rle_run_pos = r.get_array<u64>(static_cast<std::size_t>(n_runs));
+  s.rle_run_len = r.get_array<u32>(static_cast<std::size_t>(n_runs));
   if (!r.done()) {
     throw std::runtime_error("parhuff container: rle field trailing bytes");
   }
-  u64 removed = 0;
-  u64 next_free = 0;  // first original index not covered by earlier runs
-  for (std::size_t k = 0; k < pos.size(); ++k) {
-    if (len[k] == 0) {
-      throw std::runtime_error("parhuff container: rle zero-length run");
-    }
-    // Subtraction forms: pos + len could wrap for forged values near 2^64.
-    if (pos[k] < next_free || pos[k] > orig ||
-        static_cast<u64>(len[k]) > orig - pos[k]) {
-      throw std::runtime_error("parhuff container: rle run out of range");
-    }
-    next_free = pos[k] + len[k];
-    removed += len[k];
-  }
-  if (removed + static_cast<u64>(s.n_symbols) != orig) {
-    throw std::runtime_error("parhuff container: rle symbol-count mismatch");
-  }
-  s.rle_symbol = run_symbol;
-  s.rle_orig_symbols = orig;
-  s.rle_run_pos = std::move(pos);
-  s.rle_run_len = std::move(len);
+  validate_rle(s, s.n_symbols);
 }
 }  // namespace
 

@@ -4,41 +4,37 @@
 
 namespace parhuff {
 
-std::vector<u16> rle_expand(std::span<const u16> residual,
-                            const EncodedStream& s) {
-  if (!s.has_rle()) {
-    return std::vector<u16>(residual.begin(), residual.end());
-  }
+void validate_rle(const EncodedStream& s, u64 residual_symbols) {
   const u64 orig = s.rle_orig_symbols;
+  if (orig == 0) {
+    throw std::runtime_error("parhuff container: rle with zero originals");
+  }
   if (s.rle_run_pos.size() != s.rle_run_len.size()) {
-    throw std::runtime_error("rle_expand: run table size mismatch");
+    throw std::runtime_error("parhuff container: rle run table size mismatch");
+  }
+  // Every run removes >= 1 symbol and the residual stream is never empty
+  // (the accumulator guarantees it), so the run count is below orig.
+  if (s.rle_run_pos.size() >= orig) {
+    throw std::runtime_error("parhuff container: rle run count range");
   }
   u64 removed = 0;
-  u64 next_free = 0;
+  u64 next_free = 0;  // first original index not covered by earlier runs
   for (std::size_t k = 0; k < s.rle_run_pos.size(); ++k) {
     const u64 pos = s.rle_run_pos[k];
     const u64 len = s.rle_run_len[k];
-    if (len == 0 || pos < next_free || pos > orig || len > orig - pos) {
-      throw std::runtime_error("rle_expand: run out of range");
+    if (len == 0) {
+      throw std::runtime_error("parhuff container: rle zero-length run");
+    }
+    // Subtraction forms: pos + len could wrap for forged values near 2^64.
+    if (pos < next_free || pos > orig || len > orig - pos) {
+      throw std::runtime_error("parhuff container: rle run out of range");
     }
     next_free = pos + len;
     removed += len;
   }
-  if (removed + static_cast<u64>(residual.size()) != orig) {
-    throw std::runtime_error("rle_expand: symbol-count mismatch");
+  if (residual_symbols != orig - removed) {
+    throw std::runtime_error("parhuff container: rle symbol-count mismatch");
   }
-
-  std::vector<u16> out(static_cast<std::size_t>(orig));
-  std::size_t r = 0;    // next residual symbol
-  std::size_t at = 0;   // next output index
-  for (std::size_t k = 0; k < s.rle_run_pos.size(); ++k) {
-    const std::size_t pos = static_cast<std::size_t>(s.rle_run_pos[k]);
-    while (at < pos) out[at++] = residual[r++];
-    const std::size_t end = at + s.rle_run_len[k];
-    while (at < end) out[at++] = static_cast<u16>(s.rle_symbol);
-  }
-  while (at < out.size()) out[at++] = residual[r++];
-  return out;
 }
 
 }  // namespace parhuff

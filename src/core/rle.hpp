@@ -11,13 +11,15 @@
 // RleAccumulator is the streaming half: the fused quantize loop push()es
 // each row of codes as it is produced and the accumulator maintains the
 // residual stream, the run table and the residual histogram in one pass —
-// the full code buffer is never materialized. rle_expand() is the decode half,
-// re-validating the run table against the residual before allocating the
-// output (deserialization already checked it once; defense in depth for
-// callers that assemble streams in memory).
+// the full code buffer is never materialized. RleReader is the decode-side
+// twin: the reconstruct walk pull()s each row back out of the residual and
+// the run table. validate_rle() is the one definition of the run-table
+// invariants, called by the container parser and by RleReader.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/encoded.hpp"
@@ -94,9 +96,7 @@ class RleAccumulator {
     }
   }
 
-  [[nodiscard]] const std::vector<u16>& residual() const { return residual_; }
   [[nodiscard]] std::vector<u16> take_residual() { return std::move(residual_); }
-  [[nodiscard]] u64 pushed() const { return n_; }
   [[nodiscard]] std::size_t runs() const { return run_pos_.size(); }
   [[nodiscard]] u64 run_symbols() const { return removed_; }
 
@@ -170,11 +170,70 @@ class RleAccumulator {
   u64 removed_ = 0;  ///< symbols extracted into runs
 };
 
-/// Inverse: merge the residual symbols and the stream's run table back
-/// into the original code sequence. Validates the table (same invariants
-/// as the container parser) and throws std::runtime_error on any
-/// violation.
-[[nodiscard]] std::vector<u16> rle_expand(std::span<const u16> residual,
-                                          const EncodedStream& s);
+/// Throws std::runtime_error unless `s`'s run table (has_rle()) holds the
+/// invariants EncodedStream lists against `residual_symbols` codes.
+void validate_rle(const EncodedStream& s, u64 residual_symbols);
+
+/// The decode-side twin of RleAccumulator::push: pull()s the codes back out
+/// of `residual` and `s`'s run table (both must outlive it). The run symbol
+/// is checked below `nbins` once, each residual code as it is copied.
+template <typename Sym>
+class RleReader {
+ public:
+  /// Validates the run table and requires the original sequence to hold
+  /// exactly `total` codes.
+  RleReader(std::span<const Sym> residual, const EncodedStream& s, u32 nbins,
+            u64 total)
+      : in_(residual.data()),
+        s_(s),
+        nbins_(nbins),
+        runs_(s.has_rle() ? s.rle_run_pos.size() : 0),
+        orig_(s.has_rle() ? s.rle_orig_symbols : residual.size()) {
+    if (s.has_rle()) {
+      validate_rle(s, residual.size());
+      if (s.rle_symbol >= nbins) {
+        throw std::runtime_error("rle: run symbol out of range");
+      }
+    }
+    if (orig_ != total) throw std::runtime_error("rle: code count mismatch");
+  }
+
+  /// The next out.size() codes; std::out_of_range past the end.
+  void pull(std::span<u16> out) {
+    if (out.size() > orig_ - at_) {
+      throw std::out_of_range("rle: pull past the end of the codes");
+    }
+    for (std::size_t i = 0, n = 0; i < out.size(); i += n, at_ += n) {
+      if (run_left_ == 0 && k_ < runs_ && at_ == s_.rle_run_pos[k_]) {
+        run_left_ = s_.rle_run_len[k_++];
+      }
+      const u64 want = out.size() - i;
+      if (run_left_ > 0) {
+        n = std::min(run_left_, want);
+        std::fill_n(out.data() + i, n, static_cast<u16>(s_.rle_symbol));
+        run_left_ -= n;
+        continue;
+      }
+      n = std::min((k_ < runs_ ? s_.rle_run_pos[k_] : orig_) - at_, want);
+      Sym hi = 0;  // one maximum keeps the copy a straight loop
+      for (std::size_t j = 0; j < n; ++j) {
+        out[i + j] = in_[j];
+        hi = std::max(hi, in_[j]);
+      }
+      if (hi >= nbins_) throw std::runtime_error("rle: code out of range");
+      in_ += n;
+    }
+  }
+
+ private:
+  const Sym* in_;  ///< next residual code
+  const EncodedStream& s_;
+  u32 nbins_;
+  std::size_t runs_;
+  u64 orig_;           ///< length of the original sequence
+  u64 at_ = 0;         ///< codes pulled so far
+  u64 run_left_ = 0;   ///< codes left in the open run
+  std::size_t k_ = 0;  ///< next run to open
+};
 
 }  // namespace parhuff

@@ -5,25 +5,46 @@
 
 #include "core/bytesio.hpp"
 #include "core/decode.hpp"
-#include "core/encode_adaptive.hpp"
-#include "core/encode_reduceshuffle.hpp"
-#include "core/encode_serial.hpp"
-#include "core/encode_simt.hpp"
-#include "core/entropy.hpp"
-#include "core/executor.hpp"
 #include "core/format.hpp"
 #include "core/histogram.hpp"
-#include "core/par_codebook.hpp"
-#include "core/tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "simt/coop.hpp"
 #include "util/fault_inject.hpp"
+#include "util/timer.hpp"
 
 namespace parhuff {
 
 namespace {
 constexpr u32 kFrameMagic = 0x50485346u;  // "PHSF"
+constexpr std::size_t kFramePreamble = sizeof(u32) + sizeof(u64);
+
+/// Reads a stream header (magic + symbol width + codebook section) from the
+/// front of `bytes`; `*used` receives its length.
+template <typename Sym>
+Codebook parse_header(std::span<const u8> bytes, std::size_t* used) {
+  ByteReader r(bytes);
+  const auto magic = r.get_array<char>(4);
+  if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) != 0) {
+    throw std::runtime_error("parhuff stream: bad header magic");
+  }
+  const u8 sym_bytes = r.get<u8>();
+  if (sym_bytes != sizeof(Sym)) {
+    throw std::runtime_error("parhuff stream: symbol width mismatch");
+  }
+  std::size_t cb_used = 0;
+  Codebook cb = deserialize_codebook(bytes.subspan(r.position()), &cb_used);
+  *used = r.position() + cb_used;
+  return cb;
+}
+
+/// Reads a frame preamble (magic + body length) at `r`'s cursor and
+/// returns the body length.
+u64 read_preamble(ByteReader& r) {
+  if (r.get<u32>() != kFrameMagic) {
+    throw std::runtime_error("parhuff stream: bad frame magic");
+  }
+  return r.get<u64>();
+}
 }  // namespace
 
 template <typename Sym>
@@ -133,18 +154,9 @@ std::vector<u8> StreamingCompressor<Sym>::encode_segment(
 template <typename Sym>
 StreamingDecompressor<Sym>::StreamingDecompressor(
     std::span<const u8> header) {
-  ByteReader r(header);
-  const auto magic = r.get_array<char>(4);
-  if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) != 0) {
-    throw std::runtime_error("parhuff stream: bad header magic");
-  }
-  const u8 sym_bytes = r.get<u8>();
-  if (sym_bytes != sizeof(Sym)) {
-    throw std::runtime_error("parhuff stream: symbol width mismatch");
-  }
   std::size_t used = 0;
-  cb_ = deserialize_codebook(header.subspan(r.position()), &used);
-  if (r.position() + used != header.size()) {
+  cb_ = parse_header<Sym>(header, &used);
+  if (used != header.size()) {
     throw std::runtime_error("parhuff stream: trailing header bytes");
   }
 }
@@ -155,11 +167,7 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
   obs::TraceSpan span("streaming.decode_segment", "streaming");
   obs::MetricsRegistry::global().counter_add("streaming.segments_decoded");
   ByteReader r(frame);
-  if (r.get<u32>() != kFrameMagic) {
-    throw std::runtime_error("parhuff stream: bad frame magic");
-  }
-  const u64 body_len = r.get<u64>();
-  const auto body = r.get_view(static_cast<std::size_t>(body_len));
+  const auto body = r.get_view(static_cast<std::size_t>(read_preamble(r)));
   if (!r.done()) {
     throw std::runtime_error("parhuff stream: trailing frame bytes");
   }
@@ -174,31 +182,17 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
 template <typename Sym>
 std::size_t StreamingDecompressor<Sym>::header_length(
     std::span<const u8> bytes) {
-  ByteReader r(bytes);
-  const auto magic = r.get_array<char>(4);
-  if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) != 0) {
-    throw std::runtime_error("parhuff stream: bad header magic");
-  }
-  const u8 sym_bytes = r.get<u8>();
-  if (sym_bytes != sizeof(Sym)) {
-    throw std::runtime_error("parhuff stream: symbol width mismatch");
-  }
   std::size_t used = 0;
-  (void)deserialize_codebook(bytes.subspan(r.position()), &used);
-  return r.position() + used;
+  (void)parse_header<Sym>(bytes, &used);
+  return used;
 }
 
 template <typename Sym>
 bool StreamingDecompressor<Sym>::frame_length(std::span<const u8> bytes,
                                               std::size_t* total) {
-  constexpr std::size_t kPreamble = sizeof(u32) + sizeof(u64);
-  if (bytes.size() < kPreamble) return false;
+  if (bytes.size() < kFramePreamble) return false;
   ByteReader r(bytes);
-  if (r.get<u32>() != kFrameMagic) {
-    throw std::runtime_error("parhuff stream: bad frame magic");
-  }
-  const u64 body_len = r.get<u64>();
-  *total = kPreamble + static_cast<std::size_t>(body_len);
+  *total = kFramePreamble + static_cast<std::size_t>(read_preamble(r));
   return true;
 }
 
@@ -209,11 +203,7 @@ std::vector<std::span<const u8>> StreamingDecompressor<Sym>::split_frames(
   ByteReader r(bytes);
   while (!r.done()) {
     const std::size_t frame_start = r.position();
-    if (r.get<u32>() != kFrameMagic) {
-      throw std::runtime_error("parhuff stream: bad frame magic");
-    }
-    const u64 body_len = r.get<u64>();
-    (void)r.get_view(static_cast<std::size_t>(body_len));
+    (void)r.get_view(static_cast<std::size_t>(read_preamble(r)));
     frames.push_back(bytes.subspan(frame_start,
                                    r.position() - frame_start));
   }

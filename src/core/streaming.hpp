@@ -16,7 +16,10 @@
 //
 // Segments are independent framed stream sections (u32 frame magic +
 // u64 length + stream section), so a reader can skip, parallelize across,
-// or re-order segments; the codebook travels once. observe/encode may also
+// or re-order segments; the codebook travels once. A segment has no
+// optional-field region, so streamed containers never carry gap metadata:
+// PipelineConfig::gap_subseq_bits is silently ignored here, and segments
+// always decode with the host tier (docs/decode.md). observe/encode may also
 // be interleaved per timestep when the caller pre-trains the histogram on
 // representative data and calls freeze() early — encode_segment only
 // requires frozen state.

@@ -168,12 +168,8 @@ std::vector<u8> encode_residual(const std::vector<u16>& residual,
   {
     const obs::ScopedStageTimer st(reg, "lossy.encode");
     if constexpr (sizeof(Sym) == 1) {
-      // Narrow residual codes into the u8 alphabet (nbins <= 256 — every
-      // code fits by construction).
-      std::vector<u8> narrow(residual.size());
-      for (std::size_t i = 0; i < residual.size(); ++i) {
-        narrow[i] = static_cast<u8>(residual[i]);
-      }
+      // nbins <= 256: every residual code fits the u8 alphabet.
+      const std::vector<u8> narrow(residual.begin(), residual.end());
       stream = encode_and_annotate<u8>(narrow, *book, pc, freq, &rep.huffman,
                                        cancel);
     } else {
@@ -186,50 +182,51 @@ std::vector<u8> encode_residual(const std::vector<u16>& residual,
   return serialize(blob);
 }
 
-/// Reconstruction for decompress_field: inverse Lorenzo walk
-/// with the fused path's outlier rule — outliers restore the stored value
-/// bit-exactly, but *predict* as 0.0f when that value is non-finite
-/// (mirroring the compressor, which cannot let a NaN poison every
-/// downstream prediction).
-std::vector<float> fused_reconstruct(const std::vector<u16>& codes,
-                                     const std::vector<std::pair<u32, float>>& outliers,
-                                     data::Dims dims, double eb, u32 nbins,
-                                     const CancelToken* cancel) {
-  std::vector<float> out(codes.size(), 0.0f);
-  std::vector<float> recon(codes.size(), 0.0f);  // prediction inputs
-  const i64 center = nbins / 2;
-  const double bin_width = 2.0 * eb;
-  const std::size_t sy = dims.nx, sz = dims.nx * dims.ny;
+/// What decompress_field reads from a PHL2/PHL3 header, once checked.
+struct FieldHeader {
+  bool dual;  ///< PHL3: integer recurrence over quanta; PHL2: float walk
+  data::Dims dims;
+  std::size_t total;
+  double eb;
+  u32 nbins;
+  float anchor;
+};
 
+using Outliers = std::vector<std::pair<u32, float>>;
+
+/// The row walk both readers share: each row's codes are pulled into one
+/// nx-sized buffer in pieces that end at every multiple of kPollStride
+/// elements, where cancel is polled. `stencil(y, z, x0, x1, k, o, take)`
+/// rebuilds elements [x0, x1) of row (y, z); `take(i)` gives a code 0 at
+/// flat index i the next stored outlier, whose index must be i.
+template <typename Sym, typename Stencil>
+std::vector<float> walk_rows(RleReader<Sym>& codes, const Outliers& outliers,
+                             const FieldHeader& h, const CancelToken* cancel,
+                             Stencil&& stencil) {
   std::size_t next_outlier = 0;
+  const auto take = [&](std::size_t i) {
+    if (next_outlier >= outliers.size() || outliers[next_outlier].first != i) {
+      throw std::runtime_error(
+          "lossy container: outlier list does not match code stream");
+    }
+    return outliers[next_outlier++].second;
+  };
+  std::vector<float> out(h.total);
+  const std::size_t nx = h.dims.nx;
+  std::vector<u16> k(nx);
   std::size_t idx = 0;
   std::size_t next_poll = kPollStride;
-  for (std::size_t z = 0; z < dims.nz; ++z) {
-    for (std::size_t y = 0; y < dims.ny; ++y) {
-      for (std::size_t x = 0; x < dims.nx; ++x, ++idx) {
-        if (cancel && idx >= next_poll) {
-          cancel->check();
+  for (std::size_t z = 0; z < h.dims.nz; ++z) {
+    for (std::size_t y = 0; y < h.dims.ny; ++y, idx += nx) {
+      for (std::size_t x0 = 0; x0 < nx;) {
+        if (idx + x0 == next_poll) {
+          if (cancel) cancel->check();
           next_poll += kPollStride;
         }
-        if (codes[idx] == 0) {
-          if (next_outlier >= outliers.size() ||
-              outliers[next_outlier].first != idx) {
-            throw std::runtime_error(
-                "lossy container: outlier list does not match code stream");
-          }
-          const float v = outliers[next_outlier++].second;
-          out[idx] = v;
-          recon[idx] = std::isfinite(v) ? v : 0.0f;
-          continue;
-        }
-        const double pred =
-            data::lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
-        const float v = static_cast<float>(
-            pred +
-            static_cast<double>(static_cast<i64>(codes[idx]) - center) *
-                bin_width);
-        out[idx] = v;
-        recon[idx] = v;
+        const std::size_t x1 = std::min(nx, next_poll - idx);
+        codes.pull(std::span<u16>(k.data() + x0, x1 - x0));
+        stencil(y, z, x0, x1, k.data(), out.data() + idx, take);
+        x0 = x1;
       }
     }
   }
@@ -239,41 +236,55 @@ std::vector<float> fused_reconstruct(const std::vector<u16>& codes,
   return out;
 }
 
-/// Reconstruction for PHL3: the integer recurrence q = Lorenzo(q) + delta
-/// over the quanta ring, each value rebuilt from its q. An outlier
-/// restores its stored value bit-exactly and takes q = quanta(value), the
-/// compressor's rule. Forged codes or outliers can drive q anywhere, so
-/// every q is checked against kQuantaLimit before it feeds a prediction.
-std::vector<float> dual_reconstruct(
-    const std::vector<u16>& codes,
-    const std::vector<std::pair<u32, float>>& outliers, data::Dims dims,
-    const Prequantizer& pq, u32 nbins, const CancelToken* cancel) {
-  std::vector<float> out(codes.size());
-  QuantaRing ring(dims);
-  const i64 center = nbins / 2;
-  const std::size_t nx = dims.nx;
+/// The read-side twin of encode_residual: deserialize and Huffman-decode
+/// the residual at its stored width (`lossy.decode`), then rebuild the
+/// field in one row walk that splices the runs back in
+/// (`lossy.reconstruct`).
+template <typename Sym>
+std::vector<float> decode_residual(std::span<const u8> huff_bytes,
+                                   const FieldHeader& h,
+                                   const Outliers& outliers,
+                                   const CancelToken* cancel) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  Compressed<Sym> blob;
+  std::vector<Sym> residual;
+  {
+    const obs::ScopedStageTimer st(reg, "lossy.decode");
+    blob = deserialize<Sym>(huff_bytes);
+    // The writer codes the residual over an alphabet of at least nbins
+    // symbols; a header nbins past it is forged.
+    if (blob.codebook.nbins < h.nbins) {
+      throw std::runtime_error(
+          "lossy container: implausible header (nbins exceeds the "
+          "codebook)");
+    }
+    residual = decode_auto<Sym>(blob.stream, blob.codebook, 0, cancel);
+  }
+  const obs::ScopedStageTimer st(reg, "lossy.reconstruct");
+  // A run of the outlier marker would desynchronize the outlier channel.
+  if (blob.stream.has_rle() && blob.stream.rle_symbol == 0) {
+    throw std::runtime_error("lossy container: rle run symbol range");
+  }
+  RleReader<Sym> codes(residual, blob.stream, h.nbins, h.total);
+  const i64 center = h.nbins / 2;
+  const std::size_t sy = h.dims.nx, sz = h.dims.nx * h.dims.ny;
 
-  std::size_t next_outlier = 0;
-  std::size_t idx = 0;
-  std::size_t next_poll = kPollStride;
-  for (std::size_t z = 0; z < dims.nz; ++z) {
-    for (std::size_t y = 0; y < dims.ny; ++y, idx += nx) {
-      if (cancel && idx >= next_poll) {
-        cancel->check();
-        next_poll += kPollStride;
-      }
+  if (h.dual) {
+    // PHL3: the integer recurrence q = Lorenzo(q) + delta over the quanta
+    // ring, each value rebuilt from its q. An outlier restores its stored
+    // value bit-exactly and takes q = quanta(value), the compressor's
+    // rule. Forged codes or outliers can drive q anywhere, so every q is
+    // checked against kQuantaLimit before it feeds a prediction.
+    QuantaRing ring(h.dims);
+    const Prequantizer pq(h.anchor, h.eb);
+    const auto stencil = [&](std::size_t y, std::size_t z, std::size_t x0,
+                             std::size_t x1, const u16* k, float* o,
+                             auto& take) {
       const QuantaRing::Row row = ring.row(y, z);
-      const u16* k = codes.data() + idx;
-      float* o = out.data() + idx;
-      i64 left = 0;
-      for (std::size_t x = 0; x < nx; ++x) {
+      i64 left = x0 > 0 ? row.c[x0 - 1] : 0;
+      for (std::size_t x = x0; x < x1; ++x) {
         if (k[x] == 0) {
-          if (next_outlier >= outliers.size() ||
-              outliers[next_outlier].first != idx + x) {
-            throw std::runtime_error(
-                "lossy container: outlier list does not match code stream");
-          }
-          o[x] = outliers[next_outlier++].second;
+          o[x] = take(z * sz + y * sy + x);
           left = row.c[x] = pq.quanta(o[x]);
           continue;
         }
@@ -285,12 +296,33 @@ std::vector<float> dual_reconstruct(
         left = row.c[x] = q;
         o[x] = pq.value(q);
       }
+    };
+    return walk_rows(codes, outliers, h, cancel, stencil);
+  }
+  // PHL2: the float Lorenzo walk over the rebuilt values. Outliers restore
+  // the stored value bit-exactly but *predict* as 0.0f when that value is
+  // non-finite (mirroring the compressor, which cannot let a NaN poison
+  // every downstream prediction).
+  std::vector<float> recon(h.total, 0.0f);  // prediction inputs
+  const double bin_width = 2.0 * h.eb;
+  const auto stencil = [&](std::size_t y, std::size_t z, std::size_t x0,
+                           std::size_t x1, const u16* k, float* o,
+                           auto& take) {
+    for (std::size_t x = x0, idx = z * sz + y * sy + x0; x < x1; ++x, ++idx) {
+      if (k[x] == 0) {
+        o[x] = take(idx);
+        recon[idx] = std::isfinite(o[x]) ? o[x] : 0.0f;
+        continue;
+      }
+      const double pred =
+          data::lorenzo_predict(recon.data(), idx, x, y, z, sy, sz);
+      o[x] = static_cast<float>(
+          pred + static_cast<double>(static_cast<i64>(k[x]) - center) *
+                     bin_width);
+      recon[idx] = o[x];
     }
-  }
-  if (next_outlier != outliers.size()) {
-    throw std::runtime_error("lossy container: unreferenced outliers");
-  }
-  return out;
+  };
+  return walk_rows(codes, outliers, h, cancel, stencil);
 }
 
 }  // namespace
@@ -418,43 +450,42 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
 }
 
 Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   ByteReader r(bytes);
   const auto magic = r.get_array<char>(4);
-  const bool dual = std::memcmp(magic.data(), kMagicDual, 4) == 0;
-  if (!dual && std::memcmp(magic.data(), kMagicFloatWalk, 4) != 0) {
+  FieldHeader h{};
+  h.dual = std::memcmp(magic.data(), kMagicDual, 4) == 0;
+  if (!h.dual && std::memcmp(magic.data(), kMagicFloatWalk, 4) != 0) {
     throw std::runtime_error("lossy container: bad magic");
   }
-  data::Dims dims;
-  dims.nx = static_cast<std::size_t>(r.get<u64>());
-  dims.ny = static_cast<std::size_t>(r.get<u64>());
-  dims.nz = static_cast<std::size_t>(r.get<u64>());
-  const double eb = r.get<double>();
-  const u32 nbins = r.get<u32>();
+  h.dims.nx = static_cast<std::size_t>(r.get<u64>());
+  h.dims.ny = static_cast<std::size_t>(r.get<u64>());
+  h.dims.nz = static_cast<std::size_t>(r.get<u64>());
+  h.eb = r.get<double>();
+  h.nbins = r.get<u32>();
   const u8 sym_bytes = r.get<u8>();
-  const float anchor = dual ? r.get<float>() : 0.0f;
+  h.anchor = h.dual ? r.get<float>() : 0.0f;
   // Stepwise: wrapped dims would pass a check on dims.total() while the
   // reconstruct walk loops over the real nx*ny*nz.
-  const auto checked = data::checked_total(dims, kMaxElements);
-  if (!checked || !std::isfinite(eb) || eb <= 0 || nbins < 4 ||
-      nbins > 65536 || !std::isfinite(anchor)) {
+  const auto checked = data::checked_total(h.dims, kMaxElements);
+  if (!checked || !std::isfinite(h.eb) || h.eb <= 0 || h.nbins < 4 ||
+      h.nbins > 65536 || !std::isfinite(h.anchor)) {
     throw std::runtime_error("lossy container: implausible header");
   }
-  const std::size_t total = *checked;
-  if (sym_bytes != (nbins <= 256 ? 1 : 2)) {
+  h.total = *checked;
+  if (sym_bytes != (h.nbins <= 256 ? 1 : 2)) {
     throw std::runtime_error("lossy container: symbol width mismatch");
   }
   const u64 n_outliers = r.get<u64>();
-  if (n_outliers > total) {
+  if (n_outliers > h.total) {
     throw std::runtime_error("lossy container: outlier count range");
   }
-  std::vector<std::pair<u32, float>> outliers;
+  Outliers outliers;
   outliers.reserve(static_cast<std::size_t>(n_outliers));
   u64 prev = 0;
   for (u64 i = 0; i < n_outliers; ++i) {
     const u32 oi = r.get<u32>();
     const float value = r.get<float>();
-    if (oi >= total || (i > 0 && oi <= prev)) {
+    if (oi >= h.total || (i > 0 && oi <= prev)) {
       throw std::runtime_error("lossy container: outlier index order");
     }
     prev = oi;
@@ -466,66 +497,12 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
     throw std::runtime_error("lossy container: trailing bytes");
   }
 
-  std::vector<u16> codes;
-  {
-    const obs::ScopedStageTimer st(reg, "lossy.decode");
-    std::vector<u16> residual;
-    const EncodedStream* stream = nullptr;
-    Compressed<u8> blob8;
-    Compressed<u16> blob16;
-    const Codebook* book = nullptr;
-    if (sym_bytes == 1) {
-      blob8 = deserialize<u8>(huff_bytes);
-      stream = &blob8.stream;
-      book = &blob8.codebook;
-    } else {
-      blob16 = deserialize<u16>(huff_bytes);
-      stream = &blob16.stream;
-      book = &blob16.codebook;
-    }
-    // The writer codes the residual over an alphabet of at least nbins
-    // symbols; a header nbins past it is forged.
-    if (book->nbins < nbins) {
-      throw std::runtime_error(
-          "lossy container: implausible header (nbins exceeds the "
-          "codebook)");
-    }
-    if (sym_bytes == 1) {
-      const std::vector<u8> narrow =
-          decode_auto<u8>(blob8.stream, blob8.codebook, 0, cancel);
-      residual.assign(narrow.begin(), narrow.end());
-    } else {
-      residual = decode_auto<u16>(blob16.stream, blob16.codebook, 0, cancel);
-    }
-    if (stream->has_rle()) {
-      // The run symbol must be a real quantizer code: in range and not the
-      // outlier marker (a forged marker run would desynchronize the
-      // outlier side channel).
-      if (stream->rle_symbol == 0 || stream->rle_symbol >= nbins) {
-        throw std::runtime_error("lossy container: rle run symbol range");
-      }
-    }
-    codes = rle_expand(residual, *stream);
-  }
-  if (codes.size() != total) {
-    throw std::runtime_error("lossy container: code count mismatch");
-  }
-  for (const u16 c : codes) {
-    if (c >= nbins) {
-      throw std::runtime_error("lossy container: code out of range");
-    }
-  }
-
   Field out;
-  out.dims = dims;
-  out.error_bound = eb;
-  {
-    const obs::ScopedStageTimer st(reg, "lossy.reconstruct");
-    out.values =
-        dual ? dual_reconstruct(codes, outliers, dims,
-                                Prequantizer(anchor, eb), nbins, cancel)
-             : fused_reconstruct(codes, outliers, dims, eb, nbins, cancel);
-  }
+  out.dims = h.dims;
+  out.error_bound = h.eb;
+  out.values = sym_bytes == 1
+                   ? decode_residual<u8>(huff_bytes, h, outliers, cancel)
+                   : decode_residual<u16>(huff_bytes, h, outliers, cancel);
   return out;
 }
 

@@ -22,7 +22,10 @@
 // perfect-prediction code (overwhelming on smooth fields) go straight to
 // the container's checksummed "RLE1" optional field (core/rle.hpp,
 // core/format.hpp), and only the residual stream is Huffman-coded — over
-// the narrow u8 alphabet when nbins <= 256, u16 otherwise.
+// the narrow u8 alphabet when nbins <= 256, u16 otherwise. The reader
+// pulls each row's codes back out of the residual and the run table
+// (RleReader) inside its one reconstruct walk, so it never builds the
+// code buffer either.
 //
 // Container: "PHL3" = header (with the f32 anchor) + outlier side channel
 // + an embedded PHF2/PHF3 container whose stream may carry the RLE1

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "data/quant.hpp"
+
 namespace parhuff::rpc {
 
 namespace {
@@ -219,13 +221,9 @@ std::pair<LossyFieldHeader, std::vector<float>> decode_lossy_field_payload(
     std::span<const u8> payload) {
   const LossyFieldHeader h = decode_lossy_field_header(payload);
   const std::span<const u8> body = payload.subspan(kLossyFieldHeaderBytes);
-  const u64 n = body.size() / sizeof(float);
-  bool ok = body.size() % sizeof(float) == 0 && n != 0 && h.nx != 0 &&
-            h.ny != 0 && h.nz != 0;
-  ok = ok && h.nx <= n / h.ny;
-  ok = ok && h.nx * h.ny <= n / h.nz;
-  ok = ok && h.nx * h.ny * h.nz == n;
-  if (!ok) {
+  const std::size_t n = body.size() / sizeof(float);
+  const auto total = data::checked_total(data::Dims{h.nx, h.ny, h.nz}, n);
+  if (body.size() % sizeof(float) != 0 || total != n) {
     throw ProtocolError("lossy field payload dims mismatch",
                         Status::kBadRequest, /*can_respond=*/false, 0);
   }

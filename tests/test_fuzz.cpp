@@ -386,8 +386,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLossy, ::testing::Range(0, 6));
 
 TEST_P(FuzzLossy, ForgedRleFieldWithValidChecksumNeverCrashes) {
   // Checksum-fixing forgeries aimed at the RLE1 payload: run symbol, run
-  // count, positions and lengths reach rle_expand's validation with a
-  // valid per-field digest; whatever passes must survive expansion and
+  // count, positions and lengths reach validate_rle with a valid
+  // per-field digest; whatever passes must survive the run splice and
   // reconstruction without OOB.
   Xoshiro256 rng(static_cast<u64>(GetParam()) * 709 + 13);
   const data::Dims dims{24, 24, 24};
@@ -555,6 +555,30 @@ TEST(FuzzLossy, RaisedHeaderNbinsFailsTyped) {
   const std::vector<u8> phl2(std::begin(testdata::kGoldenPhl2),
                              std::end(testdata::kGoldenPhl2));
   expect_typed_failure(forge(phl2, 65536), "symbol width mismatch");
+}
+
+TEST(FuzzLossy, LoweredHeaderNbinsFailsTyped) {
+  // A header nbins lowered to just above the run symbol (128 in both
+  // containers) passes the header, codebook and run-symbol checks, but
+  // some residual code is at or above it: the reader's range check is
+  // what stops it.
+  constexpr std::size_t kNbinsAt = 36;
+  constexpr u32 kLowered = 130;
+  Xoshiro256 rng(23);
+  const data::Dims dims{16, 16, 8};
+  lossy::FusedConfig cfg;
+  cfg.abs_error_bound = 0.01;
+  cfg.nbins = 256;
+  lossy::FusedReport rep;
+  const auto phl3 =
+      lossy::compress_field_fused(rle_heavy_field(dims, rng), dims, cfg, &rep);
+  ASSERT_GE(rep.rle_runs, 1u);
+  for (auto bytes : with_golden_phl2(phl3)) {
+    SCOPED_TRACE(std::string(bytes.begin(), bytes.begin() + 4));
+    ASSERT_NO_THROW((void)lossy::decompress_field(bytes));
+    std::memcpy(bytes.data() + kNbinsAt, &kLowered, 4);
+    expect_typed_failure(bytes, "code out of range");
+  }
 }
 
 TEST(FuzzLossy, NonFiniteAnchorFailsTyped) {

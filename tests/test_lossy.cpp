@@ -489,7 +489,8 @@ TEST(Fused, RleBlocksGiveTheSameRunsHoweverTheCodesAreSplit) {
   // The fused pass pushes one row of codes at a time, and a row no longer
   // than min_run + 1 skips the per-code run scan. Whatever the split, the
   // residual, histogram and run table must equal a one-code-at-a-time
-  // push, and rle_expand must restore the codes.
+  // push, and RleReader pulls of any widths, from the residual at either
+  // stored width, must give the codes back.
   constexpr u16 kRun = 8;
   for (u64 seed = 0; seed < 40; ++seed) {
     Xoshiro256 rng(pt::case_seed(/*family_tag=*/101, seed));
@@ -525,7 +526,26 @@ TEST(Fused, RleBlocksGiveTheSameRunsHoweverTheCodesAreSplit) {
       return out;
     };
     const Out one = run(1);
-    EXPECT_EQ(rle_expand(one.residual, one.stream), codes) << "seed " << seed;
+    const auto pull_all = [&](auto residual, std::size_t max_pull) {
+      RleReader<typename decltype(residual)::value_type> reader(
+          residual, one.stream, 16, codes.size());
+      std::vector<u16> back(codes.size());
+      for (std::size_t i = 0; i < back.size();) {
+        const std::size_t n =
+            std::min(back.size() - i, 1 + rng.below(max_pull));
+        reader.pull(std::span<u16>(back.data() + i, n));
+        i += n;
+      }
+      return back;
+    };
+    const std::vector<u8> narrow(one.residual.begin(), one.residual.end());
+    for (const std::size_t max_pull : {std::size_t{1}, std::size_t{64},
+                                       std::size_t{700}, codes.size()}) {
+      EXPECT_EQ(pull_all(std::span<const u16>(one.residual), max_pull), codes)
+          << "seed " << seed << " max_pull " << max_pull;
+      EXPECT_EQ(pull_all(std::span<const u8>(narrow), max_pull), codes)
+          << "seed " << seed << " max_pull " << max_pull;
+    }
     for (const std::size_t max_block : {std::size_t{64}, std::size_t{700},
                                         codes.size()}) {
       const Out blocks = run(max_block);
@@ -547,8 +567,84 @@ TEST(Fused, RleBlocksGiveTheSameRunsHoweverTheCodesAreSplit) {
     acc.finish();
     EXPECT_EQ(acc.runs(), 1u) << "min_run " << min_run;
     EXPECT_EQ(acc.run_symbols(), min_run);
-    EXPECT_EQ(acc.residual(), (std::vector<u16>{1, 2}));
+    EXPECT_EQ(acc.take_residual(), (std::vector<u16>{1, 2}));
   }
+}
+
+TEST(Fused, RleTableChecksRejectEachBrokenInvariant) {
+  // Ten originals: residual codes 1 2 | run [2, 5) | run [5, 7) | 3 4 5.
+  EncodedStream good;
+  good.rle_symbol = 8;
+  good.rle_orig_symbols = 10;
+  good.rle_run_pos = {2, 5};
+  good.rle_run_len = {3, 2};
+  const std::vector<u16> residual = {1, 2, 3, 4, 5};
+  EXPECT_NO_THROW(validate_rle(good, residual.size()));
+
+  const auto expect_error = [](const auto& fn, const char* what) {
+    try {
+      fn();
+      ADD_FAILURE() << "accepted; expected \"" << what << "\"";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::strstr(e.what(), what), nullptr) << e.what();
+    }
+  };
+  const auto rejects = [&](const EncodedStream& s, u64 residual_symbols,
+                           const char* what) {
+    SCOPED_TRACE(what);
+    expect_error([&] { validate_rle(s, residual_symbols); }, what);
+  };
+  rejects(good, 4, "symbol-count mismatch");
+  rejects(good, 6, "symbol-count mismatch");
+  EncodedStream s = good;
+  s.rle_orig_symbols = 0;
+  rejects(s, 0, "zero originals");
+  s = good;
+  s.rle_run_len = {3};
+  rejects(s, 5, "table size mismatch");
+  s = good;
+  s.rle_orig_symbols = 2;
+  s.rle_run_pos = {0, 1};
+  s.rle_run_len = {1, 1};
+  rejects(s, 0, "run count range");
+  s = good;
+  s.rle_run_len = {3, 0};
+  rejects(s, 7, "zero-length run");
+  s = good;
+  s.rle_run_pos = {2, 4};  // overlaps [2, 5)
+  rejects(s, 5, "run out of range");
+  s = good;
+  s.rle_run_pos = {2, 9};  // ends past the originals
+  rejects(s, 5, "run out of range");
+  s = good;
+  s.rle_run_pos = {2, ~u64{0} - 1};  // pos + len wraps
+  rejects(s, 5, "run out of range");
+
+  // The reader splices the runs back in and stops at the end.
+  RleReader<u16> reader(residual, good, 16, 10);
+  std::vector<u16> back(10);
+  reader.pull(back);
+  EXPECT_EQ(back, (std::vector<u16>{1, 2, 8, 8, 8, 8, 8, 3, 4, 5}));
+  u16 one_more = 0;
+  EXPECT_THROW(reader.pull(std::span<u16>(&one_more, 1)), std::out_of_range);
+  // It requires the field's code count and codes below nbins.
+  expect_error([&] { (void)RleReader<u16>(residual, good, 16, 11); },
+               "code count mismatch");
+  const EncodedStream no_runs;
+  expect_error([&] { (void)RleReader<u16>(residual, no_runs, 16, 10); },
+               "code count mismatch");
+  expect_error([&] { (void)RleReader<u16>(residual, good, 8, 10); },
+               "run symbol out of range");
+  const std::vector<u16> last_high = {1, 2, 3, 4, 9};
+  RleReader<u16> low(last_high, good, 9, 10);
+  std::vector<u16> first(7);
+  low.pull(first);  // 1 2 and the runs: all below 9
+  std::vector<u16> rest(3);
+  expect_error([&] { low.pull(rest); }, "code out of range");
+  const std::vector<u8> high = {1, 2, 3, 4, 200};
+  RleReader<u8> narrow(high, good, 200, 10);
+  back.assign(10, 0);
+  expect_error([&] { narrow.pull(back); }, "code out of range");
 }
 
 // ---------------------------------------------------------------------------

@@ -790,6 +790,12 @@ TEST(RpcLossyProtocol, FieldPayloadRejectsDimsMismatch) {
   const auto [dh, values] = rpc::decode_lossy_field_payload(bytes);
   EXPECT_EQ(values.size(), 64u);
   EXPECT_DOUBLE_EQ(dh.error_bound, 0.01);
+
+  // Dims whose product wraps to the float count: (2^63 + 1) * 2 == 2.
+  rpc::LossyFieldHeader wrapping{(u64{1} << 63) + 1, 2, 1, 0.01};
+  bytes = rpc::encode_lossy_field_header(wrapping);
+  bytes.resize(bytes.size() + 2 * sizeof(float), 0);
+  EXPECT_THROW((void)rpc::decode_lossy_field_payload(bytes), ProtocolError);
 }
 
 TEST(RpcLossy, CompressDecompressRoundTripOnLoopback) {
