@@ -164,7 +164,7 @@ void ablation_histogram(bench::Driver& run) {
     SimtHistogramConfig cfg;
     cfg.shared_budget_bytes = kib * 1024;
     simt::MemTally tally;
-    const auto h = histogram_simt<u8>(text, 256, &tally, cfg);
+    const auto h = histogram_simt_kernel<u8>(text, 256, &tally, cfg);
     u64 total = 0;
     for (u64 f : h) total += f;
     if (total != text.size()) std::exit(1);

@@ -104,17 +104,31 @@ void BM_RadixSort(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixSort)->Arg(1024)->Arg(8192)->Arg(65536);
 
-// --- Histogram ablation: privatized vs direct. --------------------------------
+// --- Histogram: the product, the simulated kernel, the serial count. ---------
 
+// What compress() runs: a host count charging the kernel's tally.
 void BM_HistogramSimt(benchmark::State& state) {
   const auto data = data::generate_text(4u << 20, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(histogram_simt<u8>(data, 256, nullptr));
+    simt::MemTally tally;
+    benchmark::DoNotOptimize(histogram_simt<u8>(data, 256, &tally));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<i64>(data.size()));
 }
 BENCHMARK(BM_HistogramSimt);
+
+// The model it charges: the privatized kernel, simulated.
+void BM_HistogramSimtKernel(benchmark::State& state) {
+  const auto data = data::generate_text(4u << 20, 4);
+  for (auto _ : state) {
+    simt::MemTally tally;
+    benchmark::DoNotOptimize(histogram_simt_kernel<u8>(data, 256, &tally));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(data.size()));
+}
+BENCHMARK(BM_HistogramSimtKernel);
 
 void BM_HistogramSerial(benchmark::State& state) {
   const auto data = data::generate_text(4u << 20, 4);
@@ -205,11 +219,14 @@ void BM_EmitReduceShuffle(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<i64>(codes.size() * 2));
 }
+// Args: r, and whether the kernel's tally is charged (a report was given).
 BENCHMARK(BM_EmitReduceShuffle)
+    ->ArgNames({"r", "tally"})
     ->Args({2, 0})
+    ->Args({2, 1})
     ->Args({3, 0})
-    ->Args({4, 0})
-    ->Args({3, 1});
+    ->Args({3, 1})
+    ->Args({4, 0});
 
 void BM_Decode(benchmark::State& state) {
   const auto codes = data::generate_nyx_quant(1u << 21, 5);

@@ -180,6 +180,10 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
           }
         }
 
+        // The running bit offsets charge_block reads.
+        std::vector<u64> offsets(glen.begin(), glen.end());
+        offsets.push_back(0);
+        (void)exclusive_scan(offsets, 1);
         auto scratch = blk.shared_array<word_t>(n_slots * slot_cells / 2 + 1);
         const u32 s = M - r;
         for (u32 it = 1; it <= s; ++it) {
@@ -203,12 +207,11 @@ EncodedStream encode_adaptive_simt(std::span<const Sym> data,
           }
         }
         out.chunk_bits[c] = glen[0];
-        // glen now holds the folded pair tree (merging::fold_pair_tree).
         merging::charge_block(
             blk.tally(),
             merging::BlockShape{merging::Kernel::kAdaptive, M, r, nc,
                                 sizeof(Sym), kCellsPerSlot},
-            chunk_ovf[c].entries, glen);
+            chunk_ovf[c].entries, offsets);
       });
 
   out.payload.assign(layout_chunks(out), 0);

@@ -137,6 +137,10 @@ EncodedStream encode_reduceshuffle_simt(std::span<const Sym> data,
                        : static_cast<word_t>(cell.bits
                                              << (kWordBits - cell.len));
         }
+        // The running bit offsets charge_block reads.
+        std::vector<u64> offsets(glen.begin(), glen.end());
+        offsets.push_back(0);
+        (void)exclusive_scan(offsets, 1);
         auto scratch = blk.shared_array<word_t>((n_cells / 2) + 1);
         for (u32 it = 1; it <= s; ++it) {
           const std::size_t half = std::size_t{1} << (it - 1);
@@ -160,12 +164,11 @@ EncodedStream encode_reduceshuffle_simt(std::span<const Sym> data,
           }
         }
         out.chunk_bits[c] = glen[0];
-        // glen now holds the folded pair tree (merging::fold_pair_tree).
         merging::charge_block(
             blk.tally(),
             merging::BlockShape{merging::Kernel::kReduceShuffle, M, r, nc,
                                 sizeof(Sym), 1},
-            chunk_ovf[c].entries, glen);
+            chunk_ovf[c].entries, offsets);
       });
 
   // --- Coalescing copy: prefix-sum layout + contiguous chunk copy. -------

@@ -2,18 +2,9 @@
 
 namespace parhuff::merging {
 
-u64 fold_pair_tree(std::span<u64> tree) {
-  for (std::size_t half = 1; half < tree.size(); half *= 2) {
-    for (std::size_t base = 0; base + half < tree.size(); base += 2 * half) {
-      tree[base] += tree[base + half];
-    }
-  }
-  return tree.empty() ? 0 : tree[0];
-}
-
 void charge_block(simt::MemTally& t, const BlockShape& b,
                   std::span<const OverflowEntry> entries,
-                  std::span<const u64> tree) {
+                  std::span<const u64> offsets) {
   const std::size_t N = std::size_t{1} << b.magnitude;
   const std::size_t slots = N >> b.reduce;
   const u32 s = b.magnitude - b.reduce;
@@ -56,16 +47,20 @@ void charge_block(simt::MemTally& t, const BlockShape& b,
   } else {
     t.shared_access(slots * 2, 8);
   }
+  // Iteration `it` moves the right member of every pair: slot j > 0 at
+  // iteration ctz(j) + 1, carrying the bits of slots [j, j + lowbit(j))
+  // that the earlier iterations gathered into it. Each moved cell costs
+  // three shared accesses whichever iteration moves it, so one pass over
+  // the offsets sums them all.
+  u64 moved_cells = 0;
+  for (std::size_t j = 1; j < slots; ++j) {
+    const std::size_t end = j + (std::size_t{1} << std::countr_zero(j));
+    moved_cells += words_for_bits(offsets[end] - offsets[j]);
+  }
+  t.shared_access(moved_cells * 3, sizeof(word_t));
   for (u32 it = 1; it <= s; ++it) {
-    const std::size_t half = std::size_t{1} << (it - 1);
-    const std::size_t pairs = slots >> it;
-    u64 moved_cells = 0;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      moved_cells += words_for_bits(tree[(p << it) + half]);  // 0 for 0
-    }
-    t.shared_access(moved_cells * 3, sizeof(word_t));
     t.ops(slots * b.slot_words * 32);
-    t.divergent_branches += pairs;
+    t.divergent_branches += slots >> it;
     t.block_syncs += 1;
   }
 }

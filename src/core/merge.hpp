@@ -13,9 +13,10 @@
 //
 // Both forms charge the kernel's modeled cost through charge_block and its
 // neighbours below. Every charge is a function of lengths only — the chunk
-// shape, the breaking groups' symbol counts and bit lengths, and the group
-// lengths the shuffle phase folds pairwise — so the emitter's MemTally is
-// the kernel's by construction, with one definition of each charge.
+// shape, the breaking groups' symbol counts and bit lengths, and the
+// chunk's running bit offsets (which fix what the shuffle phase moves) —
+// so the emitter's MemTally is the kernel's by construction, with one
+// definition of each charge.
 
 #include <algorithm>
 #include <bit>
@@ -58,19 +59,14 @@ struct BlockShape {
 /// add them.
 inline constexpr u64 kLaunches = 2;
 
-/// In-place pairwise fold of the 2^s group lengths, as SHUFFLE-merge
-/// performs it: at iteration `it`, tree[p·2^it] += tree[p·2^it + 2^(it−1)].
-/// Returns the chunk's main-stream bits (tree[0]). Afterwards every
-/// tree[j], j > 0, holds the length the fold moved out of slot j.
-u64 fold_pair_tree(std::span<u64> tree);
-
 /// Charge one block of the merge grid: lookup, REDUCE-merge, the breaking
 /// groups' backtrace (`entries`: only n_symbols and bit_len are read), and
-/// SHUFFLE-merge. `tree` is the chunk's 2^(M−r) group lengths, breaking
-/// groups as 0, after fold_pair_tree.
+/// SHUFFLE-merge. `offsets` holds the chunk's 2^(M−r) + 1 running bit
+/// offsets: offsets[g] is the main-stream bits of the groups before g,
+/// breaking groups counting 0, and offsets[2^(M−r)] the chunk's total.
 void charge_block(simt::MemTally& t, const BlockShape& b,
                   std::span<const OverflowEntry> entries,
-                  std::span<const u64> tree);
+                  std::span<const u64> offsets);
 
 /// Charge one block of the coalescing-copy grid: `words` payload cells.
 void charge_copy_block(simt::MemTally& t, u64 words);
@@ -158,6 +154,11 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
   const auto work = std::make_unique_for_overwrite<word_t[]>(chunks * stride);
   std::vector<OverflowSection> sections(chunks);
   std::vector<simt::MemTally> block_tally(tally ? chunks : 0);
+  // Each host thread's running bit offsets of its current chunk:
+  // offsets[g] is the main-stream bits before group g (charge_block).
+  const std::size_t offsets_len = max_slots + 1;
+  std::vector<u64> thread_offsets(
+      static_cast<std::size_t>(max_threads()) * offsets_len);
   // Codewords packed as bits << 6 | length: one 8-byte load per symbol.
   std::vector<u64> packed(cb.cw.size());
   for (std::size_t i = 0; i < packed.size(); ++i) {
@@ -172,19 +173,13 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
     const u32 r = reduce_of(c, chunk);
     const std::size_t slots = N >> r;
 
-    // The group lengths, kept only when charging; every slot is written
-    // below, breaking and empty groups as 0.
-    thread_local std::vector<u64> tree;
-    u64* lens = nullptr;
-    if (tally) {
-      tree.resize(slots);
-      lens = tree.data();
-    }
+    u64* const offsets = thread_offsets.data() + thread_index() * offsets_len;
     OverflowWriter ovf(sections[c], static_cast<u32>(c));
     CellWriter w(work.get() + c * stride);
     u64 bits = 0;
     // Group g covers chunk[gb, gb + n): join its codewords into one cell.
     const auto put_group = [&](std::size_t g, std::size_t gb, std::size_t n) {
+      offsets[g] = bits;
       u64 cell = 0;
       unsigned len = 0;
       bool absent = false;
@@ -198,7 +193,6 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
       if (absent) throw std::runtime_error("symbol absent");
       if (len > Width) {
         ovf.add(static_cast<u32>(g), chunk.subspan(gb, n), cb);
-        if (lens) lens[g] = 0;
         return;
       }
       if constexpr (Width == 32) {
@@ -207,7 +201,6 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
         w.put(cell, len);
       }
       bits += len;
-      if (lens) lens[g] = len;
     };
     // Whole groups with a compile-time size for the common r, then the
     // short tail group.
@@ -221,7 +214,9 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
       if (whole * group < chunk.size()) {
         put_group(g++, whole * group, chunk.size() - whole * group);
       }
-      if (lens) std::fill(lens + g, lens + slots, u64{0});
+      if (tally) {
+        std::fill(offsets + g, offsets + slots + 1, bits);
+      }
     };
     switch (r) {
       case 1: put_groups(std::integral_constant<std::size_t, 2>{}); break;
@@ -235,11 +230,11 @@ BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
     out.chunk_bits[c] = bits;
     if (tally) {
       simt::MemTally& t = block_tally[c];
-      fold_pair_tree(tree);
       charge_block(t,
                    BlockShape{kernel, M, r, chunk.size(), sizeof(Sym),
                               kSlotWords},
-                   sections[c].entries, tree);
+                   sections[c].entries,
+                   std::span<const u64>(offsets, slots + 1));
       charge_copy_block(t, words_for_bits(bits));
     }
   });

@@ -86,6 +86,9 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
   }
   PipelineReport local;
   PipelineReport& rep = report ? *report : local;
+  // The modeled tally costs host time; charge it only when a report will
+  // carry it.
+  simt::MemTally* const tally = report ? &report->encode_tally : nullptr;
   // Stage-entry check covers the encoder kinds without in-kernel polls
   // (serial / OpenMP / adaptive); the SIMT encoders below also poll per
   // chunk.
@@ -113,11 +116,10 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
       stream = encode_openmp(data, cb, chunk, cfg.cpu_threads);
       break;
     case EncoderKind::kCoarseSimt:
-      stream = encode_coarse_simt(data, cb, chunk, &rep.encode_tally, cancel);
+      stream = encode_coarse_simt(data, cb, chunk, tally, cancel);
       break;
     case EncoderKind::kPrefixSumSimt:
-      stream =
-          encode_prefixsum_simt(data, cb, chunk, &rep.encode_tally, cancel);
+      stream = encode_prefixsum_simt(data, cb, chunk, tally, cancel);
       break;
     case EncoderKind::kReduceShuffleSimt: {
       ReduceShuffleConfig rs;
@@ -129,15 +131,14 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
       rep.reduce_factor = rs.reduce_factor;
       // The host emitter writes the kernel's bytes and charges the
       // kernel's modeled tally; encode_reduceshuffle_simt is the model.
-      stream = emit_reduceshuffle(data, cb, rs, &rep.encode_tally, &rep.rs,
-                                  cancel);
+      stream = emit_reduceshuffle(data, cb, rs, tally, &rep.rs, cancel);
       break;
     }
     case EncoderKind::kAdaptiveSimt: {
       AdaptiveConfig ac;
       ac.magnitude = cfg.magnitude;
       AdaptiveStats st;
-      stream = emit_adaptive<Sym, 32>(data, cb, ac, &rep.encode_tally, &st);
+      stream = emit_adaptive<Sym, 32>(data, cb, ac, tally, &st);
       rep.rs.breaking_groups = st.breaking_groups;
       rep.rs.breaking_symbols = st.breaking_symbols;
       break;

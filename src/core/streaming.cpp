@@ -1,5 +1,6 @@
 #include "core/streaming.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -38,12 +39,17 @@ Codebook parse_header(std::span<const u8> bytes, std::size_t* used) {
 }
 
 /// Reads a frame preamble (magic + body length) at `r`'s cursor and
-/// returns the body length.
-u64 read_preamble(ByteReader& r) {
+/// returns the body length, which leaves room for the preamble in a
+/// size_t, so preamble + body never wraps.
+std::size_t read_preamble(ByteReader& r) {
   if (r.get<u32>() != kFrameMagic) {
     throw std::runtime_error("parhuff stream: bad frame magic");
   }
-  return r.get<u64>();
+  const u64 body_len = r.get<u64>();
+  if (body_len > SIZE_MAX - kFramePreamble) {
+    throw std::runtime_error("parhuff stream: frame body length overflows");
+  }
+  return static_cast<std::size_t>(body_len);
 }
 }  // namespace
 
@@ -167,7 +173,7 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
   obs::TraceSpan span("streaming.decode_segment", "streaming");
   obs::MetricsRegistry::global().counter_add("streaming.segments_decoded");
   ByteReader r(frame);
-  const auto body = r.get_view(static_cast<std::size_t>(read_preamble(r)));
+  const auto body = r.get_view(read_preamble(r));
   if (!r.done()) {
     throw std::runtime_error("parhuff stream: trailing frame bytes");
   }
@@ -192,7 +198,7 @@ bool StreamingDecompressor<Sym>::frame_length(std::span<const u8> bytes,
                                               std::size_t* total) {
   if (bytes.size() < kFramePreamble) return false;
   ByteReader r(bytes);
-  *total = kFramePreamble + static_cast<std::size_t>(read_preamble(r));
+  *total = kFramePreamble + read_preamble(r);
   return true;
 }
 
@@ -203,7 +209,7 @@ std::vector<std::span<const u8>> StreamingDecompressor<Sym>::split_frames(
   ByteReader r(bytes);
   while (!r.done()) {
     const std::size_t frame_start = r.position();
-    (void)r.get_view(static_cast<std::size_t>(read_preamble(r)));
+    (void)r.get_view(read_preamble(r));
     frames.push_back(bytes.subspan(frame_start,
                                    r.position() - frame_start));
   }

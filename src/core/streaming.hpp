@@ -129,9 +129,10 @@ class StreamingDecompressor {
 
   /// Incremental frame scan: `bytes` starts at a frame boundary. Returns
   /// false when fewer than the frame-preamble bytes are available (need
-  /// more data); otherwise validates the frame magic (throwing
-  /// std::runtime_error on a mismatch) and sets `*total` to the whole
-  /// frame's byte length (preamble + body). The caller decides whether
+  /// more data); otherwise validates the frame magic and the body length
+  /// (throwing std::runtime_error on a mismatch, or on a body length that
+  /// would wrap the total) and sets `*total` to the whole frame's byte
+  /// length (preamble + body). The caller decides whether
   /// `*total` is within its buffering bound and whether that many bytes
   /// have arrived yet.
   [[nodiscard]] static bool frame_length(std::span<const u8> bytes,

@@ -15,6 +15,13 @@ namespace parhuff {
 /// Number of OpenMP threads the next parallel region will use.
 [[nodiscard]] inline int max_threads() { return omp_get_max_threads(); }
 
+/// The calling thread's index in its OpenMP team (0 outside a parallel
+/// region). Inside a parallel_for with the default team it is below the
+/// max_threads() read before the loop, so it can index per-thread state.
+[[nodiscard]] inline std::size_t thread_index() {
+  return static_cast<std::size_t>(omp_get_thread_num());
+}
+
 /// Run `fn(i)` for i in [0, n) across `threads` OpenMP threads
 /// (0 = library default). Static schedule: all our loops are regular.
 ///

@@ -74,11 +74,25 @@ TEST(Emitter, TokenFiringAfterTheFirstChunkPollCancels) {
   });
 }
 
-TEST(MergeCost, FoldLeavesEachMovedLength) {
-  std::vector<u64> tree = {1, 2, 3, 4, 5, 6, 7, 8};
-  EXPECT_EQ(merging::fold_pair_tree(tree), 36u);
-  // Slot j > 0 keeps the length of the subtree the fold moved out of it.
-  EXPECT_EQ(tree, (std::vector<u64>{36, 2, 7, 4, 26, 6, 15, 8}));
+TEST(MergeCost, ShuffleChargesEachMovedSubtree) {
+  // Eight group lengths; SHUFFLE-merge moves slot j > 0 at iteration
+  // ctz(j) + 1 carrying slots [j, j + lowbit(j)): 2, 30+4, 4, 50+6+70+8,
+  // 6, 70+8 and 8 bits, i.e. 1 + 2 + 1 + 5 + 1 + 3 + 1 = 14 32-bit cells.
+  const std::vector<u64> lens = {40, 2, 30, 4, 50, 6, 70, 8};
+  std::vector<u64> offsets(lens.size() + 1, 0);
+  for (std::size_t j = 0; j < lens.size(); ++j) {
+    offsets[j + 1] = offsets[j] + lens[j];
+  }
+  const merging::BlockShape shape{merging::Kernel::kReduceShuffle, 4, 1, 16,
+                                  1, 1};
+  simt::MemTally moved, still;
+  merging::charge_block(moved, shape, {}, offsets);
+  merging::charge_block(still, shape, {},
+                        std::vector<u64>(lens.size() + 1, 0));
+  EXPECT_EQ(moved.shared_bytes - still.shared_bytes, 14u * 3 * 4);
+  // Everything else the shuffle charges is per slot, not per moved bit.
+  moved.shared_bytes = still.shared_bytes;
+  EXPECT_EQ(moved, still);
 }
 
 }  // namespace

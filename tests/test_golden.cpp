@@ -11,8 +11,10 @@
 #include "core/decode_gaparray.hpp"
 #include "core/encode_reduceshuffle.hpp"
 #include "core/format.hpp"
+#include "core/histogram.hpp"
 #include "core/pipeline.hpp"
 #include "data/quant.hpp"
+#include "expect_tally.hpp"
 #include "golden_phl2.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
@@ -20,6 +22,7 @@
 #include "svc/service.hpp"
 #include "util/clock.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "util/work_steal.hpp"
 
 namespace parhuff {
@@ -102,6 +105,65 @@ std::vector<float> golden_field(data::Dims dims) {
     f[i] = static_cast<float>(std::sin(static_cast<double>(i) * 0.05) * 3.0);
   }
   return f;
+}
+
+TEST(Golden, ModeledTalliesAreStable) {
+  // The modeled V100 numbers are a function of these three tallies. A
+  // kernel-vs-host equivalence test cannot see a drift both forms share;
+  // these frozen values can. Fields in MemTally declaration order.
+  {
+    PipelineConfig cfg;
+    cfg.nbins = 16;
+    cfg.magnitude = 8;
+    cfg.encoder = EncoderKind::kReduceShuffleSimt;
+    cfg.reduce_factor = 2;
+    PipelineReport rep;
+    (void)compress<u8>(golden_input(), cfg, &rep);
+    SCOPED_TRACE("u8 golden input");
+    expect_tally("histogram", rep.hist_tally,
+                 {6800, 0, 317, 0, 81408, 2534, 50680, 6800, 20400, 1, 0,
+                  159, 0, 0, 0});
+    expect_tally("codebook", rep.codebook_tally,
+                 {1424, 256, 228, 8, 0, 16, 24, 0, 0, 1, 48, 0, 0, 392, 715});
+    expect_tally("encode", rep.encode_tally,
+                 {10328, 3272, 337, 108, 334308, 0, 0, 0, 0, 2, 0, 270, 1701,
+                  438912, 0});
+  }
+  {
+    PipelineConfig cfg;
+    cfg.nbins = 1024;
+    PipelineReport rep;
+    (void)compress<u16>(data::generate_nyx_quant(std::size_t{1} << 18, 7),
+                        cfg, &rep);
+    SCOPED_TRACE("u16 NYX-like input");
+    EXPECT_EQ(rep.reduce_factor, 3u);
+    expect_tally("histogram", rep.hist_tally,
+                 {524288, 0, 16634, 0, 5242880, 163840, 3276800, 262144,
+                  270301, 1, 0, 160, 0, 0, 0});
+    expect_tally("codebook", rep.codebook_tally,
+                 {300, 80, 41, 8, 0, 5, 7, 0, 0, 1, 19, 0, 0, 80, 404});
+    expect_tally("encode", rep.encode_tally,
+                 {574788, 34116, 18576, 1680, 12493832, 0, 0, 0, 0, 2, 0,
+                  3072, 32512, 14942208, 0});
+  }
+  {
+    // The histogram branches the two runs above do not take: 65536 bins
+    // need multipass rounds, or global atomics without them.
+    std::vector<u16> wide(100'003);
+    Xoshiro256 rng(9);
+    for (auto& s : wide) s = static_cast<u16>(rng.below(65536));
+    SimtHistogramConfig cfg;
+    simt::MemTally multipass, atomics;
+    (void)histogram_simt<u16>(wide, 65536, &multipass, cfg);
+    cfg.allow_multipass = false;
+    (void)histogram_simt<u16>(wide, 65536, &atomics, cfg);
+    expect_tally("multipass histogram", multipass,
+                 {1200036, 0, 38340, 0, 0, 600018, 12000360, 100644, 110226,
+                  1, 0, 1920, 0, 0, 0});
+    expect_tally("global-atomic histogram", atomics,
+                 {200006, 0, 6390, 0, 0, 100003, 400012, 0, 0, 1, 0, 0, 0, 0,
+                  0});
+  }
 }
 
 TEST(Golden, LossyFusedContainerBytesAreStable) {

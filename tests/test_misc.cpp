@@ -2,7 +2,9 @@
 // histogram variants, and the performance models' sanity properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/entropy.hpp"
@@ -10,6 +12,8 @@
 #include "core/tree.hpp"
 #include "data/synth_hist.hpp"
 #include "data/textgen.hpp"
+#include "expect_tally.hpp"
+#include "obs/metrics.hpp"
 #include "perf/cpu_model.hpp"
 #include "perf/gpu_model.hpp"
 #include "util/parallel.hpp"
@@ -134,6 +138,65 @@ TEST(Histogram, MultiPassBoundaryBins) {
   }
   const auto h = histogram_simt<u16>(input, 200, nullptr, cfg);
   EXPECT_EQ(h, histogram_serial<u16>(input, 200));
+}
+
+/// One shape family: histogram_simt (the host count) must return the
+/// kernel's counts and charge the kernel's MemTally field for field, and
+/// run no simulation.
+template <typename Sym>
+void expect_product_matches_kernel(std::size_t n, std::size_t nbins,
+                                   const SimtHistogramConfig& cfg, u64 seed) {
+  const std::size_t alphabet =
+      std::min<std::size_t>(nbins, std::size_t{1} << (8 * sizeof(Sym)));
+  std::vector<Sym> input(n);
+  Xoshiro256 rng(seed);
+  for (auto& s : input) s = static_cast<Sym>(rng.below(alphabet));
+  SCOPED_TRACE("sym_bytes=" + std::to_string(sizeof(Sym)) +
+               " n=" + std::to_string(n) + " nbins=" + std::to_string(nbins) +
+               " grid=" + std::to_string(cfg.grid_dim) +
+               " block=" + std::to_string(cfg.block_dim) +
+               " budget=" + std::to_string(cfg.shared_budget_bytes) +
+               " multipass=" + std::to_string(cfg.allow_multipass));
+
+  auto& reg = obs::MetricsRegistry::global();
+  const u64 launches0 = reg.counter("simt.kernel_launches");
+  const u64 syncs0 = reg.counter("simt.block_syncs");
+  simt::MemTally product;
+  const auto counts = histogram_simt<Sym>(input, nbins, &product, cfg);
+  EXPECT_EQ(reg.counter("simt.kernel_launches"), launches0);
+  EXPECT_EQ(reg.counter("simt.block_syncs"), syncs0);
+
+  simt::MemTally kernel;
+  EXPECT_EQ(counts, histogram_simt_kernel<Sym>(input, nbins, &kernel, cfg));
+  EXPECT_EQ(counts, histogram_serial<Sym>(input, nbins));
+  expect_tally("product vs kernel", product, kernel);
+}
+
+TEST(Histogram, ProductChargesTheKernelTallyForEveryShape) {
+  SimtHistogramConfig atomics;  // no multipass: direct global atomics
+  atomics.allow_multipass = false;
+  SimtHistogramConfig odd;  // 5 replicas of 256 bins, 1500 bins per pass
+  odd.grid_dim = 37;
+  odd.block_dim = 128;
+  odd.shared_budget_bytes = 6000;
+  const SimtHistogramConfig configs[] = {SimtHistogramConfig{}, atomics, odd};
+  // Below the grid, not a multiple of it; 12288 bins fill one replica of
+  // the default 48 KiB budget, 12289 and 65536 need multipass rounds.
+  const std::size_t sizes[] = {0, 1, 100, 100'003};
+  const std::size_t bins[] = {1, 256, 1024, 12'288, 12'289, 65'536};
+  u64 seed = 1;
+  for (const auto& cfg : configs) {
+    for (const std::size_t n : sizes) {
+      for (const std::size_t nb : bins) {
+        expect_product_matches_kernel<u16>(n, nb, cfg, ++seed);
+        if (nb <= 1024) expect_product_matches_kernel<u8>(n, nb, cfg, ++seed);
+      }
+    }
+    const std::size_t mi = std::size_t{1} << 20;
+    expect_product_matches_kernel<u8>(mi, 256, cfg, ++seed);
+    expect_product_matches_kernel<u16>(mi, 1024, cfg, ++seed);
+    expect_product_matches_kernel<u16>(mi, 65'536, cfg, ++seed);
+  }
 }
 
 TEST(Histogram, EmptyInput) {

@@ -85,7 +85,7 @@ std::vector<u16> wide_symbols() {
 TEST(SharedMemDirty, HistogramReplicated) {
   for (const auto in : text_inputs()) {
     expect_fill_invariant([&](simt::MemTally* t) {
-      return histogram_simt<u8>(in, 256, t);
+      return histogram_simt_kernel<u8>(in, 256, t);
     });
   }
 }
@@ -93,7 +93,7 @@ TEST(SharedMemDirty, HistogramReplicated) {
 TEST(SharedMemDirty, HistogramMultipass) {
   const auto wide = wide_symbols();
   expect_fill_invariant([&](simt::MemTally* t) {
-    return histogram_simt<u16>(wide, 20'000, t);
+    return histogram_simt_kernel<u16>(wide, 20'000, t);
   });
 }
 

@@ -320,6 +320,39 @@ TEST(RpcStream, OversizedMonolithicPhfContainerStillFailsTyped) {
   EXPECT_FALSE(cli.compress(std::span<const u8>(data)).result.get().empty());
 }
 
+TEST(RpcStream, HonestSegmentOverTheBufferingBoundFailsTyped) {
+  LoopbackHub hub;
+  RpcServer server(hub.listener(), small_stream_server());
+  RpcClient cli([&] { return hub.connect(); }, small_stream_config());
+
+  // One segment of ~6.6-bit symbols: its ~1.6 MiB frame outgrows the
+  // server's 64 KiB chunk + 1 MiB buffering bound.
+  PipelineConfig cfg;
+  cfg.nbins = 256;
+  StreamingCompressor<u8> sc(cfg);
+  const auto data = ramp_data(2 << 20, 13);
+  sc.observe(data);
+  sc.freeze();
+  std::vector<u8> container = sc.header();
+  const std::vector<u8> frame = sc.encode_segment(data);
+  ASSERT_GT(frame.size(), (64u << 10) + (1u << 20));
+  container.insert(container.end(), frame.begin(), frame.end());
+
+  try {
+    (void)cli.decompress(std::move(container)).result.get();
+    FAIL() << "a segment over the buffering bound must fail typed";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("exceeds the buffering bound"),
+              std::string::npos)
+        << e.what();
+  }
+  // The server survives: the next stream on the same client round-trips.
+  const auto small = ramp_data(100 * 1024, 14);
+  const std::vector<u8> ok = cli.compress(std::vector<u8>(small)).result.get();
+  EXPECT_EQ(cli.decompress(std::vector<u8>(ok)).result.get(), small);
+}
+
 // --- Typed stream errors. ----------------------------------------------------
 
 TEST(RpcStream, UnknownStreamIdIsTypedNotFatal) {

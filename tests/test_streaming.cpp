@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -155,6 +158,45 @@ TEST(Streaming, DecoderRejectsBadHeaderAndFrames) {
   auto truncated = frame;
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW((void)sd.decode_segment(truncated), std::runtime_error);
+}
+
+TEST(Streaming, WrappingFrameLengthFailsTyped) {
+  PipelineConfig cfg;
+  cfg.nbins = 256;
+  StreamingCompressor<u8> sc(cfg);
+  const auto seg = data::generate_text(5000, 1);
+  sc.observe(seg);
+  sc.freeze();
+  const auto frame = sc.encode_segment(seg);
+  // The preamble is a u32 magic and a u64 body length.
+  const auto with_body_len = [&](u64 body_len) {
+    auto f = frame;
+    std::memcpy(f.data() + sizeof(u32), &body_len, sizeof(body_len));
+    return f;
+  };
+  constexpr std::size_t kPreamble = sizeof(u32) + sizeof(u64);
+
+  // 12 + (2^64 − 5) would wrap to a 7-byte frame.
+  const auto forged = with_body_len(~u64{0} - 4);
+  std::size_t total = 0;
+  try {
+    (void)StreamingDecompressor<u8>::frame_length(forged, &total);
+    FAIL() << "a wrapping body length must fail typed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("body length"), std::string::npos);
+  }
+  EXPECT_EQ(total, 0u);
+  EXPECT_THROW((void)StreamingDecompressor<u8>::split_frames(forged),
+               std::runtime_error);
+  StreamingDecompressor<u8> sd(sc.header());
+  EXPECT_THROW((void)sd.decode_segment(forged), std::runtime_error);
+
+  // The largest body length whose total still fits is only a truncation.
+  const auto widest = with_body_len(SIZE_MAX - kPreamble);
+  ASSERT_TRUE(StreamingDecompressor<u8>::frame_length(widest, &total));
+  EXPECT_EQ(total, SIZE_MAX);
+  EXPECT_THROW((void)StreamingDecompressor<u8>::split_frames(widest),
+               std::runtime_error);
 }
 
 TEST(Streaming, ResetReturnsCompressorToObserving) {
