@@ -310,6 +310,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Under --no-json no document keeps the report, so it goes to the
+  // console instead.
+  if (!run.emits_json()) {
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return run.finish();
+  }
+
   // The JSON reporter must be the *display* reporter — a file reporter
   // makes google-benchmark demand --benchmark_out. Its stream is captured
   // so the console keeps quiet and the JSON lands in our document.

@@ -115,6 +115,9 @@ class Driver {
   /// The document's `config` object — add bench-specific parameters.
   obs::Json& config() { return doc_.config(); }
 
+  /// False under --no-json: finish() will not write the document.
+  [[nodiscard]] bool emits_json() const { return emit_json_; }
+
   /// Append one per-case result object to `records`.
   void record(obs::Json rec) { doc_.add_record(std::move(rec)); }
 

@@ -1,7 +1,9 @@
 #pragma once
 // Little-endian byte-buffer writer/reader shared by the container format
-// and the streaming framing. The reader is bounds-checked and throws
-// std::runtime_error on truncation — every deserializer builds on that.
+// and the streaming framing. Sections append to the caller's ByteWriter
+// and parse at the caller's ByteReader cursor, so each byte is written
+// once. The reader is bounds-checked and throws std::runtime_error on
+// truncation — every deserializer builds on that.
 
 #include <cstring>
 #include <span>
@@ -18,25 +20,45 @@ class ByteWriter {
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t at = buf_.size();
+    make_room(sizeof(T));
     buf_.resize(at + sizeof(T));
     std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
 
+  /// Copies straight in, with no zero-fill of bytes overwritten at once.
   template <typename T>
   void put_array(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (v.empty()) return;
-    const std::size_t at = buf_.size();
-    buf_.resize(at + v.size() * sizeof(T));
-    std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(T));
+    make_room(v.size_bytes());
+    const auto* b = reinterpret_cast<const u8*>(v.data());
+    buf_.insert(buf_.end(), b, b + v.size_bytes());
   }
 
-  void put_bytes(std::span<const u8> v) { put_array(v); }
+  /// Overwrites the T already written at offset `at` (a length slot whose
+  /// value is known only once its payload is in).
+  template <typename T>
+  void patch(std::size_t at, const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
+  }
+
+  /// The bytes written since offset `at`; valid until the next append.
+  [[nodiscard]] std::span<const u8> since(std::size_t at) const {
+    return std::span<const u8>(buf_).subspan(at);
+  }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   std::vector<u8> take() { return std::move(buf_); }
 
  private:
+  // Room for as much again as is needed: the small fields after a large
+  // payload array then do not move the whole buffer once more.
+  void make_room(std::size_t n) {
+    if (n > buf_.capacity() - buf_.size()) {
+      buf_.reserve(2 * (buf_.size() + n));
+    }
+  }
+
   std::vector<u8> buf_;
 };
 
@@ -71,6 +93,11 @@ class ByteReader {
     auto v = bytes_.subspan(pos_, n);
     pos_ += n;
     return v;
+  }
+
+  /// The bytes read since offset `at`.
+  [[nodiscard]] std::span<const u8> since(std::size_t at) const {
+    return bytes_.subspan(at, pos_ - at);
   }
 
   [[nodiscard]] std::size_t position() const { return pos_; }

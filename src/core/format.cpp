@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "core/bytesio.hpp"
 #include "core/rle.hpp"
 #include "util/hash.hpp"
 
@@ -19,16 +18,6 @@ namespace {
 constexpr char kMagicV2[4] = {'P', 'H', 'F', '2'};
 constexpr char kMagicV3[4] = {'P', 'H', 'F', '3'};
 constexpr u32 kMaxOptionalFields = 64;
-
-/// GAP1 field payload: u32 subseq_bits | u64 n | u8 gaps[n] | u16 counts[n].
-std::vector<u8> serialize_gap_field(const EncodedStream& s) {
-  ByteWriter w;
-  w.put<u32>(s.gap_subseq_bits);
-  w.put<u64>(static_cast<u64>(s.gaps.size()));
-  w.put_array(std::span<const u8>(s.gaps));
-  w.put_array(std::span<const u16>(s.gap_counts));
-  return w.take();
-}
 
 /// Parse + validate a GAP1 payload against the already-deserialized stream
 /// geometry. Entry count and bounds are checked BEFORE the arrays are
@@ -66,18 +55,6 @@ void parse_gap_field(std::span<const u8> payload, EncodedStream& s) {
   }
 }
 
-/// RLE1 field payload: u32 run_symbol | u64 orig_symbols | u64 n_runs |
-/// u64 pos[n_runs] | u32 len[n_runs].
-std::vector<u8> serialize_rle_field(const EncodedStream& s) {
-  ByteWriter w;
-  w.put<u32>(s.rle_symbol);
-  w.put<u64>(s.rle_orig_symbols);
-  w.put<u64>(static_cast<u64>(s.rle_run_pos.size()));
-  w.put_array(std::span<const u64>(s.rle_run_pos));
-  w.put_array(std::span<const u32>(s.rle_run_len));
-  return w.take();
-}
-
 /// Parse an RLE1 payload and check it against the already-deserialized
 /// stream with validate_rle (core/rle.hpp): a forged field fails typed
 /// here, before the lossy reader ever pulls a code through it.
@@ -93,25 +70,37 @@ void parse_rle_field(std::span<const u8> payload, EncodedStream& s) {
   }
   validate_rle(s, s.n_symbols);
 }
+
+/// One optional field: u32 tag | u64 len | payload | u64 fnv1a(payload).
+/// `write_payload()` appends the payload in place; the length slot is
+/// patched once it is in.
+template <typename WritePayload>
+void write_field(ByteWriter& w, u32 tag, WritePayload&& write_payload) {
+  w.put<u32>(tag);
+  const std::size_t len_at = w.size();
+  w.put<u64>(0);
+  const std::size_t at = w.size();
+  write_payload();
+  w.patch<u64>(len_at, static_cast<u64>(w.size() - at));
+  w.put<u64>(fnv1a(w.since(at)));
+}
+
+// The overflow table is written as the packed in-memory entries.
+static_assert(sizeof(OverflowEntry) == 24 &&
+              std::is_trivially_copyable_v<OverflowEntry>);
 }  // namespace
 
 // --- Codebook section. --------------------------------------------------------
 
-std::vector<u8> serialize_codebook(const Codebook& cb) {
-  ByteWriter w;
+void write_codebook(ByteWriter& w, const Codebook& cb) {
   w.put<u8>(static_cast<u8>(cb.max_len));
   w.put<u32>(cb.nbins);
-  std::vector<u8> lens(cb.nbins, 0);
-  for (u32 i = 0; i < cb.nbins; ++i) lens[i] = cb.cw[i].len;
-  w.put_array(std::span<const u8>(lens));
+  for (u32 i = 0; i < cb.nbins; ++i) w.put<u8>(cb.cw[i].len);
   w.put<u32>(static_cast<u32>(cb.sorted_syms.size()));
   w.put_array(std::span<const u32>(cb.sorted_syms));
-  return w.take();
 }
 
-Codebook deserialize_codebook(std::span<const u8> bytes,
-                              std::size_t* consumed) {
-  ByteReader r(bytes);
+Codebook read_codebook(ByteReader& r) {
   const u8 max_len = r.get<u8>();
   const u32 nbins = r.get<u32>();
   if (nbins == 0 || nbins > (u32{1} << 24)) {
@@ -149,48 +138,33 @@ Codebook deserialize_codebook(std::span<const u8> bytes,
   if (!err.empty()) {
     throw std::runtime_error("parhuff container: codebook invalid: " + err);
   }
-  if (consumed) *consumed = r.position();
   return cb;
 }
 
 // --- Stream section. -----------------------------------------------------------
 
-std::vector<u8> serialize_stream(const EncodedStream& s) {
-  ByteWriter w;
+void write_stream(ByteWriter& w, const EncodedStream& s) {
+  const std::size_t at = w.size();
   w.put<u64>(static_cast<u64>(s.n_symbols));
   w.put<u32>(s.chunk_symbols);
   w.put<u32>(s.reduce_factor);
   w.put<u8>(s.chunk_reduce.empty() ? 0 : 1);
   w.put<u32>(static_cast<u32>(s.chunk_bits.size()));
   w.put_array(std::span<const u64>(s.chunk_bits));
-  if (!s.chunk_reduce.empty()) {
-    w.put_array(std::span<const u8>(s.chunk_reduce));
-  }
+  w.put_array(std::span<const u8>(s.chunk_reduce));
   w.put<u64>(static_cast<u64>(s.payload.size()));
   w.put_array(std::span<const word_t>(s.payload));
   w.put<u32>(static_cast<u32>(s.overflow.size()));
-  for (const OverflowEntry& e : s.overflow) {
-    w.put<u32>(e.chunk);
-    w.put<u32>(e.group);
-    w.put<u64>(e.bit_offset);
-    w.put<u32>(e.bit_len);
-    w.put<u32>(e.n_symbols);
-  }
+  w.put_array(std::span<const OverflowEntry>(s.overflow));
   w.put<u64>(static_cast<u64>(s.overflow_payload.size()));
   w.put<u64>(s.overflow_bits);
   w.put_array(std::span<const word_t>(s.overflow_payload));
   // Integrity checksum over everything above.
-  auto body = w.take();
-  const u64 digest = fnv1a(body);
-  ByteWriter tail;
-  tail.put_bytes(body);
-  tail.put<u64>(digest);
-  return tail.take();
+  w.put<u64>(fnv1a(w.since(at)));
 }
 
-EncodedStream deserialize_stream(std::span<const u8> bytes,
-                                 std::size_t* consumed) {
-  ByteReader r(bytes);
+EncodedStream read_stream(ByteReader& r) {
+  const std::size_t at = r.position();
   EncodedStream s;
   s.n_symbols = static_cast<std::size_t>(r.get<u64>());
   s.chunk_symbols = r.get<u32>();
@@ -233,30 +207,23 @@ EncodedStream deserialize_stream(std::span<const u8> bytes,
   s.payload = r.get_array<word_t>(static_cast<std::size_t>(payload_words));
 
   const u32 n_overflow = r.get<u32>();
-  s.overflow.reserve(n_overflow);
+  s.overflow = r.get_array<OverflowEntry>(n_overflow);
   for (u32 i = 0; i < n_overflow; ++i) {
-    OverflowEntry e;
-    e.chunk = r.get<u32>();
-    e.group = r.get<u32>();
-    e.bit_offset = r.get<u64>();
-    e.bit_len = r.get<u32>();
-    e.n_symbols = r.get<u32>();
+    const OverflowEntry& e = s.overflow[i];
     if (e.chunk >= n_chunks) {
       throw std::runtime_error("parhuff container: overflow chunk range");
     }
     // Strictly ascending by (chunk, group), one whole group each: the
     // decoders' chunk walk splices entries at their group boundaries, and
     // a forged count would otherwise steer symbols past the chunk.
-    if (!s.overflow.empty() &&
-        (e.chunk < s.overflow.back().chunk ||
-         (e.chunk == s.overflow.back().chunk &&
-          e.group <= s.overflow.back().group))) {
+    if (i > 0 && (e.chunk < s.overflow[i - 1].chunk ||
+                  (e.chunk == s.overflow[i - 1].chunk &&
+                   e.group <= s.overflow[i - 1].group))) {
       throw std::runtime_error("parhuff container: overflow entry order");
     }
     if (!s.overflow_entry_fits(e)) {
       throw std::runtime_error("parhuff container: overflow entry group");
     }
-    s.overflow.push_back(e);
   }
   const u64 ovf_words = r.get<u64>();
   s.overflow_bits = r.get<u64>();
@@ -275,46 +242,55 @@ EncodedStream deserialize_stream(std::span<const u8> bytes,
       throw std::runtime_error("parhuff container: overflow entry range");
     }
   }
-  const std::size_t body_end = r.position();
-  const u64 stored = r.get<u64>();
-  if (stored != fnv1a(bytes.subspan(0, body_end))) {
+  const u64 digest = fnv1a(r.since(at));
+  if (r.get<u64>() != digest) {
     throw std::runtime_error("parhuff container: checksum mismatch");
   }
-  if (consumed) *consumed = r.position();
   return s;
 }
 
 // --- Whole container. -----------------------------------------------------------
 
 template <typename Sym>
-std::vector<u8> serialize(const Compressed<Sym>& blob) {
-  ByteWriter w;
-  const bool v3 = blob.stream.has_gaps() || blob.stream.has_rle();
+void write_container(ByteWriter& w, const Codebook& cb,
+                     const EncodedStream& s) {
+  const bool v3 = s.has_gaps() || s.has_rle();
   w.put_array(std::span<const char>(v3 ? kMagicV3 : kMagicV2, 4));
   w.put<u8>(static_cast<u8>(sizeof(Sym)));
-  const auto cb = serialize_codebook(blob.codebook);
-  w.put_bytes(cb);
-  const auto st = serialize_stream(blob.stream);
-  w.put_bytes(st);
-  if (v3) {
-    // Fields are written in tag-introduction order (GAP1 then RLE1), so a
-    // gap-only container is byte-identical to what the previous revision
-    // wrote (pinned by the golden tests).
-    const auto put_field = [&w](u32 tag, const std::vector<u8>& field) {
-      w.put<u32>(tag);
-      w.put<u64>(static_cast<u64>(field.size()));
-      w.put_bytes(field);
-      w.put<u64>(fnv1a(field));
-    };
-    w.put<u32>(static_cast<u32>(blob.stream.has_gaps()) +
-               static_cast<u32>(blob.stream.has_rle()));  // n_fields
-    if (blob.stream.has_gaps()) {
-      put_field(kContainerFieldGap, serialize_gap_field(blob.stream));
-    }
-    if (blob.stream.has_rle()) {
-      put_field(kContainerFieldRle, serialize_rle_field(blob.stream));
-    }
+  write_codebook(w, cb);
+  write_stream(w, s);
+  if (!v3) return;
+  // Fields are written in tag-introduction order (GAP1 then RLE1), so a
+  // gap-only container is byte-identical to what the previous revision
+  // wrote (pinned by the golden tests).
+  w.put<u32>(static_cast<u32>(s.has_gaps()) +
+             static_cast<u32>(s.has_rle()));  // n_fields
+  if (s.has_gaps()) {
+    // u32 subseq_bits | u64 n | u8 gaps[n] | u16 counts[n]
+    write_field(w, kContainerFieldGap, [&] {
+      w.put<u32>(s.gap_subseq_bits);
+      w.put<u64>(static_cast<u64>(s.gaps.size()));
+      w.put_array(std::span<const u8>(s.gaps));
+      w.put_array(std::span<const u16>(s.gap_counts));
+    });
   }
+  if (s.has_rle()) {
+    // u32 run_symbol | u64 orig_symbols | u64 n_runs | u64 pos[n_runs] |
+    // u32 len[n_runs]
+    write_field(w, kContainerFieldRle, [&] {
+      w.put<u32>(s.rle_symbol);
+      w.put<u64>(s.rle_orig_symbols);
+      w.put<u64>(static_cast<u64>(s.rle_run_pos.size()));
+      w.put_array(std::span<const u64>(s.rle_run_pos));
+      w.put_array(std::span<const u32>(s.rle_run_len));
+    });
+  }
+}
+
+template <typename Sym>
+std::vector<u8> serialize(const Compressed<Sym>& blob) {
+  ByteWriter w;
+  write_container<Sym>(w, blob.codebook, blob.stream);
   return w.take();
 }
 
@@ -331,30 +307,24 @@ Compressed<Sym> deserialize(std::span<const u8> bytes) {
     throw std::runtime_error("parhuff container: symbol width mismatch");
   }
   Compressed<Sym> blob;
-  std::size_t used = 0;
-  blob.codebook =
-      deserialize_codebook(bytes.subspan(r.position()), &used);
-  const std::size_t stream_at = r.position() + used;
-  std::size_t stream_used = 0;
-  blob.stream = deserialize_stream(bytes.subspan(stream_at), &stream_used);
-  std::size_t at = stream_at + stream_used;
+  blob.codebook = read_codebook(r);
+  blob.stream = read_stream(r);
   if (v3) {
     // Optional-field region. Every field is length-prefixed and carries its
     // own checksum, so a reader can verify and skip fields whose tags it
     // does not understand — the fallback-to-self-sync semantics: a stream
     // whose GAP1 field was skipped simply decodes via the older tiers.
-    ByteReader fr(bytes.subspan(at));
-    const u32 n_fields = fr.get<u32>();
+    const u32 n_fields = r.get<u32>();
     if (n_fields > kMaxOptionalFields) {
       throw std::runtime_error(
           "parhuff container: implausible optional field count");
     }
     bool saw_gap = false, saw_rle = false;
     for (u32 i = 0; i < n_fields; ++i) {
-      const u32 tag = fr.get<u32>();
-      const u64 len = fr.get<u64>();
-      const auto payload = fr.get_view(static_cast<std::size_t>(len));
-      if (fr.get<u64>() != fnv1a(payload)) {
+      const u32 tag = r.get<u32>();
+      const u64 len = r.get<u64>();
+      const auto payload = r.get_view(static_cast<std::size_t>(len));
+      if (r.get<u64>() != fnv1a(payload)) {
         throw std::runtime_error(
             "parhuff container: optional field checksum mismatch");
       }
@@ -375,9 +345,8 @@ Compressed<Sym> deserialize(std::span<const u8> bytes) {
       }
       // Unknown tag: verified, skipped.
     }
-    at += fr.position();
   }
-  if (at != bytes.size()) {
+  if (!r.done()) {
     throw std::runtime_error("parhuff container: trailing bytes");
   }
   return blob;
@@ -408,5 +377,9 @@ template std::vector<u8> serialize<u8>(const Compressed<u8>&);
 template std::vector<u8> serialize<u16>(const Compressed<u16>&);
 template Compressed<u8> deserialize<u8>(std::span<const u8>);
 template Compressed<u16> deserialize<u16>(std::span<const u8>);
+template void write_container<u8>(ByteWriter&, const Codebook&,
+                                  const EncodedStream&);
+template void write_container<u16>(ByteWriter&, const Codebook&,
+                                   const EncodedStream&);
 
 }  // namespace parhuff

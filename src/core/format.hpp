@@ -31,13 +31,16 @@
 //   u8 per_chunk_flag | u32 n_chunks | u64 chunk_bits[n_chunks]
 //   (u8 chunk_reduce[n_chunks] when per_chunk_flag)
 //   u64 payload_words | word payload[...]
-//   u32 n_overflow | packed OverflowEntry[...]
+//   u32 n_overflow | { u32 chunk | u32 group | u64 bit_offset |
+//                      u32 bit_len | u32 n_symbols }[n_overflow]
 //   u64 overflow_words | u64 overflow_bits | word overflow_payload[...]
+//   u64 fnv1a over the section's bytes above
 
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/bytesio.hpp"
 #include "core/pipeline.hpp"
 #include "util/types.hpp"
 
@@ -60,18 +63,21 @@ template <typename Sym>
 template <typename Sym>
 [[nodiscard]] Compressed<Sym> deserialize(std::span<const u8> bytes);
 
+/// Appends the container serialize() returns to `w`: the codebook need
+/// not sit in a Compressed (a cached book is written in place).
+template <typename Sym>
+void write_container(ByteWriter& w, const Codebook& cb,
+                     const EncodedStream& s);
+
 // --- Section API (used by the whole-container functions and by the
-// streaming format, which ships one codebook for many stream segments). ------
+// streaming format, which ships one codebook for many stream segments).
+// Writers append to `w`; readers leave `r` just past the section. ---------
 
-[[nodiscard]] std::vector<u8> serialize_codebook(const Codebook& cb);
-/// Reads a codebook section from the reader's cursor position onward;
-/// `consumed` (optional) receives the section's byte length.
-[[nodiscard]] Codebook deserialize_codebook(std::span<const u8> bytes,
-                                            std::size_t* consumed = nullptr);
+void write_codebook(ByteWriter& w, const Codebook& cb);
+[[nodiscard]] Codebook read_codebook(ByteReader& r);
 
-[[nodiscard]] std::vector<u8> serialize_stream(const EncodedStream& s);
-[[nodiscard]] EncodedStream deserialize_stream(std::span<const u8> bytes,
-                                               std::size_t* consumed = nullptr);
+void write_stream(ByteWriter& w, const EncodedStream& s);
+[[nodiscard]] EncodedStream read_stream(ByteReader& r);
 
 // --- File helpers used by the example applications. ---------------------------
 
@@ -82,5 +88,9 @@ extern template std::vector<u8> serialize<u8>(const Compressed<u8>&);
 extern template std::vector<u8> serialize<u16>(const Compressed<u16>&);
 extern template Compressed<u8> deserialize<u8>(std::span<const u8>);
 extern template Compressed<u16> deserialize<u16>(std::span<const u8>);
+extern template void write_container<u8>(ByteWriter&, const Codebook&,
+                                         const EncodedStream&);
+extern template void write_container<u16>(ByteWriter&, const Codebook&,
+                                          const EncodedStream&);
 
 }  // namespace parhuff

@@ -19,11 +19,10 @@ namespace {
 constexpr u32 kFrameMagic = 0x50485346u;  // "PHSF"
 constexpr std::size_t kFramePreamble = sizeof(u32) + sizeof(u64);
 
-/// Reads a stream header (magic + symbol width + codebook section) from the
-/// front of `bytes`; `*used` receives its length.
+/// Reads a stream header (magic + symbol width + codebook section) at
+/// `r`'s cursor.
 template <typename Sym>
-Codebook parse_header(std::span<const u8> bytes, std::size_t* used) {
-  ByteReader r(bytes);
+Codebook parse_header(ByteReader& r) {
   const auto magic = r.get_array<char>(4);
   if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) != 0) {
     throw std::runtime_error("parhuff stream: bad header magic");
@@ -32,10 +31,7 @@ Codebook parse_header(std::span<const u8> bytes, std::size_t* used) {
   if (sym_bytes != sizeof(Sym)) {
     throw std::runtime_error("parhuff stream: symbol width mismatch");
   }
-  std::size_t cb_used = 0;
-  Codebook cb = deserialize_codebook(bytes.subspan(r.position()), &cb_used);
-  *used = r.position() + cb_used;
-  return cb;
+  return read_codebook(r);
 }
 
 /// Reads a frame preamble (magic + body length) at `r`'s cursor and
@@ -125,7 +121,7 @@ std::vector<u8> StreamingCompressor<Sym>::header() const {
   ByteWriter w;
   w.put_array(std::span<const char>(kStreamHeaderMagic, 4));
   w.put<u8>(static_cast<u8>(sizeof(Sym)));
-  w.put_bytes(serialize_codebook(cb_));
+  write_codebook(w, cb_);
   return w.take();
 }
 
@@ -143,11 +139,11 @@ std::vector<u8> StreamingCompressor<Sym>::encode_segment(
   Timer seg_timer;
   const EncodedStream s = encode_with_codebook<Sym>(segment, cb_, cfg_, freq_,
                                                     nullptr, cancel);
-  const std::vector<u8> body = serialize_stream(s);
   ByteWriter w;
   w.put<u32>(kFrameMagic);
-  w.put<u64>(static_cast<u64>(body.size()));
-  w.put_bytes(body);
+  w.put<u64>(0);  // body length, patched below
+  write_stream(w, s);
+  w.patch<u64>(sizeof(u32), static_cast<u64>(w.size() - kFramePreamble));
   auto frame = w.take();
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   reg.stage_add("streaming.encode_segment", seg_timer.seconds());
@@ -160,9 +156,9 @@ std::vector<u8> StreamingCompressor<Sym>::encode_segment(
 template <typename Sym>
 StreamingDecompressor<Sym>::StreamingDecompressor(
     std::span<const u8> header) {
-  std::size_t used = 0;
-  cb_ = parse_header<Sym>(header, &used);
-  if (used != header.size()) {
+  ByteReader r(header);
+  cb_ = parse_header<Sym>(r);
+  if (!r.done()) {
     throw std::runtime_error("parhuff stream: trailing header bytes");
   }
 }
@@ -173,13 +169,10 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
   obs::TraceSpan span("streaming.decode_segment", "streaming");
   obs::MetricsRegistry::global().counter_add("streaming.segments_decoded");
   ByteReader r(frame);
-  const auto body = r.get_view(read_preamble(r));
-  if (!r.done()) {
-    throw std::runtime_error("parhuff stream: trailing frame bytes");
-  }
-  std::size_t used = 0;
-  const EncodedStream s = deserialize_stream(body, &used);
-  if (used != body.size()) {
+  const std::size_t body_len = read_preamble(r);
+  const EncodedStream s = read_stream(r);
+  // The body is exactly one stream section and runs to the frame's end.
+  if (!r.done() || kFramePreamble + body_len != frame.size()) {
     throw std::runtime_error("parhuff stream: frame length mismatch");
   }
   return decode_stream<Sym>(s, cb_, 0, cancel);
@@ -188,9 +181,9 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
 template <typename Sym>
 std::size_t StreamingDecompressor<Sym>::header_length(
     std::span<const u8> bytes) {
-  std::size_t used = 0;
-  (void)parse_header<Sym>(bytes, &used);
-  return used;
+  ByteReader r(bytes);
+  (void)parse_header<Sym>(r);
+  return r.position();
 }
 
 template <typename Sym>

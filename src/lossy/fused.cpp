@@ -143,12 +143,13 @@ double resolve_bound(std::span<const float> field, const FusedConfig& cfg) {
   return eb;
 }
 
+/// Huffman-codes the residual at width Sym and appends its container
+/// (PHF3 with the RLE1 field) to `w`.
 template <typename Sym>
-std::vector<u8> encode_residual(const std::vector<u16>& residual,
-                                std::span<const u64> freq,
-                                RleAccumulator& acc, const PipelineConfig& pc,
-                                FusedReport& rep, const CodebookSource* books,
-                                const CancelToken* cancel) {
+void encode_residual(ByteWriter& w, const std::vector<u16>& residual,
+                     std::span<const u64> freq, RleAccumulator& acc,
+                     const PipelineConfig& pc, FusedReport& rep,
+                     const CodebookSource* books, const CancelToken* cancel) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
 
   std::shared_ptr<const Codebook> book;
@@ -178,8 +179,7 @@ std::vector<u8> encode_residual(const std::vector<u16>& residual,
     }
   }
   acc.annotate(stream);
-  const Compressed<Sym> blob{*book, std::move(stream)};
-  return serialize(blob);
+  write_container<Sym>(w, *book, stream);
 }
 
 /// What decompress_field reads from a PHL2/PHL3 header, once checked.
@@ -241,7 +241,7 @@ std::vector<float> walk_rows(RleReader<Sym>& codes, const Outliers& outliers,
 /// field in one row walk that splices the runs back in
 /// (`lossy.reconstruct`).
 template <typename Sym>
-std::vector<float> decode_residual(std::span<const u8> huff_bytes,
+std::vector<float> decode_residual(std::span<const u8> container,
                                    const FieldHeader& h,
                                    const Outliers& outliers,
                                    const CancelToken* cancel) {
@@ -250,7 +250,7 @@ std::vector<float> decode_residual(std::span<const u8> huff_bytes,
   std::vector<Sym> residual;
   {
     const obs::ScopedStageTimer st(reg, "lossy.decode");
-    blob = deserialize<Sym>(huff_bytes);
+    blob = deserialize<Sym>(container);
     // The writer codes the residual over an alphabet of at least nbins
     // symbols; a header nbins past it is forged.
     if (blob.codebook.nbins < h.nbins) {
@@ -423,11 +423,6 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
   const std::vector<u16> residual = acc.take_residual();
   rep.residual_symbols = residual.size();
 
-  std::vector<u8> huff_bytes =
-      nbins <= 256
-          ? encode_residual<u8>(residual, freq, acc, pc, rep, books, cancel)
-          : encode_residual<u16>(residual, freq, acc, pc, rep, books, cancel);
-
   ByteWriter w;
   w.put_array(std::span<const char>(kMagicDual, 4));
   w.put<u64>(static_cast<u64>(dims.nx));
@@ -442,8 +437,12 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
     w.put<u32>(oi);
     w.put<float>(value);
   }
-  w.put<u64>(static_cast<u64>(huff_bytes.size()));
-  w.put_bytes(huff_bytes);
+  const std::size_t len_at = w.size();
+  w.put<u64>(0);  // residual container length, patched below
+  nbins <= 256
+      ? encode_residual<u8>(w, residual, freq, acc, pc, rep, books, cancel)
+      : encode_residual<u16>(w, residual, freq, acc, pc, rep, books, cancel);
+  w.patch<u64>(len_at, static_cast<u64>(w.size() - len_at - sizeof(u64)));
   auto bytes = w.take();
   rep.compressed_bytes = bytes.size();
   return bytes;
@@ -491,8 +490,7 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
     prev = oi;
     outliers.emplace_back(oi, value);
   }
-  const u64 huff_len = r.get<u64>();
-  const auto huff_bytes = r.get_view(static_cast<std::size_t>(huff_len));
+  const auto container = r.get_view(static_cast<std::size_t>(r.get<u64>()));
   if (!r.done()) {
     throw std::runtime_error("lossy container: trailing bytes");
   }
@@ -501,8 +499,8 @@ Field decompress_field(std::span<const u8> bytes, const CancelToken* cancel) {
   out.dims = h.dims;
   out.error_bound = h.eb;
   out.values = sym_bytes == 1
-                   ? decode_residual<u8>(huff_bytes, h, outliers, cancel)
-                   : decode_residual<u16>(huff_bytes, h, outliers, cancel);
+                   ? decode_residual<u8>(container, h, outliers, cancel)
+                   : decode_residual<u16>(container, h, outliers, cancel);
   return out;
 }
 

@@ -440,10 +440,9 @@ void RpcServer::handle_compress(ConnState& cs, const Header& h,
                           submit_options(h));
       },
       [](svc::CompressResult<Sym> res) {
-        Compressed<Sym> blob;
-        blob.codebook = *res.codebook;
-        blob.stream = std::move(res.stream);
-        return serialize<Sym>(blob);
+        ByteWriter w;
+        write_container<Sym>(w, *res.codebook, res.stream);
+        return w.take();
       });
 }
 

@@ -45,6 +45,53 @@ std::vector<u16> random_stream(Xoshiro256& rng, std::size_t max_n,
   return proptest::random_symbols(rng, n, nbins);
 }
 
+/// Offset of the stream section in a serialized container: magic (4),
+/// symbol width (1), then the codebook section.
+std::size_t stream_offset(const Codebook& cb) {
+  ByteWriter w;
+  write_codebook(w, cb);
+  return 5 + w.size();
+}
+
+/// Offset of the optional-field region, which follows the stream section.
+std::size_t field_region_at(const Codebook& cb, const EncodedStream& s) {
+  ByteWriter w;
+  write_codebook(w, cb);
+  write_stream(w, s);
+  return 5 + w.size();
+}
+
+/// The u16 container of `cb` and `s`. The writers recompute every digest,
+/// so a forged table or field reaches the reader's checks.
+std::vector<u8> container_of(const Codebook& cb, const EncodedStream& s) {
+  ByteWriter w;
+  write_container<u16>(w, cb, s);
+  return w.take();
+}
+
+/// A stream section written and read back; the reader must stop at the
+/// section's end.
+EncodedStream stream_round_trip(const EncodedStream& s) {
+  ByteWriter w;
+  write_stream(w, s);
+  const std::vector<u8> bytes = w.take();
+  ByteReader r(bytes);
+  EncodedStream back = read_stream(r);
+  EXPECT_TRUE(r.done());
+  return back;
+}
+
+/// Expect deserialize<u16>(bytes) to fail typed with `what` in the message.
+void expect_container_failure(const std::vector<u8>& bytes, const char* what) {
+  SCOPED_TRACE(what);
+  try {
+    (void)deserialize<u16>(bytes);
+    ADD_FAILURE() << "forged container parsed; expected \"" << what << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::strstr(e.what(), what), nullptr) << e.what();
+  }
+}
+
 class FuzzContainer : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzContainer, MutatedBytesNeverCrash) {
@@ -91,7 +138,7 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
   // trailing fnv1a digest before any decode logic runs, so they never
   // exercise the layout-arithmetic checks. These mutations target the
   // stream header fields specifically and then RECOMPUTE the digest, so
-  // the forged values reach deserialize_stream's validation and, when they
+  // the forged values reach read_stream's validation and, when they
   // pass it, the decoders — which must throw or decode, never read OOB.
   Xoshiro256 rng(static_cast<u64>(GetParam()) * 977 + 5);
   std::size_t nbins = 0;
@@ -103,9 +150,7 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
   const auto blob = compress<u16>(input, cfg);
   const auto bytes = serialize(blob);
 
-  // Stream section offset: magic (4) + symbol width (1) + codebook.
-  const std::size_t stream_at =
-      5 + serialize_codebook(blob.codebook).size();
+  const std::size_t stream_at = stream_offset(blob.codebook);
   ASSERT_LT(stream_at + 8, bytes.size());
 
   const auto patch_u64 = [](std::vector<u8>& buf, std::size_t at, u64 v) {
@@ -178,8 +223,7 @@ TEST_P(FuzzContainer, GapAnnotatedContainersMutatedBytesNeverCrash) {
   ASSERT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
   // Bias damage toward the optional-field region at the container's tail.
   const std::size_t field_region =
-      5 + serialize_codebook(blob.codebook).size() +
-      serialize_stream(blob.stream).size();
+      field_region_at(blob.codebook, blob.stream);
 
   for (int trial = 0; trial < 40; ++trial) {
     auto mutated = bytes;
@@ -221,8 +265,7 @@ TEST_P(FuzzContainer, ForgedGapFieldWithValidChecksumNeverCrashes) {
   const auto blob = compress<u16>(input, cfg);
   auto bytes = serialize(blob);
   const std::size_t field_region =
-      5 + serialize_codebook(blob.codebook).size() +
-      serialize_stream(blob.stream).size();
+      field_region_at(blob.codebook, blob.stream);
   // n_fields(4) | tag(4) | len(8) | payload | digest(8)
   const std::size_t payload_at = field_region + 16;
   const std::size_t payload_len =
@@ -701,34 +744,44 @@ TEST(FuzzLossy, DimsOverTheElementCapFailTyped) {
   }
 }
 
-TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
-  // A wide alphabet breaks 2^3-symbol groups constantly, so the stream
-  // carries many overflow entries.
+/// A stream whose wide alphabet breaks 2^3-symbol groups constantly, so it
+/// carries many overflow entries.
+struct OverflowHeavy {
+  std::vector<u16> input;
+  Codebook cb;
+  EncodedStream enc;
+};
+
+OverflowHeavy overflow_heavy() {
   Xoshiro256 rng(77);
-  std::vector<u16> input(20000);
-  for (auto& v : input) v = static_cast<u16>(rng.below(1500));
-  const Codebook cb = build_codebook_serial(histogram_serial<u16>(input, 1500));
+  OverflowHeavy o;
+  o.input.resize(20000);
+  for (auto& v : o.input) v = static_cast<u16>(rng.below(1500));
+  o.cb = build_codebook_serial(histogram_serial<u16>(o.input, 1500));
   ReduceShuffleConfig rs;
   rs.magnitude = 10;
   rs.reduce_factor = 3;
-  const EncodedStream enc = encode_reduceshuffle_simt<u16>(input, cb, rs);
+  o.enc = encode_reduceshuffle_simt<u16>(o.input, o.cb, rs);
+  return o;
+}
+
+TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
+  const auto [input, cb, enc] = overflow_heavy();
   ASSERT_FALSE(enc.overflow.empty());
   ASSERT_EQ(decode_stream<u16>(enc, cb, 1), input);
-  EXPECT_EQ(deserialize_stream(serialize_stream(enc)).overflow.size(),
-            enc.overflow.size());
+  EXPECT_EQ(stream_round_trip(enc).overflow.size(), enc.overflow.size());
 
   // The last entry (the last group of the short last chunk) claims its
   // group plus 8 symbols, decoded from the start of the side stream so
   // the bits never run out: the splice would write 16 symbols past the
-  // output. serialize_stream recomputes the checksum, so only the entry
+  // output. write_stream recomputes the checksum, so only the entry
   // rules stand between the forgery and a decoder.
   EncodedStream forged = enc;
   OverflowEntry& last = forged.overflow.back();
   ASSERT_EQ(last.chunk + 1, forged.chunks());
   last.n_symbols = static_cast<u32>(forged.group_symbols(last.chunk) + 8);
   last.bit_offset = 0;
-  EXPECT_THROW((void)deserialize_stream(serialize_stream(forged)),
-               std::runtime_error);
+  EXPECT_THROW((void)stream_round_trip(forged), std::runtime_error);
   // Built in memory, the stream skips the parser; every decoder's chunk
   // walk rejects the entry instead.
   EXPECT_THROW((void)decode_stream<u16>(forged, cb, 1), std::runtime_error);
@@ -740,18 +793,98 @@ TEST(FuzzOverflow, ForgedGroupCountIsRejectedAtParseAndInTheChunkWalk) {
   // descending order are rejected at parse as well.
   EncodedStream outside = enc;
   outside.overflow.back().group = 1u << 20;
-  EXPECT_THROW((void)deserialize_stream(serialize_stream(outside)),
-               std::runtime_error);
+  EXPECT_THROW((void)stream_round_trip(outside), std::runtime_error);
   ASSERT_GE(enc.overflow.size(), 2u);
   EncodedStream duplicate = enc;
   duplicate.overflow[1] = duplicate.overflow[0];
-  EXPECT_THROW((void)deserialize_stream(serialize_stream(duplicate)),
-               std::runtime_error);
+  EXPECT_THROW((void)stream_round_trip(duplicate), std::runtime_error);
   EXPECT_THROW((void)decode_stream<u16>(duplicate, cb, 1), std::runtime_error);
   EncodedStream swapped = enc;
   std::swap(swapped.overflow[0], swapped.overflow[1]);
-  EXPECT_THROW((void)deserialize_stream(serialize_stream(swapped)),
-               std::runtime_error);
+  EXPECT_THROW((void)stream_round_trip(swapped), std::runtime_error);
+}
+
+TEST(FuzzOverflow, ForgedTableBoundsFailTyped) {
+  const auto [input, cb, enc] = overflow_heavy();
+  ASSERT_FALSE(enc.overflow.empty());
+  EncodedStream far = enc;
+  far.overflow.back().chunk = static_cast<u32>(far.chunks());
+  expect_container_failure(container_of(cb, far), "overflow chunk range");
+  EncodedStream bits = enc;
+  bits.overflow_bits = bits.overflow_payload.size() * kWordBits + 1;
+  expect_container_failure(container_of(cb, bits), "overflow bits range");
+}
+
+// The reader's checks on the codebook section and the optional fields,
+// one forged container each. The writers recompute every digest.
+
+TEST(FuzzFormat, ForgedCodebookSectionsFailTyped) {
+  Xoshiro256 rng(31);
+  const auto input = proptest::random_symbols(rng, 5000, 300);
+  PipelineConfig cfg;
+  cfg.nbins = 300;
+  const auto blob = compress<u16>(input, cfg);
+  ASSERT_NO_THROW((void)deserialize<u16>(
+      container_of(blob.codebook, blob.stream)));
+
+  Codebook extra = blob.codebook;  // one reverse entry too many
+  extra.sorted_syms.push_back(extra.sorted_syms.front());
+  expect_container_failure(container_of(extra, blob.stream),
+                           "reverse table size");
+  Codebook deeper = blob.codebook;  // stored max_len past the lengths'
+  deeper.max_len += 1;
+  expect_container_failure(container_of(deeper, blob.stream),
+                           "max_len mismatch");
+}
+
+TEST(FuzzFormat, ForgedGapFieldsFailTyped) {
+  // 128-bit subsequences: a u8 gap can then point past one.
+  Xoshiro256 rng(37);
+  const auto input = proptest::random_symbols(rng, 20000, 300);
+  PipelineConfig cfg;
+  cfg.nbins = 300;
+  cfg.gap_subseq_bits = 128;
+  const auto blob = compress<u16>(input, cfg);
+  ASSERT_FALSE(blob.stream.gaps.empty());
+  ASSERT_NO_THROW((void)deserialize<u16>(
+      container_of(blob.codebook, blob.stream)));
+
+  EncodedStream trailing = blob.stream;  // one count more than gaps
+  trailing.gap_counts.push_back(0);
+  expect_container_failure(container_of(blob.codebook, trailing),
+                           "gap field trailing bytes");
+  EncodedStream sentinel = blob.stream;
+  sentinel.gaps[0] = EncodedStream::kNoGap;
+  sentinel.gap_counts[0] = 1;
+  expect_container_failure(container_of(blob.codebook, sentinel),
+                           "gap sentinel with nonzero count");
+  EncodedStream past = blob.stream;
+  past.gaps[0] = 200;
+  expect_container_failure(container_of(blob.codebook, past),
+                           "gap exceeds subsequence");
+}
+
+TEST(FuzzFormat, DuplicateRleFieldFailsTyped) {
+  Xoshiro256 rng(41);
+  const auto input = proptest::random_symbols(rng, 5000, 300);
+  PipelineConfig cfg;
+  cfg.nbins = 300;
+  auto blob = compress<u16>(input, cfg);
+  // A run table with no runs: valid, and the container's only field.
+  blob.stream.rle_symbol = 1;
+  blob.stream.rle_orig_symbols = blob.stream.n_symbols;
+  auto bytes = container_of(blob.codebook, blob.stream);
+  ASSERT_NO_THROW((void)deserialize<u16>(bytes));
+
+  // n_fields | tag | len | payload (run_symbol, orig, n_runs) | digest
+  constexpr std::size_t kField = 4 + 8 + (4 + 8 + 8) + 8;
+  const std::size_t n_fields_at = bytes.size() - kField - 4;
+  ASSERT_EQ(n_fields_at, field_region_at(blob.codebook, blob.stream));
+  ASSERT_EQ(bytes[n_fields_at], 1);
+  const std::vector<u8> field(bytes.end() - kField, bytes.end());
+  bytes.insert(bytes.end(), field.begin(), field.end());
+  bytes[n_fields_at] = 2;
+  expect_container_failure(bytes, "duplicate optional field");
 }
 
 TEST(FuzzDecode, RandomPayloadBitFlipsThrowOrMisdecode) {

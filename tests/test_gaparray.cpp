@@ -229,8 +229,10 @@ TEST(GapDecodeFormat, AnnotatedStreamDecodesIdenticallyToPlain) {
 /// v3 container: magic + sym width + the two sections.
 template <typename Sym>
 std::size_t field_region_at(const Compressed<Sym>& blob) {
-  return 5 + serialize_codebook(blob.codebook).size() +
-         serialize_stream(blob.stream).size();
+  ByteWriter w;
+  write_codebook(w, blob.codebook);
+  write_stream(w, blob.stream);
+  return 5 + w.size();
 }
 
 /// Append an optional field (tag | len | payload | fnv1a) and bump

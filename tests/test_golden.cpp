@@ -13,6 +13,7 @@
 #include "core/format.hpp"
 #include "core/histogram.hpp"
 #include "core/pipeline.hpp"
+#include "core/streaming.hpp"
 #include "data/quant.hpp"
 #include "expect_tally.hpp"
 #include "golden_phl2.hpp"
@@ -83,6 +84,43 @@ TEST(Golden, AdaptiveContainerBytesAreStable) {
     std::printf("golden adaptive digest: 0x%016llx size=%zu\n",
                 static_cast<unsigned long long>(digest), bytes.size());
   }
+}
+
+TEST(Golden, StreamedContainerBytesAreStable) {
+  // A PHS2 stream on the wire: the header, then two encode_segment frames
+  // over the halves of golden_input(), under one observed codebook.
+  PipelineConfig cfg;
+  cfg.nbins = 16;
+  cfg.magnitude = 8;
+  cfg.encoder = EncoderKind::kReduceShuffleSimt;
+  cfg.reduce_factor = 2;
+  const auto input = golden_input();
+  const std::span<const u8> all(input);
+  const auto first = all.first(input.size() / 2);
+  const auto second = all.subspan(input.size() / 2);
+  StreamingCompressor<u8> sc(cfg);
+  sc.observe(all);
+  sc.freeze();
+  const std::vector<u8> header = sc.header();
+  const std::vector<u8> f1 = sc.encode_segment(first);
+  const std::vector<u8> f2 = sc.encode_segment(second);
+
+  const StreamingDecompressor<u8> sd(header);
+  EXPECT_EQ(StreamingDecompressor<u8>::header_length(header), header.size());
+  const auto d1 = sd.decode_segment(f1);
+  const auto d2 = sd.decode_segment(f2);
+  EXPECT_TRUE(std::equal(d1.begin(), d1.end(), first.begin(), first.end()));
+  EXPECT_TRUE(std::equal(d2.begin(), d2.end(), second.begin(), second.end()));
+
+  std::vector<u8> bytes = header;
+  bytes.insert(bytes.end(), f1.begin(), f1.end());
+  bytes.insert(bytes.end(), f2.begin(), f2.end());
+  const u64 digest = fnv1a(bytes);
+  constexpr u64 kGoldenDigest = 0xcfc2e7fba324125dull;
+  EXPECT_EQ(bytes.size(), 3728u);
+  EXPECT_EQ(digest, kGoldenDigest)
+      << "streamed bytes changed; if intentional, bump the PHS2 magic and "
+         "refresh kGoldenDigest (new value: 0x" << std::hex << digest << ")";
 }
 
 // ---------------------------------------------------------------------------

@@ -75,6 +75,13 @@ const Codebook& text_book() {
   return cb;
 }
 
+/// The stream section's bytes: every field an encoder fills, in one vector.
+std::vector<u8> stream_bytes(const EncodedStream& s) {
+  ByteWriter w;
+  write_stream(w, s);
+  return w.take();
+}
+
 std::vector<u16> wide_symbols() {
   Xoshiro256 rng(7);
   std::vector<u16> v(100'000);
@@ -100,7 +107,7 @@ TEST(SharedMemDirty, HistogramMultipass) {
 TEST(SharedMemDirty, CoarseEncoder) {
   for (const auto in : text_inputs()) {
     expect_fill_invariant([&](simt::MemTally* t) {
-      return serialize_stream(
+      return stream_bytes(
           encode_coarse_simt<u8>(in, text_book(), 1024, t));
     });
   }
@@ -109,7 +116,7 @@ TEST(SharedMemDirty, CoarseEncoder) {
 TEST(SharedMemDirty, PrefixSumEncoder) {
   for (const auto in : text_inputs()) {
     expect_fill_invariant([&](simt::MemTally* t) {
-      return serialize_stream(
+      return stream_bytes(
           encode_prefixsum_simt<u8>(in, text_book(), 4096, t));
     });
   }
@@ -123,7 +130,7 @@ TEST(SharedMemDirty, ReduceShuffleEncoder) {
       rs.reduce_factor = r;
       ReduceShuffleStats stats;
       expect_fill_invariant([&](simt::MemTally* t) {
-        return serialize_stream(
+        return stream_bytes(
             encode_reduceshuffle_simt<u8>(in, text_book(), rs, t, &stats));
       });
       if (r == 3) {
@@ -138,11 +145,11 @@ TEST(SharedMemDirty, AdaptiveEncoder) {
   ac.magnitude = 12;
   for (const auto in : text_inputs()) {
     expect_fill_invariant([&](simt::MemTally* t) {
-      return serialize_stream(
+      return stream_bytes(
           encode_adaptive_simt<u8, 32>(in, text_book(), ac, t));
     });
     expect_fill_invariant([&](simt::MemTally* t) {
-      return serialize_stream(
+      return stream_bytes(
           encode_adaptive_simt<u8, 64>(in, text_book(), ac, t));
     });
   }

@@ -158,6 +158,20 @@ TEST(Streaming, DecoderRejectsBadHeaderAndFrames) {
   auto truncated = frame;
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW((void)sd.decode_segment(truncated), std::runtime_error);
+
+  // One byte past the header or past a frame's stream section: the
+  // sections parse whole, and the trailing byte is what fails.
+  auto long_header = header;
+  long_header.push_back(0);
+  EXPECT_THROW(StreamingDecompressor<u8> sd2(long_header), std::runtime_error);
+  auto long_frame = frame;
+  long_frame.push_back(0);
+  EXPECT_THROW((void)sd.decode_segment(long_frame), std::runtime_error);
+  u64 body_len = 0;  // the preamble's body length, raised to match
+  std::memcpy(&body_len, long_frame.data() + sizeof(u32), sizeof(body_len));
+  ++body_len;
+  std::memcpy(long_frame.data() + sizeof(u32), &body_len, sizeof(body_len));
+  EXPECT_THROW((void)sd.decode_segment(long_frame), std::runtime_error);
 }
 
 TEST(Streaming, WrappingFrameLengthFailsTyped) {
