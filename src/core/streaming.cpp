@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "core/bytesio.hpp"
 #include "core/decode.hpp"
@@ -187,15 +188,6 @@ std::size_t StreamingDecompressor<Sym>::header_length(
 }
 
 template <typename Sym>
-bool StreamingDecompressor<Sym>::frame_length(std::span<const u8> bytes,
-                                              std::size_t* total) {
-  if (bytes.size() < kFramePreamble) return false;
-  ByteReader r(bytes);
-  *total = kFramePreamble + read_preamble(r);
-  return true;
-}
-
-template <typename Sym>
 std::vector<std::span<const u8>> StreamingDecompressor<Sym>::split_frames(
     std::span<const u8> bytes) {
   std::vector<std::span<const u8>> frames;
@@ -209,9 +201,82 @@ std::vector<std::span<const u8>> StreamingDecompressor<Sym>::split_frames(
   return frames;
 }
 
+template <typename Sym>
+std::vector<u8> StreamReader<Sym>::push(std::vector<u8> piece,
+                                        const CancelToken* cancel) {
+  if (pending_.empty()) {
+    pending_ = std::move(piece);
+  } else {
+    pending_.insert(pending_.end(), piece.begin(), piece.end());
+  }
+  if (pending_.size() > high_water_) high_water_ = pending_.size();
+  std::vector<u8> out;
+  std::size_t head = 0;
+  if (!dec_) {
+    // Fast-fail a stream that is not PHS2 at all (e.g. a monolithic PHF
+    // container pushed through the chunk verbs) instead of buffering up
+    // to the bound first.
+    if (pending_.size() >= 4 &&
+        std::memcmp(pending_.data(), kStreamHeaderMagic, 4) != 0) {
+      throw std::invalid_argument("stream is not a PHS2 streamed container");
+    }
+    try {
+      const std::size_t hl =
+          StreamingDecompressor<Sym>::header_length(pending_);
+      dec_.emplace(std::span<const u8>(pending_).first(hl));
+      head = hl;
+    } catch (const std::runtime_error&) {
+      // Not parsable yet: either truncated (wait for more bytes) or
+      // corrupt — the unit bound decides when waiting stops being an
+      // option.
+      if (pending_.size() > unit_bound_) {
+        throw std::invalid_argument(
+            "stream header unparsable within the buffering bound");
+      }
+      return out;
+    }
+  }
+  for (;;) {
+    const std::span<const u8> rest =
+        std::span<const u8>(pending_).subspan(head);
+    if (rest.size() < kFramePreamble) break;
+    ByteReader preamble(rest);
+    const std::size_t total = kFramePreamble + read_preamble(preamble);
+    if (total > unit_bound_) {
+      throw std::invalid_argument(
+          "stream segment exceeds the buffering bound");
+    }
+    if (rest.size() < total) break;
+    const std::vector<Sym> syms =
+        dec_->decode_segment(rest.first(total), cancel);
+    const std::size_t bytes = syms.size() * sizeof(Sym);
+    if (out.size() + bytes > output_bound_) {
+      throw std::invalid_argument(
+          "chunk decodes beyond the response bound; stream smaller chunks");
+    }
+    const auto* b = reinterpret_cast<const u8*>(syms.data());
+    out.insert(out.end(), b, b + bytes);
+    head += total;
+  }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(head));
+  return out;
+}
+
+template <typename Sym>
+void StreamReader<Sym>::finish() const {
+  if (!pending_.empty()) {
+    throw std::invalid_argument(
+        "stream ended with " + std::to_string(pending_.size()) +
+        " bytes of an incomplete header/segment");
+  }
+}
+
 template class StreamingCompressor<u8>;
 template class StreamingCompressor<u16>;
 template class StreamingDecompressor<u8>;
 template class StreamingDecompressor<u16>;
+template class StreamReader<u8>;
+template class StreamReader<u16>;
 
 }  // namespace parhuff

@@ -2,6 +2,8 @@
 // Bounded-memory, multi-segment compression — the shape HPC integrations
 // actually use (the paper's §I motivation: compress simulation output *as
 // it streams*, timestep by timestep, without holding the run in memory).
+// This module is the only one that knows the streamed container's (PHS2)
+// layout: it writes it and it reads it.
 //
 // Two-pass protocol with one shared codebook:
 //
@@ -24,6 +26,11 @@
 // representative data and calls freeze() early — encode_segment only
 // requires frozen state.
 //
+// A container that arrives in pieces cut anywhere (the RPC streaming
+// verbs' chunks) goes through StreamReader: push() each piece, then
+// finish(). header_length and split_frames stay public for callers that
+// hold a whole container and want its frames as views (perfbench).
+//
 // Compressor state machine (two states, transitions throw std::logic_error
 // when taken from the wrong state):
 //
@@ -39,6 +46,7 @@
 // stream after stream (the service layer reuses per-session compressors
 // this way) without reconstructing.
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,7 +57,7 @@
 namespace parhuff {
 
 /// First four bytes of a StreamingCompressor header ("PHS2") — public so
-/// callers (the RPC streaming verbs, the client's container sniffing) can
+/// callers (the RPC decompress verb, the client's container sniffing) can
 /// recognize a streamed container without parsing it.
 inline constexpr char kStreamHeaderMagic[4] = {'P', 'H', 'S', '2'};
 
@@ -120,31 +128,53 @@ class StreamingDecompressor {
 
   /// Length in bytes of the stream header (magic + width + codebook) at
   /// the front of `bytes`. Throws std::runtime_error when the prefix is
-  /// not a parsable header for this symbol width — including the
-  /// truncated case, so incremental readers treat a throw as "need more
-  /// bytes" until their own buffering bound says otherwise. This is what
-  /// lets the RPC streaming verbs find the header/segment boundary in a
-  /// chunked byte stream without a copy.
+  /// not a parsable header for this symbol width, the truncated case
+  /// included.
   [[nodiscard]] static std::size_t header_length(std::span<const u8> bytes);
-
-  /// Incremental frame scan: `bytes` starts at a frame boundary. Returns
-  /// false when fewer than the frame-preamble bytes are available (need
-  /// more data); otherwise validates the frame magic and the body length
-  /// (throwing std::runtime_error on a mismatch, or on a body length that
-  /// would wrap the total) and sets `*total` to the whole frame's byte
-  /// length (preamble + body). The caller decides whether
-  /// `*total` is within its buffering bound and whether that many bytes
-  /// have arrived yet.
-  [[nodiscard]] static bool frame_length(std::span<const u8> bytes,
-                                         std::size_t* total);
 
  private:
   Codebook cb_;
+};
+
+/// Split-tolerant reader of one streamed container. Bytes accumulate only
+/// until the current header or frame completes, never the whole stream.
+template <typename Sym>
+class StreamReader {
+ public:
+  /// `unit_bound` caps one header or frame while it is waited on (a forged
+  /// length never balloons the buffer); `output_bound` caps the decoded
+  /// bytes of one push(). The defaults bound nothing.
+  explicit StreamReader(u64 unit_bound = ~u64{0},
+                        u64 output_bound = ~u64{0})
+      : unit_bound_(unit_bound), output_bound_(output_bound) {}
+
+  /// Takes the next piece (moved in when nothing is buffered) and returns
+  /// the symbols of every frame it completes as bytes, the decode verbs'
+  /// response layout. A bound, or a stream whose first 4 bytes are not
+  /// PHS2, throws std::invalid_argument; a corrupt frame std::runtime_error.
+  [[nodiscard]] std::vector<u8> push(std::vector<u8> piece,
+                                     const CancelToken* cancel = nullptr);
+
+  /// Throws std::invalid_argument when bytes of an incomplete header or
+  /// frame are left over.
+  void finish() const;
+
+  /// Most bytes ever buffered across pieces.
+  [[nodiscard]] u64 buffered_high_water() const { return high_water_; }
+
+ private:
+  u64 unit_bound_;
+  u64 output_bound_;
+  std::vector<u8> pending_;
+  u64 high_water_ = 0;
+  std::optional<StreamingDecompressor<Sym>> dec_;
 };
 
 extern template class StreamingCompressor<u8>;
 extern template class StreamingCompressor<u16>;
 extern template class StreamingDecompressor<u8>;
 extern template class StreamingDecompressor<u16>;
+extern template class StreamReader<u8>;
+extern template class StreamReader<u16>;
 
 }  // namespace parhuff

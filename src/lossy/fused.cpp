@@ -108,6 +108,56 @@ class QuantaRing {
   std::vector<i64> ring_;
 };
 
+/// The fused quantize pass: prequantize each row against the anchor,
+/// integer Lorenzo over the quanta, then the row's codes into `acc`
+/// (histogram + RLE). No element waits on its neighbour's rebuilt float,
+/// and no full code buffer exists. Out of line and cache-line aligned, so
+/// that edits elsewhere in the file do not move this loop's code.
+[[gnu::noinline, gnu::aligned(64)]] void quantize_rows(
+    std::span<const float> field, data::Dims dims, const Prequantizer& pq,
+    double eb, u32 nbins, RleAccumulator& acc,
+    std::vector<std::pair<u32, float>>& outliers, const CancelToken* cancel) {
+  const i64 center = nbins / 2;
+  const std::size_t nx = dims.nx;
+  QuantaRing ring(dims);
+  std::vector<u16> codes(nx);
+
+  std::size_t idx = 0;
+  std::size_t next_poll = kPollStride;
+  for (std::size_t z = 0; z < dims.nz; ++z) {
+    for (std::size_t y = 0; y < dims.ny; ++y, idx += nx) {
+      if (cancel && idx >= next_poll) {
+        cancel->check();
+        next_poll += kPollStride;
+      }
+      const QuantaRing::Row row = ring.row(y, z);
+      const float* v = field.data() + idx;
+      // A value is an outlier when its quanta leave the range, when its
+      // float rebuild misses it by more than eb (an ulp of rounding can do
+      // it) or when its delta from the integer Lorenzo prediction falls
+      // outside the bins. The prediction reads only quanta, so no element
+      // waits on another's rebuild.
+      i64 left = 0;
+      for (std::size_t x = 0; x < nx; ++x) {
+        bool in_range = false;
+        const i64 q = pq.quanta(v[x], in_range);
+        row.c[x] = q;
+        const double err = std::abs(static_cast<double>(pq.value(q)) -
+                                    static_cast<double>(v[x]));
+        const u64 code = static_cast<u64>(center + q - row.predict(x, left));
+        left = q;
+        if (in_range & (err <= eb) & (code - 1 < nbins - 1)) {
+          codes[x] = static_cast<u16>(code);
+        } else {
+          codes[x] = 0;
+          outliers.emplace_back(static_cast<u32>(idx + x), v[x]);
+        }
+      }
+      acc.push(codes);
+    }
+  }
+}
+
 /// Resolve the absolute error bound over the *finite* values only — a
 /// field polluted with NaN/Inf must not poison the relative-range mode
 /// (the non-finite elements become exact outliers regardless).
@@ -351,61 +401,20 @@ std::vector<u8> compress_field_fused(std::span<const float> field,
   const double eb = resolve_bound(field, cfg);
   rep.error_bound = eb;
 
-  // The fused pass, dual quantization: prequantize each row against the
-  // anchor, integer Lorenzo over the quanta, then histogram + RLE. No
-  // element waits on its neighbour's rebuilt float, and no full code
-  // buffer exists.
+  // The fused pass, dual quantization against the first finite value.
   util::FaultInjector::global().maybe_throw("lossy.quantize");
   Timer t;
   const u32 nbins = cfg.nbins;
-  const i64 center = nbins / 2;
   const auto first_finite =
       std::find_if(field.begin(), field.end(),
                    [](float v) { return std::isfinite(v); });
   const float anchor = first_finite == field.end() ? 0.0f : *first_finite;
   const Prequantizer pq(anchor, eb);
-  const std::size_t nx = dims.nx;
 
   std::vector<u64> freq(nbins, 0);
-  RleAccumulator acc(static_cast<u16>(center), cfg.rle_min_run, freq);
+  RleAccumulator acc(static_cast<u16>(nbins / 2), cfg.rle_min_run, freq);
   std::vector<std::pair<u32, float>> outliers;
-  QuantaRing ring(dims);
-  std::vector<u16> codes(nx);
-
-  std::size_t idx = 0;
-  std::size_t next_poll = kPollStride;
-  for (std::size_t z = 0; z < dims.nz; ++z) {
-    for (std::size_t y = 0; y < dims.ny; ++y, idx += nx) {
-      if (cancel && idx >= next_poll) {
-        cancel->check();
-        next_poll += kPollStride;
-      }
-      const QuantaRing::Row row = ring.row(y, z);
-      const float* v = field.data() + idx;
-      // A value is an outlier when its quanta leave the range, when its
-      // float rebuild misses it by more than eb (an ulp of rounding can do
-      // it) or when its delta from the integer Lorenzo prediction falls
-      // outside the bins. The prediction reads only quanta, so no element
-      // waits on another's rebuild.
-      i64 left = 0;
-      for (std::size_t x = 0; x < nx; ++x) {
-        bool in_range = false;
-        const i64 q = pq.quanta(v[x], in_range);
-        row.c[x] = q;
-        const double err = std::abs(static_cast<double>(pq.value(q)) -
-                                    static_cast<double>(v[x]));
-        const u64 code = static_cast<u64>(center + q - row.predict(x, left));
-        left = q;
-        if (in_range & (err <= eb) & (code - 1 < nbins - 1)) {
-          codes[x] = static_cast<u16>(code);
-        } else {
-          codes[x] = 0;
-          outliers.emplace_back(static_cast<u32>(idx + x), v[x]);
-        }
-      }
-      acc.push(codes);
-    }
-  }
+  quantize_rows(field, dims, pq, eb, nbins, acc, outliers, cancel);
   acc.finish();
   rep.quantize_seconds = t.seconds();
   reg.stage_add("lossy.quantize_fused", rep.quantize_seconds);

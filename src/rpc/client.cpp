@@ -15,6 +15,10 @@ namespace parhuff::rpc {
 
 namespace {
 
+/// Chunk frames kept in flight per stream before the driver waits on the
+/// oldest ack — the transfer/encode-overlap pipelining depth.
+constexpr std::size_t kStreamWindow = 8;
+
 [[nodiscard]] std::string payload_message(const std::vector<u8>& payload) {
   return std::string(payload.begin(), payload.end());
 }
@@ -227,7 +231,6 @@ std::future<HealthInfo> RpcClient::health() {
 }
 
 bool RpcClient::use_streaming(std::size_t payload_bytes) const {
-  if (!cfg_.enable_streaming) return false;
   const std::size_t threshold = cfg_.stream_threshold_bytes > 0
                                     ? cfg_.stream_threshold_bytes
                                     : cfg_.max_payload_bytes;
@@ -285,15 +288,13 @@ void RpcClient::drive_stream(Op begin_op, std::vector<u8> data, u8 sym_width,
         compressing ? Op::kCompressStreamEnd : Op::kDecompressStreamEnd;
 
     // Chunks carry whole symbols: a u16 symbol split across two chunks
-    // would make the server's codec see a torn alphabet.
+    // would make the server's compressor see a torn alphabet.
     const std::size_t width = sym_width > 0 ? sym_width : 1;
     std::size_t chunk_bytes = cfg_.stream_chunk_bytes > 0
                                   ? cfg_.stream_chunk_bytes
                                   : kDefaultStreamChunkBytes;
     chunk_bytes -= chunk_bytes % width;
     if (chunk_bytes == 0) chunk_bytes = width;
-    const std::size_t window_cap =
-        cfg_.stream_window > 0 ? cfg_.stream_window : 1;
 
     std::vector<u8> result;
     u64 checksum = kFnv1aSeed;
@@ -309,7 +310,7 @@ void RpcClient::drive_stream(Op begin_op, std::vector<u8> data, u8 sym_width,
       // wire synchronously, so nothing is copied into an owned frame.
       const std::span<const u8> piece(data.data() + off, n);
       checksum = stream_checksum(piece, checksum);
-      while (window.size() >= window_cap) drain_one();
+      while (window.size() >= kStreamWindow) drain_one();
       window.push_back(stream_frame(chunk_op, sid, piece).result);
     }
     while (!window.empty()) drain_one();

@@ -54,11 +54,6 @@ struct ClientConfig {
   /// Bound on request payloads this client sends; responses are accepted
   /// up to response_payload_bound() of it, matching the server.
   u32 max_payload_bytes = kMaxPayloadBytes;
-  /// Transparently switch oversized compress/decompress submits onto the
-  /// v3 streaming verbs instead of failing them typed. Off restores the
-  /// pre-v3 behavior: payloads past the bound answer kBadRequest without
-  /// touching the connection or the pending map.
-  bool enable_streaming = true;
   /// Chunk payload size the transparent chunker sends (rounded down to a
   /// whole number of symbols). Must not exceed the server's
   /// stream_chunk_bytes.
@@ -67,9 +62,6 @@ struct ClientConfig {
   /// frame. 0 = max_payload_bytes (stream only what a single frame
   /// cannot carry).
   u32 stream_threshold_bytes = 0;
-  /// Chunk frames kept in flight per stream before the driver waits on
-  /// the oldest ack — the transfer/encode-overlap pipelining depth.
-  std::size_t stream_window = 8;
 };
 
 struct RpcOptions {

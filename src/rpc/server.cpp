@@ -3,10 +3,10 @@
 #include <cstring>
 #include <exception>
 #include <functional>
-#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "core/decode.hpp"
 #include "core/format.hpp"
@@ -56,171 +56,39 @@ std::vector<Sym> as_symbols(std::vector<u8>&& bytes) {
          op == Op::kCompressStreamEnd;
 }
 
-/// Incremental per-stream transcoder behind the v3 chunk verbs. One
-/// instance per open stream, driven strictly sequentially by the
-/// connection's writer slots, so no internal locking is needed. process()
-/// consumes one chunk's payload (taking ownership — for u8 compress the
-/// wire buffer IS the kernel input, no copy) and returns whatever output
-/// that chunk produced; finish() validates that nothing is left dangling.
-class StreamChunkCodec {
- public:
-  virtual ~StreamChunkCodec() = default;
-  virtual std::vector<u8> process(std::vector<u8> chunk,
-                                  const CancelToken* cancel) = 0;
-  virtual void finish(const CancelToken* cancel) = 0;
-  /// Most bytes ever buffered across chunk boundaries — the bounded-
-  /// buffering contract's measurable quantity.
-  [[nodiscard]] virtual u64 buffered_high_water() const = 0;
+/// The core object a v3 stream drives, picked at Begin from its op and
+/// symbol width: a compressor, or the split-tolerant PHS2 reader.
+using StreamCore =
+    std::variant<StreamingCompressor<u8>, StreamingCompressor<u16>,
+                 StreamReader<u8>, StreamReader<u16>>;
+
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
 };
 
-/// Compress direction: first chunk trains, smooths and freezes the
-/// stream codebook (add-one smoothing keeps every alphabet symbol
-/// encodable however later chunks drift) and emits the PHS2 header +
-/// first framed segment; each later chunk emits one framed segment.
-/// Nothing is buffered between chunks.
+/// Compress direction: the first non-empty chunk trains, smooths and
+/// freezes the stream codebook (add-one smoothing keeps every alphabet
+/// symbol encodable however later chunks drift) and emits the PHS2 header
+/// + first framed segment; each later chunk emits one framed segment.
+/// Nothing is buffered between chunks, and for u8 the wire buffer IS the
+/// kernel input (no copy).
 template <typename Sym>
-class CompressStreamCodec final : public StreamChunkCodec {
- public:
-  explicit CompressStreamCodec(PipelineConfig pl) : sc_(std::move(pl)) {}
-
-  std::vector<u8> process(std::vector<u8> chunk,
-                          const CancelToken* cancel) override {
-    const std::vector<Sym> syms = as_symbols<Sym>(std::move(chunk));
-    std::vector<u8> out;
-    if (syms.empty()) return out;
-    if (!sc_.frozen()) {
-      sc_.observe(syms);
-      sc_.smooth();
-      sc_.freeze();
-      out = sc_.header();
-    }
-    std::vector<u8> frame = sc_.encode_segment(syms, cancel);
-    out.insert(out.end(), frame.begin(), frame.end());
-    return out;
+std::vector<u8> compress_chunk(StreamingCompressor<Sym>& sc,
+                               std::vector<u8> chunk,
+                               const CancelToken* cancel) {
+  const std::vector<Sym> syms = as_symbols<Sym>(std::move(chunk));
+  std::vector<u8> out;
+  if (syms.empty()) return out;
+  if (!sc.frozen()) {
+    sc.observe(syms);
+    sc.smooth();
+    sc.freeze();
+    out = sc.header();
   }
-
-  void finish(const CancelToken*) override {}
-
-  [[nodiscard]] u64 buffered_high_water() const override { return 0; }
-
- private:
-  StreamingCompressor<Sym> sc_;
-};
-
-/// Decompress direction: chunks carry an arbitrary split of PHS2 header +
-/// framed segments. Bytes accumulate only until the current header/
-/// segment completes (never the whole stream): each complete segment is
-/// decoded immediately and its symbols returned in that chunk's response.
-/// `unit_bound` caps a single header or segment (so a forged length can
-/// never balloon the buffer) and `output_bound` caps one response's
-/// decoded bytes.
-template <typename Sym>
-class DecompressStreamCodec final : public StreamChunkCodec {
- public:
-  DecompressStreamCodec(u64 unit_bound, u64 output_bound)
-      : unit_bound_(unit_bound), output_bound_(output_bound) {}
-
-  std::vector<u8> process(std::vector<u8> chunk,
-                          const CancelToken* cancel) override {
-    if (pending_.empty()) {
-      pending_ = std::move(chunk);
-    } else {
-      pending_.insert(pending_.end(), chunk.begin(), chunk.end());
-    }
-    if (pending_.size() > high_water_) high_water_ = pending_.size();
-    std::vector<u8> out;
-    std::size_t head = 0;
-    if (!dec_) {
-      // Fast-fail a stream that is not PHS2 at all (e.g. a monolithic
-      // PHF container pushed through the chunk verbs) instead of
-      // buffering up to the bound first.
-      if (pending_.size() >= 4 &&
-          std::memcmp(pending_.data(), kStreamHeaderMagic, 4) != 0) {
-        throw std::invalid_argument(
-            "stream is not a PHS2 streamed container");
-      }
-      try {
-        const std::size_t hl =
-            StreamingDecompressor<Sym>::header_length(pending_);
-        dec_.emplace(std::span<const u8>(pending_).first(hl));
-        head = hl;
-      } catch (const std::runtime_error&) {
-        // Not parsable yet: either truncated (wait for more bytes) or
-        // corrupt — the unit bound decides when waiting stops being an
-        // option.
-        if (pending_.size() > unit_bound_) {
-          throw std::invalid_argument(
-              "stream header unparsable within the buffering bound");
-        }
-        return out;
-      }
-    }
-    for (;;) {
-      const std::span<const u8> rest =
-          std::span<const u8>(pending_).subspan(head);
-      std::size_t total = 0;
-      if (!StreamingDecompressor<Sym>::frame_length(rest, &total)) break;
-      if (total > unit_bound_) {
-        throw std::invalid_argument(
-            "stream segment exceeds the buffering bound");
-      }
-      if (rest.size() < total) break;
-      const std::vector<Sym> syms =
-          dec_->decode_segment(rest.first(total), cancel);
-      if (out.size() + syms.size() * sizeof(Sym) > output_bound_) {
-        throw std::invalid_argument(
-            "chunk decodes beyond the response bound; stream smaller "
-            "chunks");
-      }
-      append_bytes(out, syms);
-      head += total;
-    }
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(head));
-    return out;
-  }
-
-  void finish(const CancelToken*) override {
-    if (!pending_.empty()) {
-      throw std::invalid_argument(
-          "stream ended with " + std::to_string(pending_.size()) +
-          " bytes of an incomplete header/segment");
-    }
-  }
-
-  [[nodiscard]] u64 buffered_high_water() const override {
-    return high_water_;
-  }
-
- private:
-  u64 unit_bound_;
-  u64 output_bound_;
-  std::vector<u8> pending_;
-  u64 high_water_ = 0;
-  std::optional<StreamingDecompressor<Sym>> dec_;
-};
-
-[[nodiscard]] std::unique_ptr<StreamChunkCodec> make_stream_codec(
-    Op begin_op, u8 sym_width, const ServerConfig& cfg) {
-  const bool compress = begin_op == Op::kCompressStreamBegin;
-  // A segment framing a whole chunk outgrows the chunk slightly
-  // (codebook/stream metadata) — same reasoning as the response bound's
-  // slack.
-  const u64 unit_bound =
-      static_cast<u64>(cfg.stream_chunk_bytes) + (u64{1} << 20);
-  const u64 output_bound = response_payload_bound(cfg.max_payload_bytes);
-  if (sym_width == 1) {
-    if (compress) {
-      return std::make_unique<CompressStreamCodec<u8>>(cfg.pipeline8);
-    }
-    return std::make_unique<DecompressStreamCodec<u8>>(unit_bound,
-                                                       output_bound);
-  }
-  if (compress) {
-    return std::make_unique<CompressStreamCodec<u16>>(cfg.pipeline16);
-  }
-  return std::make_unique<DecompressStreamCodec<u16>>(unit_bound,
-                                                      output_bound);
+  std::vector<u8> frame = sc.encode_segment(syms, cancel);
+  out.insert(out.end(), frame.begin(), frame.end());
+  return out;
 }
 
 }  // namespace
@@ -233,13 +101,12 @@ class DecompressStreamCodec final : public StreamChunkCodec {
 struct RpcServer::StreamState {
   u64 id = 0;
   Op begin_op = Op::kCompressStreamBegin;
-  u8 sym_width = 1;
   u64 begin_request_id = 0;
   std::shared_ptr<CancelToken> token;
   u64 bytes_in = 0;
   u64 bytes_out = 0;
   u64 checksum = kFnv1aSeed;
-  std::unique_ptr<StreamChunkCodec> codec;
+  StreamCore core;
 };
 
 /// The server's per-connection state: how to cancel each request in
@@ -463,10 +330,9 @@ void RpcServer::handle_decompress(ConnState& cs, const Header& h,
               // produces) decodes as one whole-stream chunk, so
               // streamed-compress results round-trip through the plain
               // decompress verb too when they fit one frame.
-              DecompressStreamCodec<Sym> whole(~u64{0}, ~u64{0});
-              std::vector<u8> out = whole.process(std::move(*body),
-                                                  token.get());
-              whole.finish(token.get());
+              StreamReader<Sym> whole;
+              std::vector<u8> out = whole.push(std::move(*body), token.get());
+              whole.finish();
               return out;
             }
             const Compressed<Sym> blob = deserialize<Sym>(*body);
@@ -563,15 +429,27 @@ void RpcServer::handle_lossy_decompress(ConnState& cs, const Header& h,
 }
 
 void RpcServer::handle_stream_begin(ConnState& cs, const Header& h) {
-  auto st = std::make_shared<StreamState>();
-  st->id = next_stream_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  st->begin_op = h.op;
-  st->sym_width = h.sym_width;
-  st->begin_request_id = h.request_id;
-  // The one and only anchoring point: the whole stream runs on this
-  // budget; chunk frames carry the stream id where a deadline would be.
-  st->token = request_token(h);
-  st->codec = make_stream_codec(h.op, h.sym_width, cfg_);
+  const bool wide = h.sym_width == 2;
+  // A segment framing a whole chunk outgrows the chunk slightly
+  // (codebook/stream metadata) — same reasoning as the response bound's
+  // slack.
+  const u64 unit_bound =
+      static_cast<u64>(cfg_.stream_chunk_bytes) + (u64{1} << 20);
+  const u64 output_bound = response_payload_bound(cfg_.max_payload_bytes);
+  StreamCore core =
+      h.op == Op::kCompressStreamBegin
+          ? (wide ? StreamCore(StreamingCompressor<u16>(cfg_.pipeline16))
+                  : StreamCore(StreamingCompressor<u8>(cfg_.pipeline8)))
+          : (wide ? StreamCore(StreamReader<u16>(unit_bound, output_bound))
+                  : StreamCore(StreamReader<u8>(unit_bound, output_bound)));
+  auto st = std::make_shared<StreamState>(StreamState{
+      .id = next_stream_id_.fetch_add(1, std::memory_order_relaxed) + 1,
+      .begin_op = h.op,
+      .begin_request_id = h.request_id,
+      // The one and only anchoring point: the whole stream runs on this
+      // budget; chunk frames carry the stream id where a deadline would be.
+      .token = request_token(h),
+      .core = std::move(core)});
   bool over_cap = false;
   {
     std::lock_guard<std::mutex> lock(cs.mu);
@@ -620,7 +498,11 @@ std::vector<u8> RpcServer::advance_stream(StreamState& st, const Header& h,
     if (end.checksum != st.checksum) {
       throw std::invalid_argument("stream checksum mismatch");
     }
-    st.codec->finish(st.token.get());
+    std::visit(Overloaded{[](const auto&) {},
+                          []<typename Sym>(const StreamReader<Sym>& rd) {
+                            rd.finish();
+                          }},
+               st.core);
     *completed = true;
     return encode_stream_summary(
         StreamSummary{st.bytes_in, st.bytes_out, st.checksum});
@@ -634,7 +516,14 @@ std::vector<u8> RpcServer::advance_stream(StreamState& st, const Header& h,
   st.bytes_in += body.size();
   reg.counter_add("rpc.stream_chunks");
   reg.counter_add("rpc.stream_bytes_in", body.size());
-  std::vector<u8> out = st.codec->process(std::move(body), st.token.get());
+  std::vector<u8> out = std::visit(
+      Overloaded{[&]<typename Sym>(StreamingCompressor<Sym>& sc) {
+                   return compress_chunk(sc, std::move(body), st.token.get());
+                 },
+                 [&]<typename Sym>(StreamReader<Sym>& rd) {
+                   return rd.push(std::move(body), st.token.get());
+                 }},
+      st.core);
   st.bytes_out += out.size();
   reg.counter_add("rpc.stream_bytes_out", out.size());
   return out;
@@ -671,7 +560,12 @@ void RpcServer::handle_stream_frame(ConnState& cs, const Header& h,
       err = std::current_exception();
     }
     // Track the bounded-buffering high water even on failure paths.
-    const u64 buffered = st->codec->buffered_high_water();
+    const u64 buffered = std::visit(
+        Overloaded{[](const auto&) { return u64{0}; },
+                   []<typename Sym>(const StreamReader<Sym>& rd) {
+                     return rd.buffered_high_water();
+                   }},
+        st->core);
     u64 cur = stream_buffer_high_water_.load(std::memory_order_relaxed);
     while (buffered > cur && !stream_buffer_high_water_.compare_exchange_weak(
                                  cur, buffered, std::memory_order_relaxed)) {

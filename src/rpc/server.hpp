@@ -19,7 +19,8 @@
 //
 // Streaming (protocol v3): a *StreamBegin frame opens per-connection
 // stream state (bounded by max_streams_per_connection) and answers with
-// the server-assigned stream id; each Chunk frame is processed in its
+// the server-assigned stream id; each Chunk frame drives the stream's
+// core object (StreamingCompressor, or core's PHS2 StreamReader) in its
 // writer slot — encode/decode of chunk N overlaps the reader pulling
 // chunk N+1 off the wire — and answers with the output produced so far;
 // End verifies the whole-stream byte count + stream_checksum and answers

@@ -259,33 +259,7 @@ TEST(RpcStream, ManualVerbsChecksumAndSummary) {
             data);
 }
 
-// --- The original bug, both sides of the fix. --------------------------------
-
-TEST(RpcStream, OversizedSingleFrameFailsTypedWithoutPoisoning) {
-  LoopbackHub hub;
-  RpcServer server(hub.listener());
-  ClientConfig cc;
-  cc.max_payload_bytes = 4096;
-  cc.enable_streaming = false;  // pre-v3 behavior on purpose
-  RpcClient cli([&] { return hub.connect(); }, cc);
-
-  const auto big = ramp_data(8192);
-  RpcCall call = cli.compress(std::span<const u8>(big));
-  try {
-    (void)call.result.get();
-    FAIL() << "oversized single-frame submit must fail typed";
-  } catch (const RpcError& e) {
-    EXPECT_EQ(e.status(), Status::kBadRequest);
-  }
-
-  // The rejection never touched the connection or the pending map: the
-  // very next submit on the same client succeeds.
-  const auto small = ramp_data(2000);
-  const std::vector<u8> container =
-      cli.compress(std::span<const u8>(small)).result.get();
-  EXPECT_EQ(cli.decompress(std::span<const u8>(container)).result.get(),
-            small);
-}
+// --- Payloads past the single-frame cap. -------------------------------------
 
 TEST(RpcStream, StreamingOnMakesTheSamePayloadWork) {
   LoopbackHub hub;
