@@ -75,7 +75,7 @@ struct PathRun {
 /// code buffer, then run the Huffman pipeline over it. Its size is what a
 /// self-contained container of that output would take: a 48-byte header
 /// (magic, dims, bound, nbins, outlier count), 8 bytes per outlier, an
-/// 8-byte length, then the PHF2 bytes.
+/// 8-byte length, then the serialized PHF container.
 PathRun run_glued(const std::vector<float>& field, data::Dims dims,
                   const lossy::FusedConfig& fc, int reps) {
   PipelineConfig pc;

@@ -9,15 +9,20 @@
 namespace parhuff {
 
 namespace {
-// Two live container versions (docs/format.md). "PHF2" is the original
-// layout and is still what gets written whenever a stream carries no
-// optional metadata — byte-identical to every container the seed wrote.
-// "PHF3" appends a tagged optional-field region after the stream section;
-// readers skip tags they do not understand, so future fields never force
-// another magic bump (the version-bump rule).
+// Container versions (docs/format.md). "PHF4" is the one the writer
+// writes: the stream section, then a tagged optional-field region that is
+// always present, every digest over 8-byte lanes. The read-only "PHF2"
+// (no region) and "PHF3" (the PHF4 layout) digest byte by byte. Readers
+// skip tags they do not understand, so new fields never force another
+// magic bump; a new digest does (the version-bump rule).
 constexpr char kMagicV2[4] = {'P', 'H', 'F', '2'};
 constexpr char kMagicV3[4] = {'P', 'H', 'F', '3'};
+constexpr char kMagicV4[4] = {'P', 'H', 'F', '4'};
 constexpr u32 kMaxOptionalFields = 64;
+
+u64 digest_of(SectionDigest d, std::span<const u8> bytes) {
+  return d == SectionDigest::kLanes ? container_digest(bytes) : fnv1a(bytes);
+}
 
 /// Parse + validate a GAP1 payload against the already-deserialized stream
 /// geometry. Entry count and bounds are checked BEFORE the arrays are
@@ -71,7 +76,7 @@ void parse_rle_field(std::span<const u8> payload, EncodedStream& s) {
   validate_rle(s, s.n_symbols);
 }
 
-/// One optional field: u32 tag | u64 len | payload | u64 fnv1a(payload).
+/// One optional field: u32 tag | u64 len | payload | u64 digest(payload).
 /// `write_payload()` appends the payload in place; the length slot is
 /// patched once it is in.
 template <typename WritePayload>
@@ -82,7 +87,7 @@ void write_field(ByteWriter& w, u32 tag, WritePayload&& write_payload) {
   const std::size_t at = w.size();
   write_payload();
   w.patch<u64>(len_at, static_cast<u64>(w.size() - at));
-  w.put<u64>(fnv1a(w.since(at)));
+  w.put<u64>(container_digest(w.since(at)));
 }
 
 // The overflow table is written as the packed in-memory entries.
@@ -160,10 +165,10 @@ void write_stream(ByteWriter& w, const EncodedStream& s) {
   w.put<u64>(s.overflow_bits);
   w.put_array(std::span<const word_t>(s.overflow_payload));
   // Integrity checksum over everything above.
-  w.put<u64>(fnv1a(w.since(at)));
+  w.put<u64>(container_digest(w.since(at)));
 }
 
-EncodedStream read_stream(ByteReader& r) {
+EncodedStream read_stream(ByteReader& r, SectionDigest digest) {
   const std::size_t at = r.position();
   EncodedStream s;
   s.n_symbols = static_cast<std::size_t>(r.get<u64>());
@@ -242,8 +247,8 @@ EncodedStream read_stream(ByteReader& r) {
       throw std::runtime_error("parhuff container: overflow entry range");
     }
   }
-  const u64 digest = fnv1a(r.since(at));
-  if (r.get<u64>() != digest) {
+  const u64 expect = digest_of(digest, r.since(at));
+  if (r.get<u64>() != expect) {
     throw std::runtime_error("parhuff container: checksum mismatch");
   }
   return s;
@@ -254,15 +259,11 @@ EncodedStream read_stream(ByteReader& r) {
 template <typename Sym>
 void write_container(ByteWriter& w, const Codebook& cb,
                      const EncodedStream& s) {
-  const bool v3 = s.has_gaps() || s.has_rle();
-  w.put_array(std::span<const char>(v3 ? kMagicV3 : kMagicV2, 4));
+  w.put_array(std::span<const char>(kMagicV4, 4));
   w.put<u8>(static_cast<u8>(sizeof(Sym)));
   write_codebook(w, cb);
   write_stream(w, s);
-  if (!v3) return;
-  // Fields are written in tag-introduction order (GAP1 then RLE1), so a
-  // gap-only container is byte-identical to what the previous revision
-  // wrote (pinned by the golden tests).
+  // Fields are written in tag-introduction order (GAP1 then RLE1).
   w.put<u32>(static_cast<u32>(s.has_gaps()) +
              static_cast<u32>(s.has_rle()));  // n_fields
   if (s.has_gaps()) {
@@ -298,18 +299,21 @@ template <typename Sym>
 Compressed<Sym> deserialize(std::span<const u8> bytes) {
   ByteReader r(bytes);
   const auto magic = r.get_array<char>(4);
+  const bool v4 = std::memcmp(magic.data(), kMagicV4, 4) == 0;
   const bool v3 = std::memcmp(magic.data(), kMagicV3, 4) == 0;
-  if (!v3 && std::memcmp(magic.data(), kMagicV2, 4) != 0) {
+  if (!v4 && !v3 && std::memcmp(magic.data(), kMagicV2, 4) != 0) {
     throw std::runtime_error("parhuff container: bad magic");
   }
+  const SectionDigest digest =
+      v4 ? SectionDigest::kLanes : SectionDigest::kFnv1a;
   const u8 sym_bytes = r.get<u8>();
   if (sym_bytes != sizeof(Sym)) {
     throw std::runtime_error("parhuff container: symbol width mismatch");
   }
   Compressed<Sym> blob;
   blob.codebook = read_codebook(r);
-  blob.stream = read_stream(r);
-  if (v3) {
+  blob.stream = read_stream(r, digest);
+  if (v4 || v3) {
     // Optional-field region. Every field is length-prefixed and carries its
     // own checksum, so a reader can verify and skip fields whose tags it
     // does not understand — the fallback-to-self-sync semantics: a stream
@@ -324,7 +328,7 @@ Compressed<Sym> deserialize(std::span<const u8> bytes) {
       const u32 tag = r.get<u32>();
       const u64 len = r.get<u64>();
       const auto payload = r.get_view(static_cast<std::size_t>(len));
-      if (r.get<u64>() != fnv1a(payload)) {
+      if (r.get<u64>() != digest_of(digest, payload)) {
         throw std::runtime_error(
             "parhuff container: optional field checksum mismatch");
       }

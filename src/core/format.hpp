@@ -2,16 +2,18 @@
 // Self-contained compressed container format (and its two sections, which
 // the streaming API reuses independently).
 //
-// Container layout (little-endian), two live versions — see docs/format.md
-// for the byte-level reference and compatibility rules:
-//   v2: magic "PHF2" | u8 sym_bytes | codebook section | stream section
-//   v3: magic "PHF3" | u8 sym_bytes | codebook section | stream section
+// Container layout (little-endian); see docs/format.md for the byte-level
+// reference and compatibility rules. The writer writes one version:
+//   v4: magic "PHF4" | u8 sym_bytes | codebook section | stream section
 //       | optional-field region
-// "PHF2" is still written whenever the stream carries no optional metadata,
-// so those containers stay byte-identical across versions. The v3 region:
-//   u32 n_fields | { u32 tag | u64 len | u8 payload[len] | u64 fnv1a }*
-// Readers verify each field's checksum and skip tags they do not know
+// The region is always present (n_fields may be 0):
+//   u32 n_fields | { u32 tag | u64 len | u8 payload[len] | u64 digest }*
+// Readers verify each field's digest and skip tags they do not know
 // (forward compatibility: new optional fields never bump the magic).
+// deserialize also reads the two earlier versions, whose digests are the
+// byte-serial fnv1a (SectionDigest below):
+//   v2: magic "PHF2" | u8 sym_bytes | codebook section | stream section
+//   v3: "PHF3" | the v4 layout after the magic
 // Known tags: kContainerFieldGap ("GAP1") — gap-array decode metadata,
 //   payload u32 subseq_bits | u64 n | u8 gaps[n] | u16 counts[n];
 // kContainerFieldRle ("RLE1") — run-length side channel extracted before
@@ -34,7 +36,7 @@
 //   u32 n_overflow | { u32 chunk | u32 group | u64 bit_offset |
 //                      u32 bit_len | u32 n_symbols }[n_overflow]
 //   u64 overflow_words | u64 overflow_bits | word overflow_payload[...]
-//   u64 fnv1a over the section's bytes above
+//   u64 digest over the section's bytes above
 
 #include <span>
 #include <string>
@@ -52,6 +54,13 @@ inline constexpr u32 kContainerFieldGap = 0x31504147;
 /// Optional-field tag for the pre-Huffman run-length side channel
 /// ("RLE1" little-endian).
 inline constexpr u32 kContainerFieldRle = 0x31454C52;
+
+/// The function behind a stream section's trailing digest and every
+/// optional field's digest. The magic of the container or stream header
+/// that holds the section fixes it: PHF4 and PHS3 use container_digest
+/// (util/hash.hpp, 8-byte lanes), the read-only PHF2, PHF3 and PHS2 the
+/// byte-serial fnv1a. Writers write kLanes only.
+enum class SectionDigest : u8 { kFnv1a, kLanes };
 
 // --- Whole-container API. ----------------------------------------------------
 
@@ -77,7 +86,7 @@ void write_codebook(ByteWriter& w, const Codebook& cb);
 [[nodiscard]] Codebook read_codebook(ByteReader& r);
 
 void write_stream(ByteWriter& w, const EncodedStream& s);
-[[nodiscard]] EncodedStream read_stream(ByteReader& r);
+[[nodiscard]] EncodedStream read_stream(ByteReader& r, SectionDigest digest);
 
 // --- File helpers used by the example applications. ---------------------------
 

@@ -19,13 +19,20 @@ namespace parhuff {
 namespace {
 constexpr u32 kFrameMagic = 0x50485346u;  // "PHSF"
 constexpr std::size_t kFramePreamble = sizeof(u32) + sizeof(u64);
+/// The read-only predecessor of kStreamHeaderMagic: the same layout with
+/// fnv1a frame digests.
+constexpr char kMagicPhs2[4] = {'P', 'H', 'S', '2'};
 
 /// Reads a stream header (magic + symbol width + codebook section) at
-/// `r`'s cursor.
+/// `r`'s cursor; `digest` is set to what the magic says the frames carry.
 template <typename Sym>
-Codebook parse_header(ByteReader& r) {
+Codebook parse_header(ByteReader& r, SectionDigest& digest) {
   const auto magic = r.get_array<char>(4);
-  if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) != 0) {
+  if (std::memcmp(magic.data(), kStreamHeaderMagic, 4) == 0) {
+    digest = SectionDigest::kLanes;
+  } else if (std::memcmp(magic.data(), kMagicPhs2, 4) == 0) {
+    digest = SectionDigest::kFnv1a;
+  } else {
     throw std::runtime_error("parhuff stream: bad header magic");
   }
   const u8 sym_bytes = r.get<u8>();
@@ -49,6 +56,12 @@ std::size_t read_preamble(ByteReader& r) {
   return static_cast<std::size_t>(body_len);
 }
 }  // namespace
+
+bool is_streamed_container(std::span<const u8> bytes) {
+  return bytes.size() >= 4 &&
+         (std::memcmp(bytes.data(), kStreamHeaderMagic, 4) == 0 ||
+          std::memcmp(bytes.data(), kMagicPhs2, 4) == 0);
+}
 
 template <typename Sym>
 StreamingCompressor<Sym>::StreamingCompressor(PipelineConfig cfg)
@@ -158,7 +171,7 @@ template <typename Sym>
 StreamingDecompressor<Sym>::StreamingDecompressor(
     std::span<const u8> header) {
   ByteReader r(header);
-  cb_ = parse_header<Sym>(r);
+  cb_ = parse_header<Sym>(r, digest_);
   if (!r.done()) {
     throw std::runtime_error("parhuff stream: trailing header bytes");
   }
@@ -171,7 +184,7 @@ std::vector<Sym> StreamingDecompressor<Sym>::decode_segment(
   obs::MetricsRegistry::global().counter_add("streaming.segments_decoded");
   ByteReader r(frame);
   const std::size_t body_len = read_preamble(r);
-  const EncodedStream s = read_stream(r);
+  const EncodedStream s = read_stream(r, digest_);
   // The body is exactly one stream section and runs to the frame's end.
   if (!r.done() || kFramePreamble + body_len != frame.size()) {
     throw std::runtime_error("parhuff stream: frame length mismatch");
@@ -183,7 +196,8 @@ template <typename Sym>
 std::size_t StreamingDecompressor<Sym>::header_length(
     std::span<const u8> bytes) {
   ByteReader r(bytes);
-  (void)parse_header<Sym>(r);
+  SectionDigest digest = SectionDigest::kLanes;
+  (void)parse_header<Sym>(r, digest);
   return r.position();
 }
 
@@ -213,12 +227,12 @@ std::vector<u8> StreamReader<Sym>::push(std::vector<u8> piece,
   std::vector<u8> out;
   std::size_t head = 0;
   if (!dec_) {
-    // Fast-fail a stream that is not PHS2 at all (e.g. a monolithic PHF
-    // container pushed through the chunk verbs) instead of buffering up
-    // to the bound first.
-    if (pending_.size() >= 4 &&
-        std::memcmp(pending_.data(), kStreamHeaderMagic, 4) != 0) {
-      throw std::invalid_argument("stream is not a PHS2 streamed container");
+    // Fast-fail a stream that is not a streamed container at all (e.g. a
+    // monolithic PHF container pushed through the chunk verbs) instead of
+    // buffering up to the bound first.
+    if (pending_.size() >= 4 && !is_streamed_container(pending_)) {
+      throw std::invalid_argument(
+          "stream is not a PHS3 or PHS2 streamed container");
     }
     try {
       const std::size_t hl =

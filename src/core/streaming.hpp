@@ -2,8 +2,10 @@
 // Bounded-memory, multi-segment compression — the shape HPC integrations
 // actually use (the paper's §I motivation: compress simulation output *as
 // it streams*, timestep by timestep, without holding the run in memory).
-// This module is the only one that knows the streamed container's (PHS2)
-// layout: it writes it and it reads it.
+// This module is the only one that knows the streamed container's layout:
+// it writes PHS3 and reads PHS3 and the earlier PHS2, which differ only in
+// the digest their frames' stream sections carry (SectionDigest,
+// core/format.hpp).
 //
 // Two-pass protocol with one shared codebook:
 //
@@ -51,15 +53,20 @@
 #include <vector>
 
 #include "core/canonical.hpp"
+#include "core/format.hpp"
 #include "core/pipeline.hpp"
 #include "util/types.hpp"
 
 namespace parhuff {
 
-/// First four bytes of a StreamingCompressor header ("PHS2") — public so
-/// callers (the RPC decompress verb, the client's container sniffing) can
-/// recognize a streamed container without parsing it.
-inline constexpr char kStreamHeaderMagic[4] = {'P', 'H', 'S', '2'};
+/// First four bytes of the header StreamingCompressor writes ("PHS3").
+inline constexpr char kStreamHeaderMagic[4] = {'P', 'H', 'S', '3'};
+
+/// True when `bytes` starts with the magic of a streamed container this
+/// module reads (PHS3, or the read-only PHS2) — how the RPC decompress
+/// verb and the client's container sniffing tell one from a PHF
+/// container without parsing it.
+[[nodiscard]] bool is_streamed_container(std::span<const u8> bytes);
 
 template <typename Sym>
 class StreamingCompressor {
@@ -108,7 +115,8 @@ class StreamingCompressor {
 template <typename Sym>
 class StreamingDecompressor {
  public:
-  /// Parses a header produced by StreamingCompressor::header().
+  /// Parses a header produced by StreamingCompressor::header() (PHS3) or
+  /// by its PHS2 predecessor; the magic picks the frames' digest.
   explicit StreamingDecompressor(std::span<const u8> header);
 
   [[nodiscard]] const Codebook& codebook() const { return cb_; }
@@ -134,6 +142,7 @@ class StreamingDecompressor {
 
  private:
   Codebook cb_;
+  SectionDigest digest_ = SectionDigest::kLanes;
 };
 
 /// Split-tolerant reader of one streamed container. Bytes accumulate only
@@ -150,8 +159,9 @@ class StreamReader {
 
   /// Takes the next piece (moved in when nothing is buffered) and returns
   /// the symbols of every frame it completes as bytes, the decode verbs'
-  /// response layout. A bound, or a stream whose first 4 bytes are not
-  /// PHS2, throws std::invalid_argument; a corrupt frame std::runtime_error.
+  /// response layout. A bound, or a stream whose first 4 bytes are neither
+  /// PHS3 nor PHS2, throws std::invalid_argument; a corrupt frame
+  /// std::runtime_error.
   [[nodiscard]] std::vector<u8> push(std::vector<u8> piece,
                                      const CancelToken* cancel = nullptr);
 

@@ -194,7 +194,7 @@ double resolve_bound(std::span<const float> field, const FusedConfig& cfg) {
 }
 
 /// Huffman-codes the residual at width Sym and appends its container
-/// (PHF3 with the RLE1 field) to `w`.
+/// (PHF4 with the RLE1 field) to `w`.
 template <typename Sym>
 void encode_residual(ByteWriter& w, const std::vector<u16>& residual,
                      std::span<const u64> freq, RleAccumulator& acc,

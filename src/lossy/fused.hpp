@@ -28,13 +28,13 @@
 // code buffer either.
 //
 // Container: "PHL3" = header (with the f32 anchor) + outlier side channel
-// + an embedded PHF2/PHF3 container whose stream may carry the RLE1
-// field; lossy::decompress_field() (lossy.hpp) reads it, and still reads
-// the float-walk "PHL2" the compressor wrote before. Decompression
-// guarantees |out - in| <= eb elementwise; outliers — including NaN/Inf
-// inputs and values whose float rebuild would miss by more than eb — are
-// restored bit-exactly, and both sides predict their neighbours from the
-// same quanta of the stored value.
+// + an embedded PHF4 container (PHF2/PHF3 in older files) whose stream
+// may carry the RLE1 field; lossy::decompress_field() (lossy.hpp) reads it,
+// and still reads the float-walk "PHL2" the compressor wrote before.
+// Decompression guarantees |out - in| <= eb elementwise; outliers —
+// including NaN/Inf inputs and values whose float rebuild would miss by
+// more than eb — are restored bit-exactly, and both sides predict their
+// neighbours from the same quanta of the stored value.
 //
 // The CodebookSource hook is how the service layer splices its sharded-LRU
 // codebook cache into the fused path: find() is consulted with the

@@ -127,13 +127,10 @@ RpcCall RpcClient::decompress(std::span<const u8> container, u8 sym_width,
 
 RpcCall RpcClient::decompress(std::vector<u8>&& container, u8 sym_width,
                               const RpcOptions& opts) {
-  // Only a PHS2 streamed container can be split at segment boundaries on
-  // the server; a monolithic PHF container past the frame bound keeps the
-  // typed kBadRequest from submit_frame's bound check.
-  const bool streamed_container =
-      container.size() >= 4 &&
-      std::memcmp(container.data(), kStreamHeaderMagic, 4) == 0;
-  if (streamed_container && use_streaming(container.size())) {
+  // Only a streamed container (PHS3/PHS2) can be split at segment
+  // boundaries on the server; a monolithic PHF container past the frame
+  // bound keeps the typed kBadRequest from submit_frame's bound check.
+  if (is_streamed_container(container) && use_streaming(container.size())) {
     return submit_stream(Op::kDecompressStreamBegin, std::move(container),
                          sym_width, opts);
   }

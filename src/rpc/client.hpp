@@ -6,7 +6,7 @@
 //       [&] { return connect_unix("/tmp/parhuff.sock"); });
 //   RpcCall call = cli.compress_data<u8>(symbols,
 //                                        {.deadline_seconds = 0.5});
-//   std::vector<u8> container = call.result.get();   // PHF2 bytes
+//   std::vector<u8> container = call.result.get();   // PHF4 bytes
 //   cli.cancel(call.id);                             // best-effort
 //
 // Every future resolves: with payload bytes on kOk, with
@@ -92,7 +92,7 @@ class RpcClient {
 
   /// Compress raw symbol bytes (`sym_width` 1 or 2; payload length must
   /// be a multiple). Resolves to serialized container bytes: a PHF
-  /// container when the payload rode one frame, a PHS2 streamed container
+  /// container when the payload rode one frame, a PHS3 streamed container
   /// when the transparent chunker streamed it (both decompress through
   /// this client and the server's decompress verb identically).
   [[nodiscard]] RpcCall compress(std::span<const u8> symbol_bytes,
@@ -119,9 +119,9 @@ class RpcClient {
         sizeof(Sym), opts);
   }
 
-  /// Decompress a serialized container (PHF single-frame or PHS2
+  /// Decompress a serialized container (PHF single-frame, or PHS3/PHS2
   /// streamed). Resolves to raw symbol bytes of `sym_width`-byte symbols.
-  /// Oversized PHS2 containers stream transparently; an oversized PHF
+  /// Oversized streamed containers stream transparently; an oversized PHF
   /// container cannot be split and fails typed (kBadRequest).
   [[nodiscard]] RpcCall decompress(std::span<const u8> container,
                                    u8 sym_width = 1,

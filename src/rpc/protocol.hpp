@@ -29,8 +29,8 @@
 // util::Clock on receipt. Payloads by op:
 //
 //   compress    request: raw symbols (sym_width bytes each)
-//               response: PHF2 container (core/format.hpp serialize())
-//   decompress  request: PHF2 container — response: raw symbols
+//               response: PHF4 container (core/format.hpp serialize())
+//   decompress  request: PHF4/PHF3/PHF2 container — response: raw symbols
 //   cancel      request: u64 target request id — response: empty
 //   stats       request: empty — response: parhuff-metrics-v1 JSON text
 //   health      request: empty — response: HealthInfo (fixed LE layout);
@@ -49,7 +49,7 @@
 //                 clock); chunk frames carry the stream id where the
 //                 deadline would live.
 //   *StreamChunk  request: ≤ stream_chunk_bytes of raw symbols (compress)
-//                 or PHS2 stream bytes (decompress) — response: the
+//                 or PHS3/PHS2 stream bytes (decompress) — response: the
 //                 output produced so far by this chunk (possibly empty
 //                 for decompress while a segment straddles chunks).
 //   *StreamEnd    request: StreamEndRequest (u64 total bytes | u64

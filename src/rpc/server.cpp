@@ -57,7 +57,8 @@ std::vector<Sym> as_symbols(std::vector<u8>&& bytes) {
 }
 
 /// The core object a v3 stream drives, picked at Begin from its op and
-/// symbol width: a compressor, or the split-tolerant PHS2 reader.
+/// symbol width: a compressor, or the split-tolerant streamed-container
+/// reader.
 using StreamCore =
     std::variant<StreamingCompressor<u8>, StreamingCompressor<u16>,
                  StreamReader<u8>, StreamReader<u16>>;
@@ -69,7 +70,7 @@ struct Overloaded : F... {
 
 /// Compress direction: the first non-empty chunk trains, smooths and
 /// freezes the stream codebook (add-one smoothing keeps every alphabet
-/// symbol encodable however later chunks drift) and emits the PHS2 header
+/// symbol encodable however later chunks drift) and emits the PHS3 header
 /// + first framed segment; each later chunk emits one framed segment.
 /// Nothing is buffered between chunks, and for u8 the wire buffer IS the
 /// kernel input (no copy).
@@ -324,9 +325,8 @@ void RpcServer::handle_decompress(ConnState& cs, const Header& h,
   respond(cs, h, [token] { token->request(); }, Blame::kRequest,
           [body, token] {
             token->check();  // cheap pre-flight: already cancelled/expired?
-            if (body->size() >= 4 &&
-                std::memcmp(body->data(), kStreamHeaderMagic, 4) == 0) {
-              // A PHS2 streamed container (what the v3 compress stream
+            if (is_streamed_container(*body)) {
+              // A PHS3/PHS2 streamed container (what the v3 compress stream
               // produces) decodes as one whole-stream chunk, so
               // streamed-compress results round-trip through the plain
               // decompress verb too when they fit one frame.
@@ -337,7 +337,7 @@ void RpcServer::handle_decompress(ConnState& cs, const Header& h,
             }
             const Compressed<Sym> blob = deserialize<Sym>(*body);
             // decode_auto picks the gap-array kernel when the container
-            // carried gap metadata (a "PHF3" + GAP1 blob), the host decoder
+            // carried gap metadata (a GAP1 field), the host decoder
             // otherwise.
             std::vector<u8> out;
             append_bytes(out, decode_auto<Sym>(blob.stream, blob.codebook, 0,

@@ -396,10 +396,10 @@ void check_decoders(const EncodedStream& s, const Codebook& cb,
                                 in.subspan(first, count));
          });
   }
-  // The container round trip, gap-free (PHF2) and annotated (PHF3).
+  // The container round trip, gap-free and annotated (a GAP1 field).
   const std::array<const EncodedStream*, 2> containers{&s, &gapped};
   for (const EncodedStream* x : containers) {
-    cell(x->has_gaps() ? "container(PHF3)" : "container(PHF2)", [&] {
+    cell(x->has_gaps() ? "container(GAP1)" : "container", [&] {
       const std::vector<u8> bytes = serialize(Compressed<Sym>{cb, *x});
       const Compressed<Sym> back = deserialize<Sym>(bytes);
       if (serialize(back) != bytes) {
@@ -1047,7 +1047,7 @@ void check_paths(const std::vector<std::pair<std::string, std::vector<Sym>>>&
             container.size() >= 4 &&
             std::memcmp(container.data(), kStreamHeaderMagic, 4) == 0;
         if (streamed_container == byte_identical) {
-          return std::string(byte_identical ? "container is a PHS2 stream"
+          return std::string(byte_identical ? "container is a PHS3 stream"
                                             : "container was not streamed");
         }
         if (byte_identical && container != reference) {

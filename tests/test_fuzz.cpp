@@ -22,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "core/tree.hpp"
 #include "data/synth_hist.hpp"
+#include "container_digest.hpp"
 #include "golden_phl2.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
@@ -53,7 +54,8 @@ std::size_t stream_offset(const Codebook& cb) {
   return 5 + w.size();
 }
 
-/// Offset of the optional-field region, which follows the stream section.
+/// Offset of the optional-field region, which follows the stream section
+/// and its 8-byte digest.
 std::size_t field_region_at(const Codebook& cb, const EncodedStream& s) {
   ByteWriter w;
   write_codebook(w, cb);
@@ -76,9 +78,15 @@ EncodedStream stream_round_trip(const EncodedStream& s) {
   write_stream(w, s);
   const std::vector<u8> bytes = w.take();
   ByteReader r(bytes);
-  EncodedStream back = read_stream(r);
+  EncodedStream back = read_stream(r, SectionDigest::kLanes);
   EXPECT_TRUE(r.done());
   return back;
+}
+
+/// True when `e` is a digest failure: a forgery whose digests were repaired
+/// must fail on something else.
+bool is_checksum_failure(const std::exception& e) {
+  return std::strstr(e.what(), "checksum mismatch") != nullptr;
 }
 
 /// Expect deserialize<u16>(bytes) to fail typed with `what` in the message.
@@ -135,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzContainer, ::testing::Range(0, 8));
 
 TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
   // Random byte flips are almost always rejected by the stream section's
-  // trailing fnv1a digest before any decode logic runs, so they never
+  // trailing digest before any decode logic runs, so they never
   // exercise the layout-arithmetic checks. These mutations target the
   // stream header fields specifically and then RECOMPUTE the digest, so
   // the forged values reach read_stream's validation and, when they
@@ -151,7 +159,8 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
   const auto bytes = serialize(blob);
 
   const std::size_t stream_at = stream_offset(blob.codebook);
-  ASSERT_LT(stream_at + 8, bytes.size());
+  const std::size_t digest_at = field_region_at(blob.codebook, blob.stream) - 8;
+  ASSERT_LT(stream_at + 8, digest_at);
 
   const auto patch_u64 = [](std::vector<u8>& buf, std::size_t at, u64 v) {
     std::memcpy(buf.data() + at, &v, sizeof(v));
@@ -160,9 +169,10 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
     std::memcpy(buf.data() + at, &v, sizeof(v));
   };
   const auto fix_digest = [&](std::vector<u8>& buf) {
-    const u64 d = fnv1a(std::span<const u8>(buf.data() + stream_at,
-                                            buf.size() - stream_at - 8));
-    std::memcpy(buf.data() + buf.size() - 8, &d, sizeof(d));
+    const std::span<const u8> section(buf.data() + stream_at,
+                                      digest_at - stream_at);
+    const u64 d = digest_for(buf, section);
+    std::memcpy(buf.data() + digest_at, &d, sizeof(d));
   };
 
   // Interesting forgeries per field, including the wrap-provoking extremes.
@@ -190,8 +200,9 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
     try {
       const auto blob2 = deserialize<u16>(mutated);
       (void)decode_stream<u16>(blob2.stream, blob2.codebook, 1);
-    } catch (const std::exception&) {
-      // expected for most forgeries
+    } catch (const std::exception& e) {
+      // Expected for most forgeries, but never at the repaired digest.
+      EXPECT_FALSE(is_checksum_failure(e)) << "field " << field;
     }
   }
 
@@ -202,11 +213,11 @@ TEST_P(FuzzContainer, ForgedHeaderFieldsWithValidChecksumNeverCrash) {
   auto forged = bytes;
   patch_u64(forged, stream_at + 21, ~u64{0} - 30);
   fix_digest(forged);
-  EXPECT_THROW((void)deserialize<u16>(forged), std::exception);
+  expect_container_failure(forged, "implausible chunk bits");
 }
 
 TEST_P(FuzzContainer, GapAnnotatedContainersMutatedBytesNeverCrash) {
-  // Same contract as MutatedBytesNeverCrash, but over "PHF3" containers
+  // Same contract as MutatedBytesNeverCrash, but over containers
   // carrying the GAP1 optional field — random damage to the field region
   // (tag, length, payload, per-field checksum) must be rejected at parse,
   // thrown at decode, or decoded defensively; never UB.
@@ -220,7 +231,7 @@ TEST_P(FuzzContainer, GapAnnotatedContainersMutatedBytesNeverCrash) {
                              : EncoderKind::kAdaptiveSimt;
   const auto blob = compress<u16>(input, cfg);
   const auto bytes = serialize(blob);
-  ASSERT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
+  ASSERT_TRUE(blob.stream.has_gaps());
   // Bias damage toward the optional-field region at the container's tail.
   const std::size_t field_region =
       field_region_at(blob.codebook, blob.stream);
@@ -271,8 +282,8 @@ TEST_P(FuzzContainer, ForgedGapFieldWithValidChecksumNeverCrashes) {
   const std::size_t payload_len =
       12 + blob.stream.gaps.size() + 2 * blob.stream.gap_counts.size();
   const auto fix_field = [&](std::vector<u8>& buf) {
-    const u64 d =
-        fnv1a(std::span<const u8>(buf.data() + payload_at, payload_len));
+    const u64 d = digest_for(
+        buf, std::span<const u8>(buf.data() + payload_at, payload_len));
     std::memcpy(buf.data() + payload_at + payload_len, &d, sizeof(d));
   };
 
@@ -293,8 +304,9 @@ TEST_P(FuzzContainer, ForgedGapFieldWithValidChecksumNeverCrashes) {
     try {
       const auto blob2 = deserialize<u16>(mutated);
       (void)decompress(blob2);
-    } catch (const std::exception&) {
-      // expected for most forgeries
+    } catch (const std::exception& e) {
+      // Expected for most forgeries, but never at the repaired digest.
+      EXPECT_FALSE(is_checksum_failure(e)) << e.what();
     }
   }
 }
@@ -387,6 +399,16 @@ std::size_t outlier_count_at(std::span<const u8> bytes) {
   return std::memcmp(bytes.data(), "PHL3", 4) == 0 ? 45 : 41;
 }
 
+/// The embedded Huffman container of a lossy container: it follows the
+/// {u32, f32} outlier table and a u64 length.
+std::span<const u8> embedded_container(std::span<const u8> bytes) {
+  const std::size_t count_at = outlier_count_at(bytes);
+  u64 n_outliers = 0;
+  std::memcpy(&n_outliers, bytes.data() + count_at, 8);
+  const std::size_t huff_at = count_at + 8 + n_outliers * 8;
+  return bytes.subspan(huff_at + 8);
+}
+
 class FuzzLossy : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzLossy, MutatedLossyContainersNeverCrash) {
@@ -447,9 +469,12 @@ TEST_P(FuzzLossy, ForgedRleFieldWithValidChecksumNeverCrashes) {
     std::memcpy(&payload_len, bytes.data() + tag_at + 4, 8);
     const std::size_t payload_at = tag_at + 12;
     ASSERT_LE(payload_at + payload_len + 8, bytes.size());
+    // The inner container's magic (PHF4 in PHL3, PHF3 in the frozen
+    // PHL2) names the field digest.
+    const std::span<const u8> inner = embedded_container(bytes);
     const auto fix_field = [&](std::vector<u8>& buf) {
-      const u64 d = fnv1a(
-          std::span<const u8>(buf.data() + payload_at, payload_len));
+      const u64 d = digest_for(
+          inner, std::span<const u8>(buf.data() + payload_at, payload_len));
       std::memcpy(buf.data() + payload_at + payload_len, &d, sizeof(d));
     };
 
@@ -480,8 +505,9 @@ TEST_P(FuzzLossy, ForgedRleFieldWithValidChecksumNeverCrashes) {
       fix_field(mutated);
       try {
         (void)lossy::decompress_field(mutated);
-      } catch (const std::exception&) {
-        // expected for most forgeries
+      } catch (const std::exception& e) {
+        // Expected for most forgeries, but never at the repaired digest.
+        EXPECT_FALSE(is_checksum_failure(e)) << e.what();
       }
     }
 
@@ -492,7 +518,12 @@ TEST_P(FuzzLossy, ForgedRleFieldWithValidChecksumNeverCrashes) {
     const u32 zero = 0;
     std::memcpy(forged.data() + payload_at, &zero, 4);
     fix_field(forged);
-    EXPECT_THROW((void)lossy::decompress_field(forged), std::exception);
+    try {
+      (void)lossy::decompress_field(forged);
+      ADD_FAILURE() << "a run of the outlier marker decoded";
+    } catch (const std::exception& e) {
+      EXPECT_FALSE(is_checksum_failure(e)) << e.what();
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Gap-array decoder (Rivera et al.) and the container-format evolution it
-// rides on: overflow fallback, PHF3 optional-field round-trips,
+// rides on: overflow fallback, optional-field round-trips,
 // backward/forward compatibility (golden PHF2 containers, unknown-tag
 // skip), forged metadata rejection, tier selection in decode_auto, and
 // mid-decode cancellation. Its equivalence with every other decoder lives in
@@ -7,6 +7,7 @@
 // repeat-until-fail jobs pick them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "util/clock.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "container_digest.hpp"
 #include "golden_phf2.hpp"
 
 namespace parhuff {
@@ -163,13 +165,23 @@ PipelineConfig gap_config(std::size_t nbins = 256) {
   return cfg;
 }
 
-TEST(GapDecodeFormat, Phf3RoundTrip) {
+/// Offset of the optional-field region (the n_fields u32) in a serialized
+/// container: magic + sym width + the two sections.
+template <typename Sym>
+std::size_t field_region_at(const Compressed<Sym>& blob) {
+  ByteWriter w;
+  write_codebook(w, blob.codebook);
+  write_stream(w, blob.stream);
+  return 5 + w.size();
+}
+
+TEST(GapDecodeFormat, Phf4RoundTrip) {
   const auto input = data::generate_text(120000, 21);
   const auto blob = compress<u8>(input, gap_config());
   ASSERT_TRUE(blob.stream.has_gaps());
   const auto bytes = serialize(blob);
   ASSERT_GE(bytes.size(), 4u);
-  EXPECT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
+  EXPECT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
   const auto back = deserialize<u8>(bytes);
   EXPECT_EQ(back.stream.gap_subseq_bits, blob.stream.gap_subseq_bits);
   EXPECT_EQ(back.stream.gaps, blob.stream.gaps);
@@ -177,14 +189,31 @@ TEST(GapDecodeFormat, Phf3RoundTrip) {
   EXPECT_EQ(decompress(back), input);
 }
 
-TEST(GapDecodeFormat, Phf2WrittenWithoutGaps) {
-  // The version-bump rule's other half: no optional metadata → the old
-  // magic and a byte-identical old-layout container.
+TEST(GapDecodeFormat, Phf4WrittenWithAnEmptyFieldRegion) {
+  // One layout: a stream with no optional metadata still gets the region,
+  // holding n_fields = 0 and nothing else.
   const auto input = data::generate_text(120000, 21);
   PipelineConfig cfg;
-  const auto bytes = serialize(compress<u8>(input, cfg));
-  EXPECT_EQ(std::memcmp(bytes.data(), "PHF2", 4), 0);
+  const auto blob = compress<u8>(input, cfg);
+  const auto bytes = serialize(blob);
+  EXPECT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
+  ASSERT_EQ(bytes.size(), field_region_at(blob) + 4);
+  u32 n_fields = 1;
+  std::memcpy(&n_fields, bytes.data() + field_region_at(blob), 4);
+  EXPECT_EQ(n_fields, 0u);
   EXPECT_EQ(decompress(deserialize<u8>(bytes)), input);
+}
+
+/// A frozen PHF2 container written again: PHF4 differs from it only in the
+/// magic, the stream digest and the 4-byte empty field region.
+void expect_rewritten_as_phf4(std::span<const u8> phf2,
+                              const std::vector<u8>& phf4) {
+  ASSERT_EQ(std::memcmp(phf4.data(), "PHF4", 4), 0);
+  ASSERT_EQ(phf4.size(), phf2.size() + 4);
+  EXPECT_TRUE(std::equal(phf2.begin() + 4, phf2.end() - 8, phf4.begin() + 4));
+  u32 n_fields = 1;
+  std::memcpy(&n_fields, phf4.data() + phf2.size(), 4);
+  EXPECT_EQ(n_fields, 0u);
 }
 
 TEST(GapDecodeFormat, GoldenPhf2U8StillDecodesBitExactly) {
@@ -196,9 +225,7 @@ TEST(GapDecodeFormat, GoldenPhf2U8StillDecodesBitExactly) {
       testdata::kGoldenPhf2U8Input,
       testdata::kGoldenPhf2U8Input + sizeof(testdata::kGoldenPhf2U8Input));
   EXPECT_EQ(decompress(blob), expect);
-  // Old containers re-serialize byte-identically: the writer never touches
-  // the v2 layout for gap-free streams.
-  EXPECT_EQ(serialize(blob), std::vector<u8>(bytes.begin(), bytes.end()));
+  expect_rewritten_as_phf4(bytes, serialize(blob));
 }
 
 TEST(GapDecodeFormat, GoldenPhf2U16WithOverflowStillDecodesBitExactly) {
@@ -210,7 +237,7 @@ TEST(GapDecodeFormat, GoldenPhf2U16WithOverflowStillDecodesBitExactly) {
   std::memcpy(expect.data(), testdata::kGoldenPhf2U16InputLE,
               sizeof(testdata::kGoldenPhf2U16InputLE));
   EXPECT_EQ(decompress(blob), expect);
-  EXPECT_EQ(serialize(blob), std::vector<u8>(bytes.begin(), bytes.end()));
+  expect_rewritten_as_phf4(bytes, serialize(blob));
 }
 
 TEST(GapDecodeFormat, AnnotatedStreamDecodesIdenticallyToPlain) {
@@ -225,18 +252,8 @@ TEST(GapDecodeFormat, AnnotatedStreamDecodesIdenticallyToPlain) {
   EXPECT_EQ(decompress(a), decompress(b));
 }
 
-/// Offset of the optional-field region (the n_fields u32) in a serialized
-/// v3 container: magic + sym width + the two sections.
-template <typename Sym>
-std::size_t field_region_at(const Compressed<Sym>& blob) {
-  ByteWriter w;
-  write_codebook(w, blob.codebook);
-  write_stream(w, blob.stream);
-  return 5 + w.size();
-}
-
-/// Append an optional field (tag | len | payload | fnv1a) and bump
-/// n_fields in place.
+/// Append an optional field (tag | len | payload | digest) and bump
+/// n_fields in place; the digest is the one the container's magic names.
 template <typename Sym>
 std::vector<u8> with_extra_field(std::vector<u8> bytes,
                                  const Compressed<Sym>& blob, u32 tag,
@@ -254,7 +271,7 @@ std::vector<u8> with_extra_field(std::vector<u8> bytes,
   if (!payload.empty()) {
     std::memcpy(bytes.data() + at + 12, payload.data(), payload.size());
   }
-  const u64 digest = fnv1a(payload);
+  const u64 digest = digest_for(bytes, payload);
   std::memcpy(bytes.data() + at + 12 + payload.size(), &digest, 8);
   return bytes;
 }
@@ -271,7 +288,7 @@ TEST(GapDecodeFormat, UnknownOptionalFieldIsSkipped) {
 }
 
 TEST(GapDecodeFormat, StreamWithOnlyUnknownFieldsFallsBackToOlderTiers) {
-  // Forward compatibility in action: a v3 container whose only field is
+  // Forward compatibility in action: a container whose only field is
   // one this reader does not understand deserializes to a gap-free stream
   // that decodes through self-sync / host exactly like an old container —
   // the documented fallback-to-self-sync semantics.
@@ -307,8 +324,8 @@ class GapDecodeForged : public ::testing::Test {
 
   /// Recompute the GAP1 field checksum after a deliberate payload forge.
   void fix_field_digest(std::vector<u8>& b) const {
-    const u64 d = fnv1a(
-        std::span<const u8>(b.data() + payload_at_, payload_len_));
+    const u64 d = digest_for(
+        b, std::span<const u8>(b.data() + payload_at_, payload_len_));
     std::memcpy(b.data() + payload_at_ + payload_len_, &d, 8);
   }
 
@@ -346,7 +363,15 @@ TEST_F(GapDecodeForged, OutOfRangeSubseqBitsRejected) {
     auto b = bytes_;
     std::memcpy(b.data() + payload_at_, &forged, 4);  // subseq_bits
     fix_field_digest(b);
-    EXPECT_THROW((void)deserialize<u8>(b), std::runtime_error);
+    // The repaired digest lets the forgery reach the field's parser.
+    try {
+      (void)deserialize<u8>(b);
+      ADD_FAILURE() << "forged subseq_bits " << forged << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::strstr(e.what(), "gap subsequence size out of range"),
+                nullptr)
+          << e.what();
+    }
   }
 }
 
@@ -451,8 +476,8 @@ TEST(GapDecodeAuto, ServiceDecompressPicksGapArray) {
 }
 
 // End to end over the wire: a client that compressed with gap metadata
-// gets the gap-array tier on the server's decompress verb — the PHF3
-// container is the only signal, the protocol is unchanged.
+// gets the gap-array tier on the server's decompress verb — the GAP1
+// field is the only signal, the protocol is unchanged.
 TEST(GapDecodeAuto, RpcDecompressPicksGapArray) {
   auto& reg = obs::MetricsRegistry::global();
   rpc::LoopbackHub hub;
@@ -462,7 +487,7 @@ TEST(GapDecodeAuto, RpcDecompressPicksGapArray) {
   const auto input = data::generate_text(70000, 43);
   const auto blob = compress<u8>(input, gap_config());
   const auto bytes = serialize(blob);
-  ASSERT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
 
   const u64 gap0 = reg.counter("decode.gaparray");
   EXPECT_EQ(cli.decompress(bytes).result.get(), input);

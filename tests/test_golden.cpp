@@ -1,13 +1,16 @@
 // Format stability: a fixed input must serialize to the same bytes on
 // every build (the on-disk format is a compatibility contract). If a
-// deliberate format change breaks this test, bump the container magic and
-// refresh the golden digest.
+// deliberate format change breaks this test, bump the container magic,
+// freeze the old bytes (golden_*.hpp) and refresh the golden digest.
+// Frozen bytes of every read-only version must keep decoding to the same
+// output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "core/decode.hpp"
 #include "core/decode_gaparray.hpp"
 #include "core/encode_reduceshuffle.hpp"
 #include "core/format.hpp"
@@ -16,7 +19,10 @@
 #include "core/streaming.hpp"
 #include "data/quant.hpp"
 #include "expect_tally.hpp"
+#include "golden_phf3.hpp"
 #include "golden_phl2.hpp"
+#include "golden_phl3.hpp"
+#include "golden_phs2.hpp"
 #include "lossy/fused.hpp"
 #include "lossy/lossy.hpp"
 #include "proptest.hpp"
@@ -48,6 +54,7 @@ TEST(Golden, ContainerBytesAreStable) {
   cfg.reduce_factor = 2;
   const auto input = golden_input();
   const auto bytes = serialize(compress<u8>(input, cfg));
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
 
   // Self-consistency first (protects the digest's meaning).
   EXPECT_EQ(decompress(deserialize<u8>(bytes)), input);
@@ -55,7 +62,7 @@ TEST(Golden, ContainerBytesAreStable) {
   // The frozen digest of the serialized container. Regenerate with:
   //   printf '0x%016llx\n' <fnv1a of the bytes>
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0x078c76b76780743aull;
+  constexpr u64 kGoldenDigest = 0xe705fb031fe6ac7full;
   if (kGoldenDigest != 0) {
     EXPECT_EQ(digest, kGoldenDigest)
         << "serialized container changed; if intentional, bump the format "
@@ -75,9 +82,10 @@ TEST(Golden, AdaptiveContainerBytesAreStable) {
   cfg.encoder = EncoderKind::kAdaptiveSimt;
   const auto input = golden_input();
   const auto bytes = serialize(compress<u8>(input, cfg));
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
   EXPECT_EQ(decompress(deserialize<u8>(bytes)), input);
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0xa092c92955cd5187ull;
+  constexpr u64 kGoldenDigest = 0x9ea1e0f9ae279b98ull;
   if (kGoldenDigest != 0) {
     EXPECT_EQ(digest, kGoldenDigest);
   } else {
@@ -87,7 +95,7 @@ TEST(Golden, AdaptiveContainerBytesAreStable) {
 }
 
 TEST(Golden, StreamedContainerBytesAreStable) {
-  // A PHS2 stream on the wire: the header, then two encode_segment frames
+  // A PHS3 stream on the wire: the header, then two encode_segment frames
   // over the halves of golden_input(), under one observed codebook.
   PipelineConfig cfg;
   cfg.nbins = 16;
@@ -115,24 +123,46 @@ TEST(Golden, StreamedContainerBytesAreStable) {
   std::vector<u8> bytes = header;
   bytes.insert(bytes.end(), f1.begin(), f1.end());
   bytes.insert(bytes.end(), f2.begin(), f2.end());
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHS3", 4), 0);
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0xcfc2e7fba324125dull;
-  EXPECT_EQ(bytes.size(), 3728u);
+  constexpr u64 kGoldenDigest = 0x25e667ad86229d8aull;
+  EXPECT_EQ(bytes.size(), 3728u);  // PHS2's size: only the digests moved
   EXPECT_EQ(digest, kGoldenDigest)
-      << "streamed bytes changed; if intentional, bump the PHS2 magic and "
+      << "streamed bytes changed; if intentional, bump the PHS3 magic and "
          "refresh kGoldenDigest (new value: 0x" << std::hex << digest << ")";
+}
+
+TEST(Golden, FrozenPhs2DecodesToTheSameSymbols) {
+  // StreamReader reads the same bytes cut anywhere
+  // (Streaming.ReaderDecodesEverySplitOfTheFrozenPhs2Container).
+  const std::span<const u8> bytes(testdata::kGoldenPhs2,
+                                  sizeof(testdata::kGoldenPhs2));
+  ASSERT_EQ(fnv1a(bytes), testdata::kGoldenPhs2Digest);
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHS2", 4), 0);
+  const std::size_t hl = StreamingDecompressor<u8>::header_length(bytes);
+  const StreamingDecompressor<u8> sd(bytes.first(hl));
+  std::vector<u8> symbols;
+  for (const auto frame :
+       StreamingDecompressor<u8>::split_frames(bytes.subspan(hl))) {
+    const std::vector<u8> part = sd.decode_segment(frame);
+    symbols.insert(symbols.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(fnv1a(symbols), testdata::kGoldenPhs2SymbolsDigest)
+      << "the PHS2 reader decodes the frozen bytes to different symbols "
+         "(new digest: 0x" << std::hex << fnv1a(symbols) << ")";
+  EXPECT_EQ(symbols, golden_input());
 }
 
 // ---------------------------------------------------------------------------
 // The lossy contracts frozen here:
 //  1. The PHL3 container (and the RLE1 optional field inside its embedded
-//     PHF3 stream) serializes to stable bytes — the fused format is on
+//     PHF4 stream) serializes to stable bytes — the fused format is on
 //     disk.
-//  2. The PHL2 reader decodes the frozen PHL2 bytes (golden_phl2.hpp) to
-//     exactly the floats it always did.
-//  3. A PHF3 container *without* RLE stays byte-identical to the pre-RLE1
-//     serializer: adding the optional field must not move a single byte
-//     of streams that don't carry it (the GAP1 evolution rule).
+//  2. The lossy reader decodes the frozen PHL2 bytes (golden_phl2.hpp) and
+//     the frozen PHL3-around-PHF3 bytes (golden_phl3.hpp) to exactly the
+//     floats it always did.
+//  3. A PHF4 container *without* RLE carries no trace of the field: a
+//     stream that does not use an optional field is written without it.
 
 /// Deterministic field whose fused container carries both RLE runs and a
 /// residual stream: a structured prefix over a constant bulk. No RNG — the
@@ -204,17 +234,22 @@ TEST(Golden, ModeledTalliesAreStable) {
   }
 }
 
-TEST(Golden, LossyFusedContainerBytesAreStable) {
-  const data::Dims dims{24, 24, 16};
+/// The fused config of the pinned PHL3 bytes (and of golden_phl3.hpp).
+lossy::FusedConfig golden_lossy_config() {
   lossy::FusedConfig cfg;
   cfg.abs_error_bound = 0.01;
   cfg.nbins = 256;
   cfg.rle_min_run = 64;
   cfg.pipeline.magnitude = 8;
   cfg.pipeline.reduce_factor = 2;
+  return cfg;
+}
+
+TEST(Golden, LossyFusedContainerBytesAreStable) {
+  const data::Dims dims{24, 24, 16};
   lossy::FusedReport rep;
-  const auto bytes =
-      lossy::compress_field_fused(golden_field(dims), dims, cfg, &rep);
+  const auto bytes = lossy::compress_field_fused(
+      golden_field(dims), dims, golden_lossy_config(), &rep);
   ASSERT_GE(rep.rle_runs, 1u);  // the digest must cover RLE1 bytes
 
   // Self-consistency first (protects the digest's meaning).
@@ -224,7 +259,7 @@ TEST(Golden, LossyFusedContainerBytesAreStable) {
   ASSERT_EQ(std::memcmp(bytes.data(), "PHL3", 4), 0);
 
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0xc9b2aa35e11911fcull;
+  constexpr u64 kGoldenDigest = 0xbfefc697e1469a1dull;
   if (kGoldenDigest != 0) {
     EXPECT_EQ(digest, kGoldenDigest)
         << "PHL3 container bytes changed; if intentional, bump the magic "
@@ -256,6 +291,69 @@ TEST(Golden, FrozenPhl2DecodesToTheSameFloats) {
             0.01);
 }
 
+TEST(Golden, FrozenPhl3WithAPhf3InsideDecodesToTheSameFloats) {
+  const std::span<const u8> bytes(testdata::kGoldenPhl3,
+                                  sizeof(testdata::kGoldenPhl3));
+  ASSERT_EQ(fnv1a(bytes), testdata::kGoldenPhl3Digest);
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHL3", 4), 0);
+  const std::size_t huff_at = 53 + 76 * 8;  // header + 76 outliers
+  ASSERT_EQ(std::memcmp(bytes.data() + huff_at + 8, "PHF3", 4), 0);
+  const data::Dims dims{24, 24, 16};
+  const auto back = lossy::decompress_field(bytes);
+  EXPECT_EQ(back.dims.nx, dims.nx);
+  EXPECT_EQ(back.dims.ny, dims.ny);
+  EXPECT_EQ(back.dims.nz, dims.nz);
+  EXPECT_DOUBLE_EQ(back.error_bound, 0.01);
+  const u64 values = fnv1a(std::span<const u8>(
+      reinterpret_cast<const u8*>(back.values.data()),
+      back.values.size() * sizeof(float)));
+  EXPECT_EQ(values, testdata::kGoldenPhl3ValuesDigest)
+      << "the PHL3 reader decodes the frozen bytes to different floats "
+         "(new digest: 0x" << std::hex << values << ")";
+  EXPECT_LE(proptest::max_abs_error(golden_field(dims), back.values), 0.01);
+
+  // The writer's PHL3 differs only in its inner container's version: the
+  // same field decodes to the same floats from either.
+  const auto fresh = lossy::compress_field_fused(golden_field(dims), dims,
+                                                 golden_lossy_config());
+  ASSERT_EQ(fresh.size(), bytes.size());
+  ASSERT_EQ(std::memcmp(fresh.data() + huff_at + 8, "PHF4", 4), 0);
+  EXPECT_EQ(lossy::decompress_field(fresh).values, back.values);
+}
+
+TEST(Golden, FrozenPhf3DecodesToTheSameSymbols) {
+  const std::span<const u8> bytes(testdata::kGoldenPhf3,
+                                  sizeof(testdata::kGoldenPhf3));
+  ASSERT_EQ(fnv1a(bytes), testdata::kGoldenPhf3Digest);
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
+  const Compressed<u8> blob = deserialize<u8>(bytes);
+  ASSERT_TRUE(blob.stream.has_gaps());
+  ASSERT_TRUE(blob.stream.has_rle());
+  EXPECT_EQ(blob.stream.gap_subseq_bits, 1024u);
+  EXPECT_EQ(blob.stream.gaps.size(), 23u);
+  EXPECT_EQ(blob.stream.rle_symbol, 128u);
+  EXPECT_EQ(blob.stream.rle_run_pos.size(), 1u);
+  EXPECT_EQ(blob.stream.rle_orig_symbols, 9216u);
+  const std::vector<u8> symbols = decompress(blob);  // the gap-array tier
+  EXPECT_EQ(symbols.size(), 2880u);
+  EXPECT_EQ(fnv1a(symbols), testdata::kGoldenPhf3SymbolsDigest)
+      << "the PHF3 reader decodes the frozen bytes to different symbols "
+         "(new digest: 0x" << std::hex << fnv1a(symbols) << ")";
+  EXPECT_EQ(decode_stream<u8>(blob.stream, blob.codebook, 1), symbols);
+
+  // Written again it is a PHF4 container of the same size that reads back
+  // to the same stream, fields included.
+  const std::vector<u8> again = serialize(blob);
+  ASSERT_EQ(std::memcmp(again.data(), "PHF4", 4), 0);
+  EXPECT_EQ(again.size(), bytes.size());
+  const Compressed<u8> back = deserialize<u8>(again);
+  EXPECT_EQ(back.stream.gaps, blob.stream.gaps);
+  EXPECT_EQ(back.stream.gap_counts, blob.stream.gap_counts);
+  EXPECT_EQ(back.stream.rle_run_pos, blob.stream.rle_run_pos);
+  EXPECT_EQ(back.stream.rle_run_len, blob.stream.rle_run_len);
+  EXPECT_EQ(decompress(back), symbols);
+}
+
 TEST(Golden, RleFieldByteLayoutIsPinned) {
   // Walk the PHL3 container and its serialized RLE1 field by hand, offset
   // arithmetic and all — this is the byte-layout contract readers of
@@ -263,7 +361,7 @@ TEST(Golden, RleFieldByteLayoutIsPinned) {
   // f64 eb | u32 nbins | u8 sym_bytes | f32 anchor | u64 n_outliers |
   // {u32 index, f32 value}[n] | u64 huff_len | embedded container. RLE1:
   // tag 'RLE1' | u64 len | { u32 run_symbol | u64 orig_symbols |
-  // u64 n_runs | u64 pos[n] asc | u32 len[n] } | u64 fnv1a digest.
+  // u64 n_runs | u64 pos[n] asc | u32 len[n] } | u64 container_digest.
   const data::Dims dims{24, 24, 16};
   lossy::FusedConfig cfg;
   cfg.abs_error_bound = 0.01;
@@ -289,7 +387,7 @@ TEST(Golden, RleFieldByteLayoutIsPinned) {
   const std::size_t huff_at = 53 + rep.outliers * 8;
   ASSERT_LE(huff_at + 12, bytes.size());
   EXPECT_EQ(huff_at + 8 + get(huff_at, u64{}), bytes.size());
-  ASSERT_EQ(std::memcmp(bytes.data() + huff_at + 8, "PHF3", 4), 0);
+  ASSERT_EQ(std::memcmp(bytes.data() + huff_at + 8, "PHF4", 4), 0);
 
   static constexpr u8 kTag[4] = {'R', 'L', 'E', '1'};
   const auto it =
@@ -331,18 +429,19 @@ TEST(Golden, RleFieldByteLayoutIsPinned) {
   EXPECT_EQ(total_run, rep.rle_run_symbols);
   EXPECT_LE(prev_end, orig_symbols);
 
-  // The per-field digest is fnv1a over the payload alone.
+  // The per-field digest is container_digest over the payload alone.
   u64 stored = 0;
   std::memcpy(&stored, bytes.data() + payload_at + field_len, 8);
-  EXPECT_EQ(stored, fnv1a(std::span<const u8>(bytes.data() + payload_at,
-                                              field_len)));
+  const std::span<const u8> payload(bytes.data() + payload_at, field_len);
+  EXPECT_EQ(stored, container_digest(payload));
+  EXPECT_NE(stored, fnv1a(payload));
+  EXPECT_NE(stored, stream_checksum(payload));
 }
 
-TEST(Golden, Phf3WithoutRleStaysByteIdentical) {
-  // A gap-annotated container that carries no RLE field must serialize
-  // exactly as it did before RLE1 existed: same magic, same field count,
-  // same digest. This is the format-evolution promise that lets old
-  // readers keep working on new writers' RLE-less output.
+TEST(Golden, Phf4WithoutRleStaysByteIdentical) {
+  // A gap-annotated container that carries no RLE field has one field and
+  // no trace of RLE1: same magic, same field count, same digest on every
+  // build.
   PipelineConfig cfg;
   cfg.nbins = 16;
   cfg.magnitude = 8;
@@ -351,7 +450,7 @@ TEST(Golden, Phf3WithoutRleStaysByteIdentical) {
   cfg.gap_subseq_bits = 1024;
   const auto input = golden_input();
   const auto bytes = serialize(compress<u8>(input, cfg));
-  ASSERT_EQ(std::memcmp(bytes.data(), "PHF3", 4), 0);
+  ASSERT_EQ(std::memcmp(bytes.data(), "PHF4", 4), 0);
   EXPECT_EQ(decompress(deserialize<u8>(bytes)), input);
 
   // No RLE1 tag anywhere in the container.
@@ -361,13 +460,13 @@ TEST(Golden, Phf3WithoutRleStaysByteIdentical) {
             bytes.end());
 
   const u64 digest = fnv1a(bytes);
-  constexpr u64 kGoldenDigest = 0xd8f470fb07a2fa67ull;
+  constexpr u64 kGoldenDigest = 0x2b0941b38d11f6e9ull;
   if (kGoldenDigest != 0) {
     EXPECT_EQ(digest, kGoldenDigest)
-        << "PHF3-without-RLE bytes changed — the optional-field evolution "
+        << "PHF4-without-RLE bytes changed — the optional-field evolution "
            "rule is violated (new value: 0x" << std::hex << digest << ")";
   } else {
-    std::printf("golden phf3 digest: 0x%016llx size=%zu\n",
+    std::printf("golden phf4 digest: 0x%016llx size=%zu\n",
                 static_cast<unsigned long long>(digest), bytes.size());
   }
 }
@@ -377,7 +476,7 @@ TEST(Golden, HotSwappedBookSerializesIdenticallyToColdBuild) {
   // feeds build_codebook a rounded snapshot of its traffic window. With
   // window_decay = 0 the window IS the last batch's integral histogram,
   // and round_window() must hand it back exactly — so the swapped-in book,
-  // encoded and gap-annotated into a PHF3 container, must serialize byte
+  // encoded and gap-annotated into a PHF4 container, must serialize byte
   // for byte like a book built cold from the same histogram. Any rounding
   // or normalization sneaking into the swap path breaks this pin.
   PipelineConfig cfg;
@@ -414,7 +513,7 @@ TEST(Golden, HotSwappedBookSerializesIdenticallyToColdBuild) {
 
   const Codebook cold = build_codebook(last, cfg);
   const std::vector<u16> data = src.batch<u16>(spec.batches - 1);
-  auto phf3_bytes = [&](const Codebook& cb) {
+  auto container_bytes = [&](const Codebook& cb) {
     Compressed<u16> blob;
     blob.codebook = cb;
     blob.stream = encode_reduceshuffle_simt<u16>(
@@ -422,9 +521,9 @@ TEST(Golden, HotSwappedBookSerializesIdenticallyToColdBuild) {
     annotate_gaps(blob.stream, cb, 1024);
     return serialize(blob);
   };
-  const std::vector<u8> hot = phf3_bytes(*swapped);
-  const std::vector<u8> cold_bytes = phf3_bytes(cold);
-  ASSERT_EQ(std::memcmp(hot.data(), "PHF3", 4), 0);
+  const std::vector<u8> hot = container_bytes(*swapped);
+  const std::vector<u8> cold_bytes = container_bytes(cold);
+  ASSERT_EQ(std::memcmp(hot.data(), "PHF4", 4), 0);
   EXPECT_EQ(hot, cold_bytes)
       << "hot-swapped book's container diverged from the cold build";
   EXPECT_EQ(decompress(deserialize<u16>(hot), 2), data);

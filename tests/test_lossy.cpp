@@ -108,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The glued baseline, round-tripped: resolve the bound the way
 // bench_lossy's run_glued does, quantize the whole field into a code
-// buffer, Huffman-code it through a PHF2 container, then invert both
+// buffer, Huffman-code it through a PHF container, then invert both
 // stages. It must hold the bound too, or the fused-vs-glued comparison in
 // BENCH_lossy.json measures against a broken compressor.
 struct GluedField {

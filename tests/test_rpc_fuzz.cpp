@@ -267,7 +267,7 @@ TEST_P(RpcFuzz, GarbageContainerToDecompressGetsBadRequest) {
   Frame f;
   f.h.op = Op::kDecompress;
   f.h.request_id = 99;
-  f.payload = ramp_data(4096, 13);  // not a PHF2 container
+  f.payload = ramp_data(4096, 13);  // not a PHF container
   send_frame(*conn, f);
   const Frame err = read_frame(*conn);
   EXPECT_EQ(err.h.status, Status::kBadRequest);

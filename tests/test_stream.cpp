@@ -26,7 +26,10 @@
 
 #include <unistd.h>
 
+#include "core/format.hpp"
 #include "core/streaming.hpp"
+#include "golden_phf3.hpp"
+#include "golden_phs2.hpp"
 #include "obs/metrics.hpp"
 #include "router/harness.hpp"
 #include "router/router.hpp"
@@ -93,7 +96,8 @@ Frame read_frame(rpc::Connection& conn) {
   return f;
 }
 
-bool is_phs2(std::span<const u8> bytes) {
+/// True for what the stream writer writes today (PHS3).
+bool is_phs3(std::span<const u8> bytes) {
   return bytes.size() >= 4 &&
          std::memcmp(bytes.data(), kStreamHeaderMagic, 4) == 0;
 }
@@ -177,11 +181,11 @@ TEST(RpcStream, TransparentChunkedRoundTripLiftsTheCap) {
   RpcClient cli([&] { return hub.connect(); }, small_stream_config());
 
   // 5x the single-frame cap: impossible as one frame, transparent as a
-  // stream. The container comes back as a PHS2 streamed container.
+  // stream. The container comes back as a PHS3 streamed container.
   const auto data = ramp_data(320 * 1024);
   const std::vector<u8> container =
       cli.compress(std::vector<u8>(data)).result.get();
-  ASSERT_TRUE(is_phs2(std::span<const u8>(container)));
+  ASSERT_TRUE(is_phs3(std::span<const u8>(container)));
 
   const std::vector<u8> round =
       cli.decompress(std::vector<u8>(container)).result.get();
@@ -206,7 +210,7 @@ TEST(RpcStream, SixteenBitSymbolsStreamRoundTrip) {
 
   const std::vector<u8> container =
       cli.compress(std::vector<u8>(raw), 2).result.get();
-  ASSERT_TRUE(is_phs2(std::span<const u8>(container)));
+  ASSERT_TRUE(is_phs3(std::span<const u8>(container)));
   EXPECT_EQ(cli.decompress(std::vector<u8>(container), 2).result.get(), raw);
 }
 
@@ -254,7 +258,7 @@ TEST(RpcStream, ManualVerbsChecksumAndSummary) {
   EXPECT_EQ(sum.bytes_out, container.size());
   EXPECT_EQ(sum.checksum, checksum);
 
-  ASSERT_TRUE(is_phs2(std::span<const u8>(container)));
+  ASSERT_TRUE(is_phs3(std::span<const u8>(container)));
   EXPECT_EQ(cli.decompress(std::span<const u8>(container)).result.get(),
             data);
 }
@@ -282,7 +286,7 @@ TEST(RpcStream, OversizedMonolithicPhfContainerStillFailsTyped) {
   cc.max_payload_bytes = 4096;  // streaming on (default) — but PHF can't chunk
   RpcClient cli([&] { return hub.connect(); }, cc);
 
-  std::vector<u8> fake(8192, 0x41);  // not PHS2: no segment boundaries
+  std::vector<u8> fake(8192, 0x41);  // not PHS3/PHS2: no segment boundaries
   RpcCall call = cli.decompress(std::move(fake));
   try {
     (void)call.result.get();
@@ -410,6 +414,98 @@ TEST(RpcStream, ChecksumAndByteTotalMismatchesAreTyped) {
   } catch (const RpcError& e) {
     EXPECT_EQ(e.status(), Status::kBadRequest);
   }
+}
+
+/// Expects `call` to fail kBadRequest with `what` in its message.
+void expect_bad_request(RpcCall call, const std::string& what) {
+  try {
+    (void)call.result.get();
+    ADD_FAILURE() << "expected a typed failure naming \"" << what << "\"";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+u64 open_stream(RpcClient& cli, Op begin_op, u8 sym_width) {
+  const auto bytes = cli.stream_begin(begin_op, sym_width).result.get();
+  u64 sid = 0;
+  std::memcpy(&sid, bytes.data(), 8);
+  return sid;
+}
+
+TEST(RpcStream, OddLengthU16PayloadsFailTyped) {
+  LoopbackHub hub;
+  RpcServer server(hub.listener());
+  RpcClient cli([&] { return hub.connect(); });
+
+  const auto odd = ramp_data(1001, 41);
+  expect_bad_request(cli.compress(std::span<const u8>(odd), 2),
+                     "payload is not a whole number of symbols");
+  const u64 sid = open_stream(cli, Op::kCompressStreamBegin, 2);
+  expect_bad_request(cli.stream_frame(Op::kCompressStreamChunk, sid,
+                                      std::span<const u8>(odd)),
+                     "payload is not a whole number of symbols");
+  // Both were request errors: the connection still serves u16 requests.
+  const std::vector<u8> even(odd.begin(), odd.end() - 1);
+  const std::vector<u8> container =
+      cli.compress(std::span<const u8>(even), 2).result.get();
+  EXPECT_EQ(cli.decompress(std::span<const u8>(container), 2).result.get(),
+            even);
+}
+
+TEST(RpcStream, ChunkOverStreamChunkBytesFailsTyped) {
+  LoopbackHub hub;
+  ServerConfig sc;
+  sc.stream_chunk_bytes = 1024;
+  RpcServer server(hub.listener(), sc);
+  RpcClient cli([&] { return hub.connect(); });
+
+  const auto data = ramp_data(1025, 43);
+  for (const Op begin :
+       {Op::kCompressStreamBegin, Op::kDecompressStreamBegin}) {
+    const Op chunk = begin == Op::kCompressStreamBegin
+                         ? Op::kCompressStreamChunk
+                         : Op::kDecompressStreamChunk;
+    const u64 sid = open_stream(cli, begin, 1);
+    expect_bad_request(
+        cli.stream_frame(chunk, sid, std::span<const u8>(data)),
+        "chunk exceeds stream_chunk_bytes (1024)");
+  }
+}
+
+TEST(RpcStream, DecompressVerbsReadTheFrozenPhs2AndPhf3Containers) {
+  LoopbackHub hub;
+  RpcServer server(hub.listener());
+  RpcClient cli([&] { return hub.connect(); });
+
+  // PHS2 through the single-frame verb, then through the stream verbs in
+  // 1000-byte chunks (cut inside frames).
+  const std::span<const u8> phs2(testdata::kGoldenPhs2,
+                                 sizeof(testdata::kGoldenPhs2));
+  const std::vector<u8> whole = cli.decompress(phs2).result.get();
+  EXPECT_EQ(fnv1a(whole), testdata::kGoldenPhs2SymbolsDigest);
+  const u64 sid = open_stream(cli, Op::kDecompressStreamBegin, 1);
+  std::vector<u8> chunked;
+  u64 checksum = kFnv1aSeed;
+  for (std::size_t at = 0; at < phs2.size(); at += 1000) {
+    const auto piece =
+        phs2.subspan(at, std::min<std::size_t>(1000, phs2.size() - at));
+    checksum = stream_checksum(piece, checksum);
+    const std::vector<u8> out =
+        cli.stream_frame(Op::kDecompressStreamChunk, sid, piece).result.get();
+    chunked.insert(chunked.end(), out.begin(), out.end());
+  }
+  (void)cli.stream_end(Op::kDecompressStreamEnd, sid, phs2.size(), checksum)
+      .result.get();
+  EXPECT_EQ(chunked, whole);
+
+  // PHF3 (GAP1 + RLE1): the verb decodes the residual symbols.
+  const std::span<const u8> phf3(testdata::kGoldenPhf3,
+                                 sizeof(testdata::kGoldenPhf3));
+  EXPECT_EQ(fnv1a(cli.decompress(phf3).result.get()),
+            testdata::kGoldenPhf3SymbolsDigest);
 }
 
 TEST(RpcStream, BeginPastTheConnectionCapIsQueueFull) {
@@ -601,7 +697,7 @@ TEST(RouterStream, StreamsRoundTripAcrossAMultiShardFleet) {
   RpcCall cb = cli.compress(std::vector<u8>(b));
   const std::vector<u8> container_a = ca.result.get();
   const std::vector<u8> container_b = cb.result.get();
-  ASSERT_TRUE(is_phs2(std::span<const u8>(container_a)));
+  ASSERT_TRUE(is_phs3(std::span<const u8>(container_a)));
   EXPECT_EQ(cli.decompress(std::vector<u8>(container_a)).result.get(), a);
   EXPECT_EQ(cli.decompress(std::vector<u8>(container_b)).result.get(), b);
 }
@@ -723,7 +819,7 @@ TEST(RouterStream, HugePayloadRoundTripsOverUnixSockets) {
   const auto data = ramp_data(bytes, 2026);
   const std::vector<u8> container =
       cli.compress(std::vector<u8>(data)).result.get();
-  ASSERT_TRUE(is_phs2(std::span<const u8>(container)));
+  ASSERT_TRUE(is_phs3(std::span<const u8>(container)));
   const std::vector<u8> round =
       cli.decompress(std::vector<u8>(container)).result.get();
   ASSERT_EQ(round.size(), data.size());

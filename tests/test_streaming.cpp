@@ -14,6 +14,8 @@
 #include "core/streaming.hpp"
 #include "data/quant.hpp"
 #include "data/textgen.hpp"
+#include "golden_phs2.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace parhuff {
@@ -383,16 +385,39 @@ TEST(Streaming, ReaderDecodesEverySplitOfAU16Container) {
   expect_every_split_decodes(streamed_container<u16>(segments, 1024));
 }
 
+TEST(Streaming, ReaderDecodesEverySplitOfTheFrozenPhs2Container) {
+  // The read-only PHS2 version goes through the same reader, cut anywhere.
+  StreamedContainer<u8> c;
+  c.bytes.assign(testdata::kGoldenPhs2,
+                 testdata::kGoldenPhs2 + sizeof(testdata::kGoldenPhs2));
+  c.header_bytes = StreamingDecompressor<u8>::header_length(c.bytes);
+  const StreamingDecompressor<u8> sd(
+      std::span<const u8>(c.bytes).first(c.header_bytes));
+  for (const auto frame : StreamingDecompressor<u8>::split_frames(
+           std::span<const u8>(c.bytes).subspan(c.header_bytes))) {
+    c.frame_starts.push_back(
+        static_cast<std::size_t>(frame.data() - c.bytes.data()));
+    c.largest_frame = std::max(c.largest_frame, frame.size());
+    const std::vector<u8> part = sd.decode_segment(frame);
+    c.symbols.insert(c.symbols.end(), part.begin(), part.end());
+  }
+  ASSERT_EQ(c.frame_starts.size(), 2u);
+  ASSERT_EQ(fnv1a(c.symbols), testdata::kGoldenPhs2SymbolsDigest);
+  expect_every_split_decodes(c);
+}
+
 TEST(Streaming, ReaderBoundsAndLeftoversFailTyped) {
   const auto c = streamed_container<u8>(text_segments(3, 4000, 9), 256);
   const std::span<const u8> whole(c.bytes);
   const std::span<const u8> header = whole.first(c.header_bytes);
 
-  // Not PHS2: decided as soon as four bytes are in, not at the bound.
+  // Not PHS3 or PHS2: decided as soon as four bytes are in, not at the
+  // bound.
   StreamReader<u8> phf;
   EXPECT_TRUE(phf.push({'P', 'H', 'F'}).empty());
   expect_throw_with<std::invalid_argument>(
-      [&] { (void)phf.push({'2'}); }, "stream is not a PHS2 streamed container");
+      [&] { (void)phf.push({'4'}); },
+      "stream is not a PHS3 or PHS2 streamed container");
 
   // A header that parses for another width is waited on until the bound.
   StreamReader<u16> wrong_width(c.header_bytes);
