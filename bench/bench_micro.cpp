@@ -247,7 +247,7 @@ void BM_DecodeTableDriven(benchmark::State& state) {
   const auto freq = histogram_serial<u16>(codes, 1024);
   const Codebook cb = build_codebook_serial(freq);
   const auto enc = encode_serial<u16>(codes, cb, 1024);
-  const DecodeTable table(cb, k);
+  const DecodeTable<u16> table(cb, k);
   std::vector<u16> out(enc.n_symbols);
   // The interleaved core alone, one thread: the chunk plan is built once.
   const std::vector<std::size_t> index = overflow_index(enc);
@@ -264,6 +264,40 @@ void BM_DecodeTableDriven(benchmark::State& state) {
                           static_cast<i64>(codes.size() * 2));
 }
 BENCHMARK(BM_DecodeTableDriven)->Arg(8)->Arg(kDecodeTableBits)->Arg(12);
+
+// Table construction alone at the production width: arg 0 is an
+// enwik-like u8 book, arg 1 the NYX-QUANT u16 book.
+void BM_DecodeTableBuild(benchmark::State& state) {
+  const auto build = [&]<typename Sym>(const std::vector<Sym>& input,
+                                       std::size_t nbins) {
+    const Codebook cb =
+        build_codebook_serial(histogram_serial<Sym>(input, nbins));
+    for (auto _ : state) {
+      const DecodeTable<Sym> table(cb);
+      benchmark::DoNotOptimize(table.data());
+    }
+  };
+  if (state.range(0) == 0) {
+    build(data::generate_text(1u << 20, 5), 256);
+  } else {
+    build(data::generate_nyx_quant(1u << 20, 5), 1024);
+  }
+}
+BENCHMARK(BM_DecodeTableBuild)->Arg(0)->Arg(1);
+
+// A short decode, table build included: decode_stream of 4 KiB of text,
+// the size of a small RPC request.
+void BM_DecodeSmall(benchmark::State& state) {
+  const auto text = data::generate_text(4096, 5);
+  const Codebook cb = build_codebook_serial(histogram_serial<u8>(text, 256));
+  const auto enc = encode_serial<u8>(text, cb, 1024);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_stream<u8>(enc, cb, 1));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(text.size()));
+}
+BENCHMARK(BM_DecodeSmall);
 
 void BM_DecodeSelfSync(benchmark::State& state) {
   const auto codes = data::generate_nyx_quant(1u << 21, 5);

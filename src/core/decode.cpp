@@ -102,7 +102,7 @@ void decode_chunks(const EncodedStream& s, const Codebook& cb,
                    std::size_t c0, std::size_t c1, Dst&& dst, int threads,
                    const CancelToken* cancel) {
   const std::vector<std::size_t> index = overflow_index(s);
-  const DecodeTable table(cb);
+  const DecodeTable<Sym> table(cb);
   const std::size_t plans = (c1 - c0 + kPlanChunks - 1) / kPlanChunks;
   parallel_for(
       plans,

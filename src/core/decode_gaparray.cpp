@@ -97,7 +97,7 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
     return out;
   }
   const std::vector<std::size_t> ovf_begin = overflow_index(s);
-  const DecodeTable table(cb);
+  const DecodeTable<Sym> table(cb);
 
   u64 total_subseq = 0;
   u64 fallbacks = 0;

@@ -57,7 +57,7 @@ std::vector<Sym> decode_selfsync(const EncodedStream& s, const Codebook& cb,
   const std::size_t chunks = s.chunks();
 
   const std::vector<std::size_t> ovf_begin = overflow_index(s);
-  const DecodeTable table(cb);
+  const DecodeTable<Sym> table(cb);
 
   // Per-chunk stats accumulated with atomics (chunks run concurrently).
   u64 total_subseq = 0;

@@ -15,7 +15,7 @@ std::vector<Sym> decode_simt(const EncodedStream& s, const Codebook& cb,
   if (s.n_symbols == 0) return out;
   const std::size_t chunks = s.chunks();
   const std::vector<std::size_t> index = overflow_index(s);
-  const DecodeTable table(cb);
+  const DecodeTable<Sym> table(cb);
 
   const int block_dim = 128;
   const int grid =

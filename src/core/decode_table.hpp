@@ -2,11 +2,15 @@
 // Table-driven canonical decoding: the host decode core every decoder
 // calls (docs/decode.md).
 //
-// The treeless First/Entry decoder consumes one bit per step; a k-bit
-// lookup table turns that into one probe per codeword for all codes of
-// length <= k. The paper's §IV-B2 canonization exists precisely to make
-// the decoder state small enough to cache, and this table is that cache:
-// 2^k packed u32 entries (k = 11 → 8 KiB, L1-resident).
+// The treeless First/Entry decoder consumes one bit per step. The paper's
+// §IV-B2 canonization exists precisely to make the decoder state small
+// enough to cache, and the k-bit lookup table here is that cache: 2^k
+// packed u64 entries (k = 11: 16 KiB, L1-resident), one table per output
+// symbol width. An entry holds every whole codeword of its window, up to
+// six u8 or three u16 symbols, so one lookup emits them all. The
+// canonical order makes the build a range fill: each codeword owns one
+// contiguous block of windows, and the blocks of codewords of one length
+// are copies of each other that differ in one symbol field.
 //
 // A table alone buys little on a modern core: each step is a dependent
 // chain (position → word load → lookup → position), so one cursor is
@@ -16,16 +20,20 @@
 // cursors overlap.
 //
 // Fast path: while the two payload cells holding a cursor lie inside its
-// backing span and the k-bit window lies inside the segment's bits, a step
-// is one load of those two cells and one lookup, with no per-symbol bounds
-// check (a step budget is computed once per batch of steps). Slow path:
-// escapes (codes longer than k, or prefixes no code owns) and segment
-// tails go to decode_symbols, the bit-serial reference, which also detects
+// backing span, the k-bit window lies inside the segment's bits, and at
+// least 8 bytes of the output piece remain, a step is one load of those two
+// cells, one lookup and one 8-byte store of the entry's symbols, with no
+// per-symbol bounds check (each lane's window and slack are checked once
+// per lookup). Piece and segment tails decode one symbol per lookup.
+// Slow path: escapes (the window's first codeword is longer than k, or a
+// prefix no code owns) and codewords that would run past the segment's
+// bits go to decode_symbols, the bit-serial reference, which also detects
 // corruption — so output and exception types match the bit-serial decoder
 // on every input.
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,34 +44,46 @@
 
 namespace parhuff {
 
-/// Table width used by every production decode path, chosen by
-/// measurement on the six paper datasets (EXPERIMENTS.md): at 10 bits the
-/// enwik streams escape often enough to decode ~25% slower, 12 was within
-/// noise of 11, and 11 keeps the table at 8 KiB.
+/// Table width used by every production decode path, whatever the
+/// codebook's max_len, chosen by measurement on the six paper datasets
+/// (EXPERIMENTS.md): at 10 bits the six decode ~25% slower; 12 decodes
+/// ~12% faster alone but doubles the table (32 KiB) and its build.
 inline constexpr unsigned kDecodeTableBits = 11;
 
 /// Independent segments one thread decodes in lockstep.
 inline constexpr unsigned kDecodeLanes = 4;
 
+/// A multi-symbol lookup table for one output symbol width. Entry w
+/// describes the k-bit window w: every whole codeword it holds, up to
+/// kMaxSymbols of them, decoded greedily from the window's first bit.
+template <typename Sym>
 class DecodeTable {
  public:
-  /// Builds a 2^k-entry table for `cb`; k is clamped to max(max_len, 1).
-  /// Throws std::invalid_argument for k > 20. `cb` must outlive the table.
+  /// Symbols one entry holds: 6 x u8 or 3 x u16 in its top 48 bits.
+  static constexpr unsigned kMaxSymbols = 48 / (8 * sizeof(Sym));
+
+  /// Builds a 2^k-entry table for `cb`. Throws std::invalid_argument for
+  /// k == 0 or k > 20. `cb` must outlive the table.
   explicit DecodeTable(const Codebook& cb, unsigned k = kDecodeTableBits);
 
   [[nodiscard]] unsigned bits() const { return k_; }
-  [[nodiscard]] std::size_t entries() const { return table_.size(); }
+  [[nodiscard]] std::size_t entries() const { return std::size_t{1} << k_; }
   [[nodiscard]] const Codebook& codebook() const { return cb_; }
 
-  /// Packed entry for a k-bit window: symbol << 8 | code length, or 0
-  /// (length 0) when the window needs the slow path.
-  [[nodiscard]] const u32* data() const { return table_.data(); }
+  /// Packed u64 entry per k-bit window: bits 0-4 hold the bits its whole
+  /// codewords consume (0: escape, the first codeword is not whole), bits
+  /// 5-9 the first codeword's length, bits 10-13 the codeword count, and
+  /// bits 16-63 the symbols, first symbol lowest.
+  [[nodiscard]] const u64* data() const { return table_.get(); }
 
  private:
   const Codebook& cb_;
   unsigned k_;
-  std::vector<u32> table_;
+  std::unique_ptr<u64[]> table_;  ///< not zeroed: the build writes all
 };
+
+extern template class DecodeTable<u8>;
+extern template class DecodeTable<u16>;
 
 /// One run of a bit cursor. Decoding starts at bit `start` of `words`
 /// (readable up to `total_bits`) and fills the plan's output pieces
@@ -116,13 +136,14 @@ struct SegmentPlan {
 /// `poll` and once per 64 Ki decoded symbols. Segments are independent, so
 /// on a throw the output is unspecified.
 template <typename Sym>
-void decode_segments(const DecodeTable& table, const SegmentPlan<Sym>& plan,
+void decode_segments(const DecodeTable<Sym>& table,
+                     const SegmentPlan<Sym>& plan,
                      const CancelToken* cancel = nullptr);
 
-extern template void decode_segments<u8>(const DecodeTable&,
+extern template void decode_segments<u8>(const DecodeTable<u8>&,
                                          const SegmentPlan<u8>&,
                                          const CancelToken*);
-extern template void decode_segments<u16>(const DecodeTable&,
+extern template void decode_segments<u16>(const DecodeTable<u16>&,
                                           const SegmentPlan<u16>&,
                                           const CancelToken*);
 

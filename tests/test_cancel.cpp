@@ -19,6 +19,7 @@
 
 #include <omp.h>
 
+#include "core/canonical.hpp"
 #include "core/decode.hpp"
 #include "core/decode_gaparray.hpp"
 #include "core/decode_simt.hpp"
@@ -380,6 +381,25 @@ TEST(CancelSite, InterleavedDecodesAbortAfterTheFirstPoll) {
   expires_after_first_poll("decode_segment", [&](const CancelToken* t) {
     return sd.decode_segment(frame, t);
   });
+}
+
+TEST(CancelSite, DecodePollsWithinOneLongChunk) {
+  // One chunk polls only once at its entry, so the 64 Ki-symbol stride is
+  // all that bounds the time to notice a cancel. 1- and 2-bit codes pack
+  // several codewords into one table lookup; the stride must still count
+  // symbols, not lookups.
+  constexpr std::size_t n = std::size_t{1} << 20;
+  const Codebook cb = canonize_from_lengths(std::vector<u8>{1, 2, 2});
+  Xoshiro256 rng(5);
+  std::vector<u8> data(n);
+  for (auto& v : data) v = static_cast<u8>(rng.below(3));
+  const EncodedStream s = encode_serial<u8>(data, cb, n);
+  ASSERT_EQ(s.chunks(), 1u);
+  VirtualClock vc;
+  CancelToken tok;
+  tok.arm_deadline(vc.peek() + Clock::dur(3600.0), vc);
+  EXPECT_EQ(decode_stream<u8>(s, cb, /*threads=*/1, &tok), data);
+  EXPECT_GE(vc.queries(), n / (std::size_t{1} << 16));
 }
 
 // --- Service-level propagation. ----------------------------------------------

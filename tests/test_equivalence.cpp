@@ -238,7 +238,7 @@ std::vector<Sym> bitserial_decode(const EncodedStream& s, const Codebook& cb) {
 /// The interleaved table core over every chunk.
 template <typename Sym>
 std::vector<Sym> table_decode(const EncodedStream& s, const Codebook& cb) {
-  const DecodeTable table(cb);
+  const DecodeTable<Sym> table(cb);
   std::vector<Sym> out(s.n_symbols);
   const std::vector<std::size_t> index = overflow_index(s);
   SegmentPlan<Sym> plan;

@@ -844,6 +844,10 @@ TEST(FuzzOverflow, ForgedTableBoundsFailTyped) {
   EncodedStream bits = enc;
   bits.overflow_bits = bits.overflow_payload.size() * kWordBits + 1;
   expect_container_failure(container_of(cb, bits), "overflow bits range");
+  EncodedStream past = enc;  // the last entry's bits start at the end
+  past.overflow.back().bit_offset = past.overflow_bits;
+  ASSERT_GT(past.overflow.back().bit_len, 0u);
+  expect_container_failure(container_of(cb, past), "overflow entry range");
 }
 
 // The reader's checks on the codebook section and the optional fields,

@@ -117,6 +117,52 @@ TEST(GapDecode, RejectsBadSubsequenceSizes) {
   EXPECT_THROW(annotate_gaps(enc, deep, 64), std::invalid_argument);
 }
 
+TEST(GapDecode, ForgedInMemoryMetadataFailsTyped) {
+  // The container parser rejects most of these shapes first; a caller's
+  // in-memory stream reaches the decoder's own checks.
+  const auto input = data::generate_text(20000, 19);
+  const Codebook cb = build_codebook_serial(hist_of(input, 256));
+  EncodedStream enc = encode_serial<u8>(input, cb, 4096);
+  annotate_gaps(enc, cb);
+  ASSERT_GE(enc.gap_subsequences(0), 2u);
+  ASSERT_EQ(decode_gaparray<u8>(enc, cb), input);
+  const auto fails_with = [&](const char* what, auto&& forge) {
+    EncodedStream s = enc;
+    forge(s);
+    try {
+      (void)decode_gaparray<u8>(s, cb);
+      ADD_FAILURE() << "decoded despite: " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::strstr(e.what(), what), nullptr) << e.what();
+    }
+  };
+  fails_with("invalid subsequence size",
+             [](EncodedStream& s) { s.gap_subseq_bits = 32; });
+  fails_with("metadata size mismatch", [](EncodedStream& s) {
+    s.gaps.pop_back();
+    s.gap_counts.pop_back();
+  });
+  fails_with("count on codeword-free subsequence",
+             [](EncodedStream& s) { s.gaps[1] = EncodedStream::kNoGap; });
+  fails_with("corrupt gap entry", [&](EncodedStream& s) {
+    s.gaps[1] = static_cast<u8>(cb.max_len);
+  });
+  fails_with("symbol count mismatch",
+             [](EncodedStream& s) { ++s.gap_counts[1]; });
+
+  // Annotation decodes the stream itself: a chunk whose recorded length
+  // overstates its codewords fails there.
+  EncodedStream longer = encode_serial<u8>(input, cb, 4096);
+  longer.chunk_bits[0] += 1;
+  try {
+    annotate_gaps(longer, cb);
+    ADD_FAILURE() << "annotated a chunk of the wrong length";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::strstr(e.what(), "chunk bit length mismatch"), nullptr)
+        << e.what();
+  }
+}
+
 TEST(GapDecode, EmptyAndTinyInputs) {
   const Codebook cb = canonize_from_lengths(std::vector<u8>{1, 1});
   EncodedStream empty;
