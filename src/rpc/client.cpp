@@ -306,14 +306,22 @@ void RpcClient::drive_stream(Op begin_op, std::vector<u8> data, u8 sym_width,
       // The span is a view into `data` — stream_frame writes it to the
       // wire synchronously, so nothing is copied into an owned frame.
       const std::span<const u8> piece(data.data() + off, n);
-      checksum = stream_checksum(piece, checksum);
+      checksum = container_digest(piece, checksum);
       while (window.size() >= kStreamWindow) drain_one();
       window.push_back(stream_frame(chunk_op, sid, piece).result);
     }
     while (!window.empty()) drain_one();
 
     RpcCall end = stream_end(end_op, sid, data.size(), checksum);
-    (void)end.result.get();  // StreamSummary ack; throws typed on abort
+    // The summary is the server's account of the stream: untrusted bytes
+    // that must agree with what this client sent and received.
+    const StreamSummary sum =
+        decode_stream_summary(std::span<const u8>(end.result.get()));
+    if (sum.bytes_in != data.size() || sum.bytes_out != result.size() ||
+        sum.checksum != checksum) {
+      throw RpcError(Status::kInternal,
+                     "rpc stream: End summary disagrees with the stream");
+    }
     out->set_value(std::move(result));
   } catch (...) {
     // In-flight chunk acks behind the failure still resolve (the reader's

@@ -172,8 +172,9 @@ class RpcClient {
   [[nodiscard]] RpcCall stream_frame(Op op, u64 stream_id,
                                      std::span<const u8> payload);
 
-  /// Close a stream: ships the byte total and chained stream_checksum for
-  /// the server to verify. Resolves to a StreamSummary payload.
+  /// Close a stream: ships the byte total and the container_digest chained
+  /// over the chunk payloads for the server to verify. Resolves to a
+  /// StreamSummary payload.
   [[nodiscard]] RpcCall stream_end(Op op, u64 stream_id, u64 total_bytes,
                                    u64 checksum);
 

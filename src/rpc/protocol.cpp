@@ -81,7 +81,7 @@ Header decode_header(std::span<const u8, kHeaderBytes> b, u32 max_payload) {
   Header h;
   h.request_id = get_le<u64>(b.data() + 8);
   const u8 version = b[4];
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     throw ProtocolError("unsupported version " + std::to_string(version),
                         Status::kUnsupportedVersion, /*can_respond=*/true,
                         h.request_id);

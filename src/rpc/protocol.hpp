@@ -7,7 +7,7 @@
 //
 //   offset  size  field
 //        0     4  magic            0x43524850 ("PHRC")
-//        4     1  version          kVersion only (kMinVersion == kVersion)
+//        4     1  version          kVersion only
 //        5     1  kind             0 request / 1 response
 //        6     1  op               Op (compress/decompress/cancel/stats/
 //                                  health/stream begin-chunk-end)
@@ -53,10 +53,12 @@
 //                 output produced so far by this chunk (possibly empty
 //                 for decompress while a segment straddles chunks).
 //   *StreamEnd    request: StreamEndRequest (u64 total bytes | u64
-//                 stream_checksum over every chunk payload byte, in
-//                 order) — response: StreamSummary (u64 bytes_in |
-//                 u64 bytes_out | u64 checksum). A mismatch aborts the
-//                 stream with kBadRequest.
+//                 checksum: container_digest chained over every chunk
+//                 payload, in order; protocol v5) — response:
+//                 StreamSummary (u64 bytes_in | u64 bytes_out | u64
+//                 checksum), which the client checks against what it
+//                 sent and received. A mismatch aborts the stream with
+//                 kBadRequest.
 //
 // Any stream error (unknown id, oversized chunk, checksum mismatch,
 // deadline, cancel, fault) answers typed on the offending frame and
@@ -98,11 +100,10 @@ namespace parhuff::rpc {
 inline constexpr u32 kMagic = 0x43524850u;  // "PHRC" when read little-endian
 /// Current protocol version. v2 added the health op (kHealth) for in-band
 /// shard probing; v3 added the streaming verbs (Begin/Chunk/End pairs);
-/// v4 adds the fused lossy verbs (kLossyCompress/kLossyDecompress).
-/// Older versions are rejected: the decoder accepts [kMinVersion,
-/// kVersion], which is v4 alone.
-inline constexpr u8 kVersion = 4;
-inline constexpr u8 kMinVersion = kVersion;
+/// v4 added the fused lossy verbs (kLossyCompress/kLossyDecompress); v5
+/// chains container_digest instead of the unfolded lane walk as the
+/// stream checksum. The decoder accepts kVersion alone.
+inline constexpr u8 kVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 32;
 /// Default bound on a single frame's payload; both ends reject bigger
 /// frames (kBadRequest) before allocating.
@@ -269,8 +270,9 @@ inline constexpr std::size_t kHealthInfoBytes = 40;
 
 /// Payload of a *StreamEnd request: what the sender believes it streamed.
 /// 16-byte LE layout: u64 total_bytes | u64 checksum, where checksum is
-/// stream_checksum() chained over every chunk payload byte in send order
-/// (util/hash.hpp). The server verifies both before completing.
+/// container_digest() chained over every chunk payload in send order
+/// (util/hash.hpp), starting from kFnv1aSeed. The server verifies both
+/// before completing.
 struct StreamEndRequest {
   u64 total_bytes = 0;
   u64 checksum = 0;

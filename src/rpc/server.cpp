@@ -512,7 +512,7 @@ std::vector<u8> RpcServer::advance_stream(StreamState& st, const Header& h,
                                 std::to_string(cfg_.stream_chunk_bytes) +
                                 ")");
   }
-  st.checksum = stream_checksum(body, st.checksum);
+  st.checksum = container_digest(body, st.checksum);
   st.bytes_in += body.size();
   reg.counter_add("rpc.stream_chunks");
   reg.counter_add("rpc.stream_bytes_in", body.size());

@@ -23,8 +23,9 @@
 // core object (StreamingCompressor, or core's StreamReader) in its
 // writer slot — encode/decode of chunk N overlaps the reader pulling
 // chunk N+1 off the wire — and answers with the output produced so far;
-// End verifies the whole-stream byte count + stream_checksum and answers
-// a StreamSummary. The stream's deadline is anchored once at Begin and
+// End verifies the whole-stream byte count + the chained container_digest
+// (protocol v5) and answers a StreamSummary. The stream's deadline is
+// anchored once at Begin and
 // its CancelToken is registered under the Begin request id, so kCancel
 // aborts a stream exactly like a single-frame request. Any stream error
 // answers typed on the offending frame and forgets the id; because every

@@ -1,6 +1,7 @@
 // Cross-process RPC front-end: wire-protocol round-trips and rejection
 // cases, loopback transport semantics (clean vs mid-frame EOF), client
-// reconnect over the injected clock, deterministic cancel/deadline
+// reconnect over the injected clock, forged server responses the client
+// must fail typed, deterministic cancel/deadline
 // propagation through a frozen VirtualClock, the unix-socket end-to-end
 // mixed workload (64+ concurrent requests from 4 client threads), and the
 // loopback fault-storm that arms every rpc.* site and proves the
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -135,10 +137,9 @@ TEST(RpcProtocol, DecodeRejectsBadMagicWithoutResponding) {
 }
 
 TEST(RpcProtocol, DecodeRejectsBadVersionButCanRespond) {
-  // Only the current version is accepted: every peer speaks v4, so both a
-  // future and an older (v3) version byte answer kUnsupportedVersion.
-  static_assert(rpc::kMinVersion == rpc::kVersion);
-  for (const u8 version : {u8{rpc::kVersion + 1}, u8{3}}) {
+  // Only the current version is accepted: every peer speaks kVersion, so
+  // a future and every older version byte answer kUnsupportedVersion.
+  for (const u8 version : {u8{3}, u8{4}, u8{rpc::kVersion + 1}}) {
     Header h;
     h.request_id = 77;
     auto bytes = rpc::encode_header(h);
@@ -442,6 +443,183 @@ TEST(RpcClientTest, ServerDeathMidStreamSweepsEveryPendingFuture) {
     }
   }
   EXPECT_TRUE(ok);
+}
+
+TEST(RpcClientTest, MisuseThrowsBeforeAnythingIsSent) {
+  EXPECT_THROW({ RpcClient c{RpcClient::Connector{}}; },
+               std::invalid_argument);
+  LoopbackHub hub;
+  RpcClient cli([&] { return hub.connect(); });
+  EXPECT_THROW((void)cli.stream_begin(Op::kCompressStreamChunk),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli.stream_frame(Op::kCompressStreamBegin, 1, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli.stream_end(Op::kCompressStreamChunk, 1, 0, 0),
+               std::invalid_argument);
+}
+
+// --- Client: untrusted responses. --------------------------------------------
+//
+// A server's answers are untrusted bytes to the client. These tests play
+// the server by hand on the server half of a loopback connection and
+// forge what it answers; every forgery must fail the caller's future
+// typed.
+
+/// Reads one request frame off the server half of a connection.
+Frame read_request(rpc::Connection& conn) {
+  std::array<u8, rpc::kHeaderBytes> hb;
+  if (!conn.read_exact(hb.data(), hb.size())) {
+    throw TransportError("test: EOF instead of a request");
+  }
+  Frame f;
+  f.h = rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(hb));
+  f.payload.resize(f.h.payload_len);
+  if (f.h.payload_len > 0 &&
+      !conn.read_exact(f.payload.data(), f.payload.size())) {
+    throw TransportError("test: EOF mid-request");
+  }
+  return f;
+}
+
+/// Answers `req` with a frame of `kind` (a response, unless forged)
+/// carrying `payload`.
+void answer(rpc::Connection& conn, const Header& req,
+            std::vector<u8> payload, Kind kind = Kind::kResponse) {
+  Frame f{req, std::move(payload)};
+  f.h.kind = kind;
+  const std::vector<u8> bytes = rpc::encode_frame(f);
+  conn.write_all(bytes.data(), bytes.size());
+}
+
+/// A client whose compress() of ramp_data(kStreamedBytes) streams in
+/// kChunkBytes chunks, and the server half of its connection.
+struct ForgedPeer {
+  static constexpr std::size_t kChunkBytes = 1024;
+  static constexpr std::size_t kStreamedBytes = 4 * kChunkBytes;
+
+  LoopbackHub hub;
+  std::unique_ptr<rpc::Listener> listener = hub.listener();
+  RpcClient cli{[this] { return hub.connect(); }, [] {
+                  ClientConfig cc;
+                  cc.max_payload_bytes = kStreamedBytes / 2;
+                  cc.stream_chunk_bytes = kChunkBytes;
+                  return cc;
+                }()};
+  std::unique_ptr<rpc::Connection> server;
+
+  /// Takes `call`, whose first frame is already sent, and accepts the
+  /// server half of the connection it went out on (a redial after the
+  /// last forgery dropped `server`).
+  RpcCall start(RpcCall call) {
+    if (!server) server = listener->accept();
+    return call;
+  }
+};
+
+TEST(RpcClientUntrusted, ShortStreamIdInBeginResponseFailsTyped) {
+  ForgedPeer peer;
+  RpcCall call = peer.start(
+      peer.cli.compress(ramp_data(ForgedPeer::kStreamedBytes)));
+  const Frame begin = read_request(*peer.server);
+  ASSERT_EQ(begin.h.op, Op::kCompressStreamBegin);
+  answer(*peer.server, begin.h, {1, 2, 3});  // a stream id is 8 bytes
+  try {
+    (void)call.result.get();
+    FAIL() << "a 3-byte stream id must fail typed";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kInternal);
+    EXPECT_NE(std::string(e.what()).find("short stream-id payload"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RpcClientUntrusted, EndSummaryMustAgreeWithTheStream) {
+  // The fake server acks every chunk with two bytes and answers End with
+  // the summary an honest server would send, with `forge` applied.
+  const auto stream = [](ForgedPeer& peer,
+                         const std::function<void(rpc::StreamSummary&)>&
+                             forge) {
+    RpcCall call = peer.start(
+        peer.cli.compress(ramp_data(ForgedPeer::kStreamedBytes)));
+    u64 acked = 0;
+    for (;;) {
+      const Frame req = read_request(*peer.server);
+      if (req.h.op == Op::kCompressStreamBegin) {
+        std::vector<u8> sid(8, 0);
+        sid[0] = 42;
+        answer(*peer.server, req.h, std::move(sid));
+      } else if (req.h.op == Op::kCompressStreamChunk) {
+        answer(*peer.server, req.h, {0xAB, 0xCD});
+        acked += 2;
+      } else {
+        const rpc::StreamEndRequest end =
+            rpc::decode_stream_end_request(req.payload);
+        rpc::StreamSummary sum{end.total_bytes, acked, end.checksum};
+        forge(sum);
+        answer(*peer.server, req.h, rpc::encode_stream_summary(sum));
+        return call;
+      }
+    }
+  };
+
+  ForgedPeer peer;
+  RpcCall honest = stream(peer, [](rpc::StreamSummary&) {});
+  EXPECT_EQ(honest.result.get().size(),
+            2 * ForgedPeer::kStreamedBytes / ForgedPeer::kChunkBytes);
+  for (const auto& forge :
+       std::vector<std::function<void(rpc::StreamSummary&)>>{
+           [](rpc::StreamSummary& s) { ++s.bytes_in; },
+           [](rpc::StreamSummary& s) { ++s.bytes_out; },
+           [](rpc::StreamSummary& s) { s.checksum ^= 1; }}) {
+    RpcCall call = stream(peer, forge);
+    try {
+      (void)call.result.get();
+      ADD_FAILURE() << "a forged summary must fail typed";
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.status(), Status::kInternal);
+      EXPECT_NE(std::string(e.what()).find("End summary disagrees"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RpcClientUntrusted, MalformedResponseFramesFailTheConnectionTyped) {
+  // Each forgery kills the connection: the pending call fails with a
+  // TransportError naming the cause, and the next call redials.
+  ForgedPeer peer;
+  const auto data = ramp_data(100);
+  const auto forged = [&](const std::function<void(const Header&)>& forge,
+                          const std::string& what) {
+    RpcCall call = peer.start(peer.cli.compress(std::span<const u8>(data)));
+    forge(read_request(*peer.server).h);
+    try {
+      (void)call.result.get();
+      ADD_FAILURE() << "expected a TransportError naming \"" << what << "\"";
+    } catch (const TransportError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+    peer.server.reset();  // the client shut its half; redial next time
+  };
+  // A header that promises a payload, then a clean EOF where it starts.
+  forged(
+      [&](const Header& req) {
+        Header h = req;
+        h.kind = Kind::kResponse;
+        h.payload_len = 100;
+        const auto hb = rpc::encode_header(h);
+        peer.server->write_all(hb.data(), hb.size());
+        peer.server->shutdown();
+      },
+      "EOF before payload");
+  // A request frame where only responses may arrive.
+  forged(
+      [&](const Header& req) {
+        answer(*peer.server, req, {}, Kind::kRequest);
+      },
+      "request frame on the response stream");
 }
 
 TEST(RpcHealthVerb, ServerAnswersInBandProbe) {
@@ -784,6 +962,9 @@ TEST(RpcLossyProtocol, RequestHeaderRoundTripsEveryField) {
 TEST(RpcLossyProtocol, FieldPayloadRejectsDimsMismatch) {
   rpc::LossyFieldHeader h{4, 4, 4, 0.01};
   auto bytes = rpc::encode_lossy_field_header(h);
+  EXPECT_THROW((void)rpc::decode_lossy_field_payload(
+                   std::span<const u8>(bytes.data(), bytes.size() - 1)),
+               ProtocolError);  // no whole header
   bytes.resize(bytes.size() + 63 * sizeof(float), 0);  // 63 floats != 64
   EXPECT_THROW((void)rpc::decode_lossy_field_payload(bytes), ProtocolError);
   bytes.resize(rpc::kLossyFieldHeaderBytes + 64 * sizeof(float), 0);
@@ -919,6 +1100,19 @@ TEST(RpcLossy, BadDimsAndBadNbinsFailTyped) {
   } catch (const RpcError& e) {
     EXPECT_EQ(e.status(), Status::kBadRequest);
   }
+
+  // No whole header at all: the server's parse fails before any dims.
+  const std::vector<u8> short_header(rpc::kLossyRequestHeaderBytes - 1, 0);
+  try {
+    (void)cli.lossy_compress_raw(std::span<const u8>(short_header), 2)
+        .result.get();
+    FAIL() << "a 47-byte lossy request must fail typed";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("lossy request payload too short"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RpcLossy, MalformedContainerFailsTypedOnDecompress) {
@@ -947,10 +1141,11 @@ TEST(RpcLossy, MalformedContainerFailsTypedOnDecompress) {
 }
 
 TEST(RpcLossy, FutureVersionFramesRejectTypedNotHang) {
-  // The negotiation story for the new ops: a peer that does not speak v4
-  // answers the version gate with kUnsupportedVersion — a probe result,
-  // not a dead connection. Simulate the inverse here: a frame from a
-  // hypothetical v5 client reaches this server and must come back typed.
+  // The negotiation story for the new ops: a peer that does not speak the
+  // current version answers the version gate with kUnsupportedVersion — a
+  // probe result, not a dead connection. Simulate the inverse here: a
+  // frame from a hypothetical kVersion + 1 client reaches this server and
+  // must come back typed.
   LoopbackHub hub;
   RpcServer server(hub.listener());
   auto conn = hub.connect();

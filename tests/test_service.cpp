@@ -311,36 +311,47 @@ TEST(Service, BatchesNeverMixConfigs) {
 // --- Backpressure. -----------------------------------------------------------
 
 TEST(Service, RejectPolicyThrowsAtTheOutstandingBound) {
+  // Two small requests with one config sit in the scheduler's batch
+  // window, which waits on a virtual clock that does not move: both stay
+  // outstanding until the test advances it, whatever the thread timing.
+  util::VirtualClock vc;
   svc::ServiceConfig sc;
   sc.workers = 1;
   sc.queue_capacity = 2;
   sc.overflow = svc::OverflowPolicy::kReject;
-  sc.batch_window_seconds = 0;
+  sc.batch_window_seconds = 1.0;
+  sc.clock = &vc;
   svc::CompressionService<u8> service(sc);
   const PipelineConfig cfg = serial_config();
 
-  // Large enough that neither request can complete in the microseconds
-  // between the submits, so the third submit deterministically sees the
-  // bound.
-  const auto slow = data::generate_text(4u << 20, 5);
+  const auto text = data::generate_text(4096, 5);
+  ASSERT_LE(text.size(), sc.batch_eligible_symbols);
   const u64 rejected_before =
       obs::MetricsRegistry::global().counter("svc.rejected_requests");
 
-  auto f1 = service.submit(std::span<const u8>(slow), cfg);
-  auto f2 = service.submit(std::span<const u8>(slow), cfg);
-  EXPECT_THROW((void)service.submit(std::span<const u8>(slow), cfg),
+  auto f1 = service.submit(std::span<const u8>(text), cfg);
+  auto f2 = service.submit(std::span<const u8>(text), cfg);
+  EXPECT_THROW((void)service.submit(std::span<const u8>(text), cfg),
                svc::QueueFullError);
   EXPECT_EQ(obs::MetricsRegistry::global().counter("svc.rejected_requests"),
             rejected_before + 1);
 
-  // The admitted requests are unaffected.
-  EXPECT_EQ(svc::decompress(f1.get()), slow);
-  EXPECT_EQ(svc::decompress(f2.get()), slow);
+  // The admitted requests are unaffected once the window closes. Time
+  // moves until the batch holding `f` dispatches: the scheduler may open
+  // its window only after a first advance.
+  const auto result = [&](std::future<svc::CompressResult<u8>>& f) {
+    while (f.wait_for(std::chrono::milliseconds(1)) !=
+           std::future_status::ready) {
+      vc.advance_seconds(2.0);
+    }
+    return svc::decompress(f.get());
+  };
+  EXPECT_EQ(result(f1), text);
+  EXPECT_EQ(result(f2), text);
   // Capacity freed: submitting works again.
   service.drain();
-  EXPECT_EQ(svc::decompress(
-                service.submit(std::span<const u8>(slow), cfg).get()),
-            slow);
+  auto f3 = service.submit(std::span<const u8>(text), cfg);
+  EXPECT_EQ(result(f3), text);
 }
 
 TEST(Service, BlockPolicyStallsSubmittersUntilCapacityFrees) {

@@ -1,13 +1,13 @@
-// Protocol-v3 streaming verbs: chunked compress/decompress frames that
-// lift the single-frame payload cap. Covers the wire format (stream-id
-// slot, End/Summary payloads), the transparent client-side chunker, the
-// server's bounded per-stream buffering, typed stream errors
-// (unknown/forged ids, checksum and byte-total mismatches, family mixing,
-// Begin past the cap), cancel and Begin-anchored deadlines, the
-// opened == completed + aborted counter balance, multi-MiB unix-socket
-// frames (partial-write resume in write_two), mid-chunk truncation, and
-// the full client → router → shard round trip with stream pinning,
-// id translation and terminal mid-stream failover.
+// Protocol-v3 streaming verbs: chunked compress/decompress frames that lift
+// the single-frame payload cap. Covers the wire format (stream-id slot,
+// End/Summary payloads), the transparent client-side chunker, the server's
+// bounded per-stream buffering, typed stream errors (unknown/forged ids,
+// checksum and byte-total mismatches, paired bit-63 flips in two chunks,
+// family mixing, Begin past the cap), cancel and Begin-anchored deadlines,
+// the opened == completed + aborted counter balance, multi-MiB unix-socket
+// frames (partial-write resume in write_two), mid-chunk truncation, and the
+// full client → router → shard round trip with stream pinning, id
+// translation and terminal mid-stream failover.
 
 #include <gtest/gtest.h>
 
@@ -244,7 +244,7 @@ TEST(RpcStream, ManualVerbsChecksumAndSummary) {
   for (const auto piece :
        {std::span<const u8>(data.data(), half),
         std::span<const u8>(data.data() + half, data.size() - half)}) {
-    checksum = stream_checksum(piece, checksum);
+    checksum = container_digest(piece, checksum);
     const std::vector<u8> ack =
         cli.stream_frame(Op::kCompressStreamChunk, sid, piece).result.get();
     container.insert(container.end(), ack.begin(), ack.end());
@@ -408,7 +408,8 @@ TEST(RpcStream, ChecksumAndByteTotalMismatchesAreTyped) {
   const u64 wrong_total = open_and_feed();
   try {
     (void)cli.stream_end(Op::kCompressStreamEnd, wrong_total,
-                         data.size() + 1, stream_checksum(std::span<const u8>(data)))
+                         data.size() + 1,
+                         container_digest(std::span<const u8>(data)))
         .result.get();
     FAIL() << "wrong byte total must fail typed";
   } catch (const RpcError& e) {
@@ -433,6 +434,45 @@ u64 open_stream(RpcClient& cli, Op begin_op, u8 sym_width) {
   u64 sid = 0;
   std::memcpy(&sid, bytes.data(), 8);
   return sid;
+}
+
+TEST(RpcStream, PairedTopBitFlipsAcrossChunksFailTheChecksum) {
+  // The wire twin of Format.PairedTopBitFlipsFailTheDigest. Bit 7 of byte
+  // 7 of a lane is the lane's bit 63. A chain that only multiplies keeps a
+  // difference there in bit 63 from chunk to chunk, so a flip in a lane of
+  // chunk 1 and one in a lane of chunk 2 would cancel, and End would
+  // accept bytes the sender never sent.
+  LoopbackHub hub;
+  RpcServer server(hub.listener());
+  RpcClient cli([&] { return hub.connect(); });
+
+  constexpr std::size_t kChunk = 1024;  // whole lanes: chunks start on one
+  const auto data = ramp_data(3 * kChunk, 53);
+  const auto chunk = [](const std::vector<u8>& v, std::size_t i) {
+    return std::span<const u8>(v.data() + i * kChunk, kChunk);
+  };
+  u64 checksum = kFnv1aSeed;
+  for (std::size_t i = 0; i < 3; ++i) {
+    checksum = container_digest(chunk(data, i), checksum);
+  }
+  std::vector<u8> sent = data;
+  sent[1 * kChunk + 3 * 8 + 7] ^= 0x80;  // lane 3 of chunk 1
+  sent[2 * kChunk + 5 * 8 + 7] ^= 0x80;  // lane 5 of chunk 2
+
+  const u64 sid = open_stream(cli, Op::kCompressStreamBegin, 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    (void)cli.stream_frame(Op::kCompressStreamChunk, sid, chunk(sent, i))
+        .result.get();
+  }
+  expect_bad_request(
+      cli.stream_end(Op::kCompressStreamEnd, sid, data.size(), checksum),
+      "stream checksum mismatch");
+
+  // The abort ended that stream only: the client still round-trips.
+  const std::vector<u8> container =
+      cli.compress(std::span<const u8>(data)).result.get();
+  EXPECT_EQ(cli.decompress(std::span<const u8>(container)).result.get(),
+            data);
 }
 
 TEST(RpcStream, OddLengthU16PayloadsFailTyped) {
@@ -492,7 +532,7 @@ TEST(RpcStream, DecompressVerbsReadTheFrozenPhs2AndPhf3Containers) {
   for (std::size_t at = 0; at < phs2.size(); at += 1000) {
     const auto piece =
         phs2.subspan(at, std::min<std::size_t>(1000, phs2.size() - at));
-    checksum = stream_checksum(piece, checksum);
+    checksum = container_digest(piece, checksum);
     const std::vector<u8> out =
         cli.stream_frame(Op::kDecompressStreamChunk, sid, piece).result.get();
     chunked.insert(chunked.end(), out.begin(), out.end());
