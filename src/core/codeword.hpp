@@ -1,7 +1,6 @@
 #pragma once
-// Codeword value type and the MERGE operation from §IV-C.
-
-#include <cassert>
+// Codeword value type and the merged cell whose append is the MERGE
+// operation of §IV-C.
 
 #include "util/types.hpp"
 
@@ -16,28 +15,10 @@ struct Codeword {
   friend bool operator==(const Codeword&, const Codeword&) = default;
 };
 
-/// MERGE((a,l)_2k, (a,l)_2k+1) = (a_2k ⊕ a_2k+1, l_2k + l_2k+1): concatenate
-/// the right codeword's bits after the left's. Non-commutative; `ok` is
-/// false when the result would not fit the 64-bit register, which is the
-/// in-register analogue of a breaking point.
-struct MergeResult {
-  Codeword cw;
-  bool ok;
-};
-
-[[nodiscard]] inline MergeResult merge(Codeword left, Codeword right) {
-  const unsigned total = static_cast<unsigned>(left.len) + right.len;
-  if (total > 64) return {Codeword{}, false};
-  // (left.bits << right.len) needs care when right.len == 64 (left must be
-  // empty then, and the shift would be UB).
-  const u64 merged =
-      right.len == 64 ? right.bits : (left.bits << right.len) | right.bits;
-  return {Codeword{merged, static_cast<u8>(total)}, true};
-}
-
 /// A merged run of codewords held in a fixed-width cell, as used by the
-/// REDUCE-merge kernel. `width` is the cell width in bits (32 in the paper's
-/// configuration); a run whose length exceeds the width is *breaking*.
+/// REDUCE-merge kernel. `Width` is the cell width in bits (32 in the
+/// paper's configuration); a run whose length exceeds the width is
+/// *breaking*.
 template <unsigned Width>
 struct MergedCell {
   static_assert(Width <= 64);
@@ -45,8 +26,9 @@ struct MergedCell {
   u16 len = 0;       ///< total bits; valid only when !breaking
   bool breaking = false;
 
-  /// Append another cell's contents; marks breaking on overflow or if
-  /// either side is already breaking.
+  /// MERGE((a,l)_2k, (a,l)_2k+1) = (a_2k ⊕ a_2k+1, l_2k + l_2k+1): append
+  /// the right cell's bits after this one's. Non-commutative; marks
+  /// breaking on overflow or if either side is already breaking.
   void append(const MergedCell& right) {
     if (breaking || right.breaking ||
         static_cast<unsigned>(len) + right.len > Width) {

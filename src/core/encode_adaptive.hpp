@@ -23,13 +23,15 @@
 // uint32_t configuration; 64 trades double the shuffle traffic for another
 // 2x merge headroom (the uint{8,16,32}_t discussion of §IV-C).
 //
-// As for the fixed-r encoder, encode_adaptive_simt simulates the kernel and
-// emit_adaptive writes the same stream, stats and MemTally in one host pass
-// (core/merge.hpp).
+// Two entry points produce the same stream, as for the fixed-r encoder:
+// encode_adaptive_simt runs merging::simulate and emit_adaptive runs
+// merging::emit (core/merge.hpp), both with the one per-chunk rule above
+// as their reduce_of, so they write the same stream, stats and MemTally.
 
 #include <array>
 #include <span>
 
+#include "core/cancel.hpp"
 #include "core/canonical.hpp"
 #include "core/encoded.hpp"
 #include "simt/mem_model.hpp"
@@ -59,44 +61,46 @@ struct AdaptiveStats {
   friend bool operator==(const AdaptiveStats&, const AdaptiveStats&) = default;
 };
 
+/// `cancel` is polled once per chunk (= one thread block) — see
+/// core/cancel.hpp.
 template <typename Sym, unsigned Width = 32>
 [[nodiscard]] EncodedStream encode_adaptive_simt(
     std::span<const Sym> data, const Codebook& cb,
     const AdaptiveConfig& cfg = {}, simt::MemTally* tally = nullptr,
-    AdaptiveStats* stats = nullptr);
+    AdaptiveStats* stats = nullptr, const CancelToken* cancel = nullptr);
 
 /// The same stream, stats and MemTally as encode_adaptive_simt, from the
-/// one-pass host emitter (core/merge.hpp).
+/// one-pass host emitter (core/merge.hpp). `cancel` is polled once per
+/// chunk.
 template <typename Sym, unsigned Width = 32>
-[[nodiscard]] EncodedStream emit_adaptive(std::span<const Sym> data,
-                                          const Codebook& cb,
-                                          const AdaptiveConfig& cfg = {},
-                                          simt::MemTally* tally = nullptr,
-                                          AdaptiveStats* stats = nullptr);
+[[nodiscard]] EncodedStream emit_adaptive(
+    std::span<const Sym> data, const Codebook& cb,
+    const AdaptiveConfig& cfg = {}, simt::MemTally* tally = nullptr,
+    AdaptiveStats* stats = nullptr, const CancelToken* cancel = nullptr);
 
 extern template EncodedStream encode_adaptive_simt<u8, 32>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream encode_adaptive_simt<u16, 32>(
     std::span<const u16>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream encode_adaptive_simt<u8, 64>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream encode_adaptive_simt<u16, 64>(
     std::span<const u16>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream emit_adaptive<u8, 32>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream emit_adaptive<u16, 32>(
     std::span<const u16>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream emit_adaptive<u8, 64>(
     std::span<const u8>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 extern template EncodedStream emit_adaptive<u16, 64>(
     std::span<const u16>, const Codebook&, const AdaptiveConfig&,
-    simt::MemTally*, AdaptiveStats*);
+    simt::MemTally*, AdaptiveStats*, const CancelToken*);
 
 }  // namespace parhuff

@@ -29,11 +29,13 @@
 // The decoded output is identical to the baseline encoders'; when no group
 // breaks, the chunk payload is bit-identical too.
 //
-// Two entry points produce the same stream. encode_reduceshuffle_simt
-// simulates the kernel above thread by thread on the SIMT substrate — the
-// model the kernel benches (Table II, Fig. 3, ablation) study.
-// emit_reduceshuffle writes the same bytes in one host pass and charges the
-// same MemTally from lengths (core/merge.hpp); compress() runs it.
+// Two entry points produce the same stream, each a thin wrapper that passes
+// the constant r as reduce_of. encode_reduceshuffle_simt runs
+// merging::simulate, the kernel above thread block by thread block on the
+// SIMT substrate — the model the kernel benches (Table II, Fig. 3,
+// ablation) study. emit_reduceshuffle runs merging::emit, which writes the
+// same bytes in one host pass and charges the same MemTally from lengths
+// (core/merge.hpp); compress() runs it.
 
 #include <span>
 

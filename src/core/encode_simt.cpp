@@ -1,9 +1,9 @@
 #include "core/encode_simt.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
+#include "core/bitstream.hpp"
 #include "simt/block.hpp"
 
 namespace parhuff {
@@ -55,28 +55,6 @@ EncodedStream size_chunks(std::span<const Sym> data, const Codebook& cb,
   return out;
 }
 
-/// Serially concatenate codewords of [begin, end) into `dst` (pre-zeroed).
-template <typename Sym>
-void write_codes(std::span<const Sym> data, std::size_t begin,
-                 std::size_t end, const Codebook& cb, word_t* dst) {
-  u64 bitpos = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const Codeword c = cb.cw[static_cast<std::size_t>(data[i])];
-    u64 v = c.bits;
-    unsigned remaining = c.len;
-    while (remaining > 0) {
-      const std::size_t w = static_cast<std::size_t>(bitpos / kWordBits);
-      const unsigned off = static_cast<unsigned>(bitpos % kWordBits);
-      const unsigned room = kWordBits - off;
-      const unsigned take = remaining < room ? remaining : room;
-      const u64 piece = (v >> (remaining - take)) & ((u64{1} << take) - 1);
-      dst[w] |= static_cast<word_t>(piece << (room - take));
-      bitpos += take;
-      remaining -= take;
-    }
-  }
-}
-
 }  // namespace
 
 template <typename Sym>
@@ -104,8 +82,12 @@ EncodedStream encode_coarse_simt(std::span<const Sym> data, const Codebook& cb,
       const std::size_t begin = c * chunk_symbols;
       const std::size_t end =
           std::min<std::size_t>(begin + chunk_symbols, data.size());
-      write_codes(data, begin, end, cb,
-                  out.payload.data() + out.chunk_word_offset[c]);
+      CellWriter w(out.payload.data() + out.chunk_word_offset[c]);
+      for (std::size_t i = begin; i < end; ++i) {
+        const Codeword cw = cb.cw[static_cast<std::size_t>(data[i])];
+        w.put(cw.bits, cw.len);
+      }
+      w.finish();
       const u64 n = end - begin;
       blk.tally().global_read(n, sizeof(Sym), simt::Pattern::kStrided);
       blk.tally().shared_access(n, sizeof(Codeword));  // cached codebook

@@ -1,15 +1,19 @@
 #pragma once
-// Pieces shared by the merge encoders — the reduce/shuffle kernel (§IV-C)
-// and its adaptive extension — in both of their forms:
+// The merge encoder — the reduce/shuffle kernel (§IV-C) and its adaptive
+// extension (§VII) — in its two forms, each written once and
+// parameterized by `reduce_of(c, chunk)`, the chunk's r: a constant for
+// the fixed-r kernel, the per-chunk rule for the adaptive one.
 //
-//  * the full SIMT kernels (encode_reduceshuffle_simt, encode_adaptive_simt)
-//    simulate the paper's GPU kernel thread by thread; the kernel benches
-//    and the tests run them;
-//  * the host emitters (emit_reduceshuffle, emit_adaptive) write the same
-//    stream in one pass: per group of 2^r symbols they concatenate the
-//    codewords into one u64 cell, send a cell wider than the cell width to
-//    the overflow section, and stream every other cell through a CellWriter.
-//    compress() and the service run these.
+//  * simulate runs the paper's GPU kernel thread block by thread block on
+//    the SIMT substrate: lookup, REDUCE-merge, the breaking scan with its
+//    backtrace, SHUFFLE-merge, then the coalescing-copy launch. The kernel
+//    benches and the tests run it (encode_reduceshuffle_simt,
+//    encode_adaptive_simt).
+//  * emit writes the same stream in one host pass: per group of 2^r
+//    symbols it concatenates the codewords into one u64 cell, sends a cell
+//    wider than the cell width to the overflow section, and streams every
+//    other cell through a CellWriter. compress() and the service run it
+//    (emit_reduceshuffle, emit_adaptive).
 //
 // Both forms charge the kernel's modeled cost through charge_block and its
 // neighbours below. Every charge is a function of lengths only — the chunk
@@ -30,7 +34,9 @@
 #include "core/bitstream.hpp"
 #include "core/cancel.hpp"
 #include "core/canonical.hpp"
+#include "core/codeword.hpp"
 #include "core/encoded.hpp"
+#include "simt/block.hpp"
 #include "simt/mem_model.hpp"
 #include "util/parallel.hpp"
 #include "util/types.hpp"
@@ -54,9 +60,8 @@ struct BlockShape {
   std::size_t slot_words = 1;  ///< 32-bit words per merged cell
 };
 
-/// Launches per encode: the merge grid and the coalescing-copy grid. The
-/// full kernels get them from their two simt::launch calls; the emitters
-/// add them.
+/// Launches per encode: the merge grid and the coalescing-copy grid.
+/// simulate gets them from its two simt::launch calls; emit adds them.
 inline constexpr u64 kLaunches = 2;
 
 /// Charge one block of the merge grid: lookup, REDUCE-merge, the breaking
@@ -129,13 +134,146 @@ struct BreakingCount {
 BreakingCount merge_overflow(EncodedStream& out,
                              std::span<const OverflowSection> sections);
 
-// --- Host emitter --------------------------------------------------------
+// --- The two forms --------------------------------------------------------
+//
+// Both write the merge kernel's stream for `out` (chunk_symbols = 2^M,
+// n_symbols and chunk_bits sized by the caller). `reduce_of(c, chunk)`
+// returns chunk c's r, and `max_slots` bounds 2^(M−r) over every chunk.
+// `cancel` is polled once per chunk. Both return the breaking groups
+// merged into the overflow section.
 
-/// Write the merge kernel's stream for `out` (chunk_symbols = 2^M,
-/// n_symbols and chunk_bits sized by the caller) without simulating it.
-/// `reduce_of(c, chunk)` returns chunk c's r, and `max_slots` bounds
-/// 2^(M−r) over every chunk. `cancel` is polled once per chunk. Returns
-/// the breaking groups merged into the overflow section.
+/// Simulate the kernel: one block per chunk, then the coalescing copy.
+template <unsigned Width, typename Sym, typename ReduceOf>
+BreakingCount simulate(EncodedStream& out, std::span<const Sym> data,
+                       const Codebook& cb, Kernel kernel,
+                       std::size_t max_slots, ReduceOf&& reduce_of,
+                       simt::MemTally* tally, const CancelToken* cancel) {
+  static_assert(Width == 32 || Width == 64);
+  constexpr std::size_t kSlotWords = Width / kWordBits;
+  const std::size_t N = out.chunk_symbols;
+  const u32 M = static_cast<u32>(std::countr_zero(N));
+  const std::size_t chunks = out.chunk_bits.size();
+  if (chunks == 0) return {};
+
+  // Workspace: every chunk's dense bitstream fits in its slots (§IV-C),
+  // plus one slack word for the batch move's spill write.
+  const std::size_t stride = max_slots * kSlotWords + 1;
+  std::vector<word_t> work(chunks * stride, 0);
+  std::vector<OverflowSection> sections(chunks);
+  if (tally) charge_grid(*tally, kernel, cb.cw.size(), chunks);
+
+  // Every phase ends at a block barrier; charge_block charges the block's
+  // phases, barriers included, once its lengths are known.
+  simt::launch(
+      static_cast<int>(chunks),
+      static_cast<int>(std::clamp<std::size_t>(max_slots, 32, 1024)), tally,
+      [&](simt::BlockCtx& blk) {
+        const std::size_t c = static_cast<std::size_t>(blk.block_id());
+        // Cooperative poll, once per chunk (= one block; core/cancel.hpp).
+        if (cancel) cancel->check();
+        const std::size_t begin = c * N;
+        const std::size_t end = std::min(begin + N, data.size());
+        const std::span<const Sym> chunk = data.subspan(begin, end - begin);
+
+        // --- Lookup: codeword per slot (one thread per symbol). ----------
+        auto cells = blk.shared_array<MergedCell<Width>>(N);
+        for (std::size_t i = 0; i < N; ++i) {
+          if (i < chunk.size()) {
+            const Codeword cw = cb.cw[static_cast<std::size_t>(chunk[i])];
+            if (cw.len == 0) throw std::runtime_error("symbol absent");
+            cells[i] = MergedCell<Width>{cw.bits, static_cast<u16>(cw.len),
+                                         cw.len > Width};
+          } else {
+            cells[i] = MergedCell<Width>{};
+          }
+        }
+        const u32 r = reduce_of(c, chunk);
+        const std::size_t group = std::size_t{1} << r;
+        const std::size_t slots = N >> r;
+
+        // --- REDUCE-merge: r in-place pairwise iterations (Fig. 1). ------
+        for (u32 it = 1; it <= r; ++it) {
+          for (std::size_t k = 0; k < (N >> it); ++k) {
+            MergedCell<Width> m = cells[2 * k];
+            m.append(cells[2 * k + 1]);
+            cells[k] = m;
+          }
+        }
+
+        // --- Breaking points: ascending scan, backtrace. -----------------
+        // The block runs on one host thread, so the in-order scan over the
+        // reduced cells already yields the compact, ascending index list.
+        OverflowWriter ovf(sections[c], static_cast<u32>(c));
+        for (std::size_t g = 0; g < slots; ++g) {
+          if (!cells[g].breaking) continue;
+          const std::size_t gb = g * group;
+          ovf.add(static_cast<u32>(g),
+                  chunk.subspan(gb, std::min(group, chunk.size() - gb)), cb);
+          cells[g] = MergedCell<Width>{};  // zero bits in the main stream
+        }
+        ovf.finish();
+
+        // --- SHUFFLE-merge: s batch-move iterations (Fig. 2). ------------
+        // Each slot's cell goes left-aligned into its kSlotWords words.
+        word_t* buf = work.data() + c * stride;
+        auto glen = blk.shared_array<u64>(slots);
+        for (std::size_t j = 0; j < slots; ++j) {
+          glen[j] = cells[j].len;
+          const u64 aligned =
+              glen[j] == 0 ? 0 : cells[j].bits << (Width - glen[j]);
+          for (std::size_t k = 0; k < kSlotWords; ++k) {
+            buf[j * kSlotWords + k] = static_cast<word_t>(
+                aligned >> (Width - kWordBits * (k + 1)));
+          }
+        }
+        // The running bit offsets charge_block reads.
+        std::vector<u64> offsets(glen.begin(), glen.end());
+        offsets.push_back(0);
+        (void)exclusive_scan(offsets, 1);
+        auto scratch = blk.shared_array<word_t>(slots * kSlotWords / 2 + 1);
+        for (u32 it = 1; it <= M - r; ++it) {
+          const std::size_t half = std::size_t{1} << (it - 1);
+          for (std::size_t p = 0; p < (slots >> it); ++p) {
+            const std::size_t left = p << it;
+            const u64 llen = glen[left];
+            const u64 rlen = glen[left + half];
+            if (rlen > 0) {
+              // Two-step batch move via scratch: lift the right group out,
+              // zero its words (the left group's frontier grows into
+              // them), then append at the left group's bit end.
+              word_t* const right = buf + (left + half) * kSlotWords;
+              const std::size_t rwords =
+                  static_cast<std::size_t>(words_for_bits(rlen));
+              std::copy_n(right, rwords, scratch.data());
+              std::fill_n(right, rwords, word_t{0});
+              append_bits(buf + left * kSlotWords, llen, scratch.data(),
+                          rlen);
+            }
+            glen[left] = llen + rlen;
+          }
+        }
+        out.chunk_bits[c] = glen[0];
+        charge_block(blk.tally(),
+                     BlockShape{kernel, M, r, chunk.size(), sizeof(Sym),
+                                kSlotWords},
+                     sections[c].entries, offsets);
+      });
+
+  // --- Coalescing copy: prefix-sum layout + contiguous chunk copy. -------
+  out.payload.assign(layout_chunks(out), 0);
+  simt::launch(static_cast<int>(chunks), 256, tally,
+               [&](simt::BlockCtx& blk) {
+                 const std::size_t c =
+                     static_cast<std::size_t>(blk.block_id());
+                 const u64 words = words_for_bits(out.chunk_bits[c]);
+                 std::copy_n(work.data() + c * stride, words,
+                             out.payload.data() + out.chunk_word_offset[c]);
+                 charge_copy_block(blk.tally(), words);
+               });
+  return merge_overflow(out, sections);
+}
+
+/// Emit the kernel's stream without simulating it.
 template <unsigned Width, typename Sym, typename ReduceOf>
 BreakingCount emit(EncodedStream& out, std::span<const Sym> data,
                    const Codebook& cb, Kernel kernel, std::size_t max_slots,

@@ -90,8 +90,7 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
   // carry it.
   simt::MemTally* const tally = report ? &report->encode_tally : nullptr;
   // Stage-entry check covers the encoder kinds without in-kernel polls
-  // (serial / OpenMP / adaptive); the SIMT encoders below also poll per
-  // chunk.
+  // (serial / OpenMP); the SIMT encoders below also poll per chunk.
   if (cancel) cancel->check();
   // REDUCE-factor choice needs an average bitwidth; take a serial
   // histogram only when the caller didn't supply a profile and the
@@ -138,7 +137,7 @@ EncodedStream encode_with_codebook(std::span<const Sym> data,
       AdaptiveConfig ac;
       ac.magnitude = cfg.magnitude;
       AdaptiveStats st;
-      stream = emit_adaptive<Sym, 32>(data, cb, ac, tally, &st);
+      stream = emit_adaptive<Sym, 32>(data, cb, ac, tally, &st, cancel);
       rep.rs.breaking_groups = st.breaking_groups;
       rep.rs.breaking_symbols = st.breaking_symbols;
       break;

@@ -150,7 +150,7 @@ template <typename Sym>
 /// (the service cache's correctness guard). When `report` is given, fills
 /// encode_seconds, encode_tally, reduce_factor, rs and avg_bits only.
 /// `cancel` is checked at stage entry and polled once per chunk inside the
-/// SIMT encoders.
+/// SIMT encoders (coarse, prefix-sum, reduce/shuffle and adaptive).
 template <typename Sym>
 [[nodiscard]] EncodedStream encode_with_codebook(
     std::span<const Sym> data, const Codebook& cb, const PipelineConfig& cfg,

@@ -1,7 +1,7 @@
 // Host-emitter edge cases: absent symbols throw, a token firing after the
-// first chunk poll cancels both forms, and the merge cost model's pair
-// fold. Kernel-vs-emitter equivalence on every input family lives in
-// test_equivalence.cpp.
+// first chunk poll cancels both forms of both kernels, and the merge cost
+// model's pair fold. Kernel-vs-emitter equivalence on every input family
+// lives in test_equivalence.cpp.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -71,6 +71,13 @@ TEST(Emitter, TokenFiringAfterTheFirstChunkPollCancels) {
   });
   run([&](const CancelToken* t) {
     return encode_reduceshuffle_simt<u8>(in, cb, rs, nullptr, nullptr, t);
+  });
+  const AdaptiveConfig ac{10, 1, 6};  // 64 chunks, one poll each
+  run([&](const CancelToken* t) {
+    return emit_adaptive<u8>(in, cb, ac, nullptr, nullptr, t);
+  });
+  run([&](const CancelToken* t) {
+    return encode_adaptive_simt<u8>(in, cb, ac, nullptr, nullptr, t);
   });
 }
 

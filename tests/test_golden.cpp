@@ -12,11 +12,13 @@
 
 #include "core/decode.hpp"
 #include "core/decode_gaparray.hpp"
+#include "core/encode_adaptive.hpp"
 #include "core/encode_reduceshuffle.hpp"
 #include "core/format.hpp"
 #include "core/histogram.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
+#include "core/tree.hpp"
 #include "data/quant.hpp"
 #include "expect_tally.hpp"
 #include "golden_phf3.hpp"
@@ -231,6 +233,28 @@ TEST(Golden, ModeledTalliesAreStable) {
     expect_tally("global-atomic histogram", atomics,
                  {200006, 0, 6390, 0, 0, 100003, 400012, 0, 0, 1, 0, 0, 0, 0,
                   0});
+  }
+  {
+    // The adaptive kernel's per-chunk r: Width 32 through compress(),
+    // Width 64 through the simulated kernel.
+    PipelineConfig cfg;
+    cfg.nbins = 16;
+    cfg.magnitude = 8;
+    cfg.encoder = EncoderKind::kAdaptiveSimt;
+    PipelineReport rep;
+    (void)compress<u8>(golden_input(), cfg, &rep);
+    expect_tally("adaptive encode, width 32", rep.encode_tally,
+                 {10328, 3299, 337, 109, 320484, 0, 0, 0, 0, 2, 0, 270, 1701,
+                  445824, 0});
+    const std::vector<u16> nyx =
+        data::generate_nyx_quant(std::size_t{1} << 16, 7);
+    const Codebook cb =
+        build_codebook_serial(histogram_serial<u16>(nyx, 1024));
+    simt::MemTally wide;
+    (void)encode_adaptive_simt<u16, 64>(nyx, cb, AdaptiveConfig{}, &wide);
+    expect_tally("adaptive encode, width 64", wide,
+                 {156220, 8828, 5100, 494, 3175196, 0, 0, 0, 0, 2, 0, 768, 1984,
+                  6651904, 0});
   }
 }
 

@@ -41,14 +41,6 @@ TEST(MergedCell, BreakingPropagates) {
   EXPECT_TRUE(c.breaking);
 }
 
-TEST(MergeOp, SixtyFourBitBoundary) {
-  const auto ok = merge(Codeword{1, 32}, Codeword{1, 32});
-  EXPECT_TRUE(ok.ok);
-  EXPECT_EQ(ok.cw.len, 64);
-  const auto bad = merge(Codeword{1, 33}, Codeword{1, 32});
-  EXPECT_FALSE(bad.ok);
-}
-
 std::vector<u64> hist16(const std::vector<u16>& data, std::size_t nbins) {
   std::vector<u64> h(nbins, 0);
   for (u16 s : data) ++h[s];

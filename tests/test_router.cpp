@@ -1,10 +1,11 @@
 // Sharded router front-end: rendezvous-hash properties (determinism, seed
 // sensitivity, minimal disruption), the ShardHealth state machine, the
 // scale-invariant routing key, the stats, health, cancel, stream-error and
-// lossy verbs through an unmodified RpcClient, cache-affinity vs
-// round-robin, the kill-one-of-three failover drill with exact terminal accounting (routed == forwarded +
-// failed_over + shed), all-shards-down load shedding, deadline passthrough,
-// the router fault-storm soak, and lifecycle/probing behavior. Plain
+// lossy verbs through an unmodified RpcClient, a forged shard's short
+// stream id, cache-affinity vs round-robin, the kill-one-of-three failover
+// drill with exact terminal accounting (routed == forwarded + failed_over +
+// shed), all-shards-down load shedding, deadline passthrough, the router
+// fault-storm soak, and lifecycle/probing behavior. Plain
 // compress/decompress through a 3-shard router lives in
 // test_equivalence.cpp.
 
@@ -369,6 +370,61 @@ TEST(RouterProxy, StreamFrameErrorsEchoTheClientStreamId) {
   EXPECT_EQ(relayed.h.status, Status::kBadRequest);
   EXPECT_EQ(relayed.h.request_id, 3u);
   EXPECT_EQ(relayed.h.stream_id, sid);
+}
+
+TEST(RouterProxy, ShortStreamIdFromAShardFailsTheStreamTyped) {
+  // The test plays the shard: it answers the router's stream Begin with a
+  // 4-byte id where an 8-byte one belongs. The client's stream must fail
+  // typed, and every received frame must still be answered exactly once.
+  const RouterCounters c0 = snap_counters();
+  const u64 opened0 =
+      obs::MetricsRegistry::global().counter("router.streams_opened");
+  LoopbackHub shard_hub;
+  const std::unique_ptr<rpc::Listener> shard_side = shard_hub.listener();
+  LoopbackHub front;
+  auto rt = std::make_unique<ShardRouter>(
+      front.listener(),
+      std::vector<ShardEndpoint>{
+          {"forged", [&] { return shard_hub.connect(); }}},
+      router_config());
+  ClientConfig cc;
+  cc.max_payload_bytes = 2048;  // a 4 KiB compress streams
+  cc.stream_chunk_bytes = 1024;
+  RpcClient cli([&] { return front.connect(); }, cc);
+  RpcCall call = cli.compress(ramp_data(4096));
+
+  const std::unique_ptr<rpc::Connection> shard = shard_side->accept();
+  ASSERT_NE(shard, nullptr);
+  std::array<u8, rpc::kHeaderBytes> hb;
+  ASSERT_TRUE(shard->read_exact(hb.data(), hb.size()));
+  rpc::Frame answer;
+  answer.h = rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(hb));
+  ASSERT_EQ(answer.h.op, Op::kCompressStreamBegin);
+  ASSERT_EQ(answer.h.payload_len, 0u);
+  answer.h.kind = rpc::Kind::kResponse;
+  answer.payload = {1, 2, 3, 4};
+  const std::vector<u8> bytes = rpc::encode_frame(answer);
+  shard->write_all(bytes.data(), bytes.size());
+
+  try {
+    (void)call.result.get();
+    FAIL() << "a 4-byte stream id from the shard must fail typed";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.status(), Status::kInternal);
+    EXPECT_NE(std::string(e.what()).find("short stream id from shard"),
+              std::string::npos)
+        << e.what();
+  }
+  rt->stop();
+  const RouterCounters c1 = snap_counters();
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().counter("router.streams_opened"),
+      opened0);
+  EXPECT_EQ(c1.routed - c0.routed, (c1.forwarded - c0.forwarded) +
+                                       (c1.failed_over - c0.failed_over) +
+                                       (c1.shed - c0.shed));
+  EXPECT_EQ((c1.written - c0.written) + (c1.dropped - c0.dropped),
+            (c1.received - c0.received) + (c1.perr - c0.perr));
 }
 
 TEST(RouterProxy, LossyVerbsRoundTripThroughRouter) {
